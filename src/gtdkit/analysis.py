@@ -7,31 +7,37 @@ its domain are marked, never fatal. Root finding watches det g for sign
 changes along coordinate lines and bisects; divergence exponents come from a
 log-log fit of |R| against the distance to an approach point.
 
+Scans and root bisection evaluate points in batches of at most CHUNK_ROWS.
 Reports are deterministic: the grid is enumerated row-major in coordinate
-order and workers write into preallocated slots, so results are identical
-for any worker count.
+order, and a point's result is bit-identical whatever batch it is evaluated
+in, so results do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import fundeq, geometry
+from . import fundeq, geometry, jets
 from .errors import DegenerateMetricError, DomainError
-from .geometry import HessianMetricField, MetricField
+from .geometry import (  # the point statuses are re-exported for scan reports
+    STATUS_DEGENERATE,
+    STATUS_DOMAIN_ERROR,
+    STATUS_OK,
+    HessianMetricField,
+    MetricField,
+    MetricKind,
+)
 
 GRID_CAP = 10**6
 ROOT_TOL_FACTOR = 1e-12
 NOISE_FLOOR = 1e-8
-
-STATUS_OK = "ok"
-STATUS_DEGENERATE = "degenerate"
-STATUS_DOMAIN_ERROR = "domain-error"
+# Points evaluated together: enough to spread the jet engine's per-operation
+# Python overhead, few enough to bound the memory of one batch.
+CHUNK_ROWS = 128
 
 QUANTITIES = ("curvature", "detg", "potential", "intensive")
 _QUANTITY_ALIASES = {"scalar_curvature": "curvature", "det_g": "detg"}
@@ -108,11 +114,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SingularPoint:
-    """A refined det-g root on a scan line.
+    """A refined det-g sign change on a scan line.
 
-    For Hessian-based fields the category separates zeros of the potential
-    prefactor (det g = Phi^n det Hess for the natural kind) from zeros of the
-    Hessian factor; only the latter mark stability limits.
+    `pole` marks a bracket where |det g| does not shrink towards the
+    refined point: det g changes sign through a pole, not a root. For
+    Hessian-based fields a root's category separates zeros of the potential
+    prefactor (det g = Phi^n det Hess for the natural kind) from zeros of
+    the Hessian factor; only the latter mark stability limits.
     """
 
     coords: dict[str, float]
@@ -140,147 +148,193 @@ class ScanReport:
     status: list[str]
     singular_points: list[SingularPoint] = field(default_factory=list)
     fits: list[DivergenceFit] = field(default_factory=list)
+    # det g per point when the quantity computes it (NaN where domain-error),
+    # reused by find_singular_locus
+    det_g: np.ndarray | None = None
 
 
-def _quantity_evaluator(
-    f: MetricField, quantity: str
-) -> tuple[tuple[str, ...], Callable[[Sequence[float]], np.ndarray]]:
+# A batch evaluator: points (B, n) -> values (B, ncols), statuses, det g or None.
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, list[str], Union[np.ndarray, None]]]
+
+
+def _curvature_rows(f: MetricField, points: np.ndarray):
+    report = geometry.scalar_curvature(f, points)
+    return report.scalar[:, None], report.status, report.det_g
+
+
+def _det_rows(f: MetricField, points: np.ndarray):
+    det, status = geometry.metric_determinant(f, points)
+    return det[:, None], status, det
+
+
+def _potential_rows(f: HessianMetricField, points: np.ndarray):
+    jet = fundeq.evaluate(f.spec, points, order=0)
+    return jet.value[:, None], geometry.statuses(jet.failed), None
+
+
+def _intensive_rows(f: HessianMetricField, points: np.ndarray):
+    jet = fundeq.evaluate(f.spec, points, order=1)
+    return jet.gradient.T, geometry.statuses(jet.failed), None
+
+
+def _quantity_evaluator(f: MetricField, quantity: str) -> tuple[tuple[str, ...], Evaluator]:
     quantity = _QUANTITY_ALIASES.get(quantity, quantity)
     if quantity == "curvature":
-        return ("R",), lambda p: np.array([geometry.scalar_curvature(f, p).scalar])
+        return ("R",), lambda p: _curvature_rows(f, p)
     if quantity == "detg":
-        return ("det_g",), lambda p: np.array([geometry.metric_determinant(f, p)])
+        return ("det_g",), lambda p: _det_rows(f, p)
     if quantity in ("potential", "intensive") and not isinstance(f, HessianMetricField):
         raise ValueError(f"{quantity!r} needs a fundamental-equation system, not a direct metric")
     if quantity == "potential":
-        return ("potential",), lambda p: np.array([fundeq.potential_value(f.spec, p)])
+        return ("potential",), lambda p: _potential_rows(f, p)
     if quantity == "intensive":
         names = tuple(f"I_{v}" for v in f.spec.variables)
-        return names, lambda p: fundeq.intensive_variables(f.spec, p)
+        return names, lambda p: _intensive_rows(f, p)
     raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
 
 
-def grid_scan(
-    f: MetricField,
-    grid: GridSpec,
-    quantity: str = "curvature",
-    workers: int | None = None,
-) -> ScanReport:
+def _chunks(points: np.ndarray) -> list[np.ndarray]:
+    return [points[i : i + CHUNK_ROWS] for i in range(0, len(points), CHUNK_ROWS)]
+
+
+def grid_scan(f: MetricField, grid: GridSpec, quantity: str = "curvature") -> ScanReport:
     """Evaluate `quantity` at every grid point, marking bad points."""
     columns, evaluate = _quantity_evaluator(f, quantity)
-    points = grid.points()
-    npoints = len(points)
-    values = np.full((npoints, len(columns)), np.nan)
-    status = [STATUS_OK] * npoints
-
-    def run(i: int) -> None:
-        try:
-            values[i] = evaluate(points[i])
-        except DegenerateMetricError:
-            status[i] = STATUS_DEGENERATE
-        except DomainError:
-            status[i] = STATUS_DOMAIN_ERROR
-
-    if workers is None or workers <= 1 or npoints < 2:
-        for i in range(npoints):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(npoints)))
-    return ScanReport(grid=grid, quantity=quantity, columns=columns, values=values, status=status)
+    values, status, dets = [], [], []
+    for chunk in _chunks(grid.points()):
+        chunk_values, chunk_status, chunk_det = evaluate(chunk)
+        values.append(chunk_values)
+        status += chunk_status
+        dets.append(chunk_det)
+    det_g = None if dets[0] is None else np.concatenate(dets)
+    return ScanReport(
+        grid=grid,
+        quantity=quantity,
+        columns=columns,
+        values=np.concatenate(values),
+        status=status,
+        det_g=det_g,
+    )
 
 
 # -- singular locus ----------------------------------------------------------------
 
 
-def _det_or_none(f: MetricField, point: Sequence[float]) -> float | None:
-    try:
-        return geometry.metric_determinant(f, point)
-    except DomainError:
-        return None
+def _determinants(f: MetricField, points: np.ndarray) -> np.ndarray:
+    """det g at every point, chunked; NaN outside the domain."""
+    return np.concatenate([geometry.metric_determinant(f, c)[0] for c in _chunks(points)])
 
 
-def _bisect_root(
-    det_fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float
-) -> float:
-    tol = ROOT_TOL_FACTOR * max(1.0, abs(lo), abs(hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fmid = det_fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _bisect_roots(
+    f: MetricField,
+    base: np.ndarray,
+    axis: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    flo: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect det g = 0 on all brackets at once, one batch per step.
+
+    Bracket k runs along coordinate axis[k] through base[k] from lo[k] to
+    hi[k], with det g = flo[k] at lo[k]. Each bracket follows the scalar
+    rules: stop when hi - lo <= tol, when the midpoint no longer splits the
+    bracket, or on det g == 0 exactly; the root is then 0.5 * (lo + hi). A
+    bracket whose midpoint leaves the domain is dropped. Returns the roots
+    and the mask of brackets that kept them.
+    """
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    tol = ROOT_TOL_FACTOR * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    active = hi - lo > tol
+    kept = np.ones(len(lo), dtype=bool)
+    while active.any():
+        idx = np.flatnonzero(active)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        split = (mid > lo[idx]) & (mid < hi[idx])
+        active[idx[~split]] = False
+        idx, mid = idx[split], mid[split]
+        points = base[idx].copy()
+        points[np.arange(len(idx)), axis[idx]] = mid
+        fmid = _determinants(f, points)
+        left = np.isnan(fmid)
+        kept[idx[left]] = False
+        zero = fmid == 0.0
+        active[idx[left | zero]] = False
+        move = ~(left | zero)
+        idx, mid, fmid = idx[move], mid[move], fmid[move]
+        flip = (flo[idx] < 0.0) != (fmid < 0.0)
+        hi[idx[flip]] = mid[flip]
+        lo[idx[~flip]] = mid[~flip]
+        flo[idx[~flip]] = fmid[~flip]
+        active[idx] = hi[idx] - lo[idx] > tol[idx]
+    return 0.5 * (lo + hi), kept
+
+
+def _classify_roots(f: MetricField, points: np.ndarray) -> list[str | None]:
+    if not isinstance(f, HessianMetricField):
+        return [None] * len(points)
+    if f.kind is not MetricKind.NATURAL:
+        # only the natural metric factors as det g = Phi^n det Hess
+        return ["hessian-zero"] * len(points)
+    jet = fundeq.evaluate(f.spec, points, order=2)
+    phi = jet.value
+    det_hess = np.linalg.det(jets.hessian_values(jet))
+    potential_zero = np.abs(phi) ** f.dim <= np.abs(det_hess)
+    return ["potential-zero" if z else "hessian-zero" for z in potential_zero]
 
 
 def _classify_root(f: MetricField, point: np.ndarray) -> str | None:
-    if not isinstance(f, HessianMetricField):
-        return None
-    phi = fundeq.potential_value(f.spec, point)
-    det_hess = float(np.linalg.det(fundeq.hessian(f.spec, point)))
-    if abs(phi) ** f.dim <= abs(det_hess):
-        return "potential-zero"
-    return "hessian-zero"
+    return _classify_roots(f, np.asarray(point, dtype=float)[None])[0]
 
 
-def find_singular_locus(f: MetricField, grid: GridSpec) -> list[SingularPoint]:
-    """Bisect det g = 0 along every coordinate line of the grid."""
-    axis_values = grid.axis_values()
-    names = grid.names
+def find_singular_locus(
+    f: MetricField, grid: GridSpec, det_g: np.ndarray | None = None
+) -> list[SingularPoint]:
+    """Bisect det g = 0 along every coordinate line of the grid.
+
+    `det_g` holds det g at every grid point in `grid.points()` order (NaN
+    outside the domain), as `grid_scan` reports it; it is computed when not
+    given. Roots come out ordered by axis, then line, then position.
+    """
+    points = grid.points()
+    if det_g is None:
+        det_g = _determinants(f, points)
     shape = grid.shape
     dim = len(shape)
-    roots: list[SingularPoint] = []
+    dets = det_g.reshape(shape)
+    grid_points = points.reshape(shape + (dim,))
+    base, axes, lo, hi, flo, fhi = [], [], [], [], [], []
     for axis in range(dim):
         if shape[axis] < 2:
             continue
-        others = [i for i in range(dim) if i != axis]
-        other_grids = [axis_values[i] for i in others]
-        mesh = np.meshgrid(*other_grids, indexing="ij") if others else []
-        combos = np.stack([m.ravel() for m in mesh], axis=-1) if others else np.zeros((1, 0))
-        line = axis_values[axis]
-        for combo in combos:
-            base = np.empty(dim)
-            for slot, i in enumerate(others):
-                base[i] = combo[slot]
-
-            def det_at(x: float) -> float:
-                p = base.copy()
-                p[axis] = x
-                d = _det_or_none(f, p)
-                if d is None:
-                    raise DomainError("left the domain during bisection")
-                return d
-
-            dets = [_det_or_none(f, _with(base, axis, x)) for x in line]
-            for k in range(len(line) - 1):
-                dlo, dhi = dets[k], dets[k + 1]
-                if dlo is None or dhi is None or dlo == 0.0 or (dlo < 0.0) == (dhi < 0.0):
-                    continue
-                try:
-                    root = _bisect_root(det_at, line[k], line[k + 1], dlo, dhi)
-                    residual = det_at(root)
-                except DomainError:
-                    continue
-                point = _with(base, axis, root)
-                roots.append(
-                    SingularPoint(
-                        coords=dict(zip(names, map(float, point))),
-                        det_g=residual,
-                        category=_classify_root(f, point),
-                    )
-                )
-    return roots
-
-
-def _with(base: np.ndarray, axis: int, value: float) -> np.ndarray:
-    out = base.copy()
-    out[axis] = value
-    return out
+        line_dets = np.moveaxis(dets, axis, -1).reshape(-1, shape[axis])
+        line_points = np.moveaxis(grid_points, axis, -2).reshape(-1, shape[axis], dim)
+        dlo, dhi = line_dets[:, :-1], line_dets[:, 1:]
+        crossing = ~np.isnan(dlo) & ~np.isnan(dhi) & (dlo != 0.0) & ((dlo < 0.0) != (dhi < 0.0))
+        line, k = np.nonzero(crossing)
+        base.append(line_points[line, k])
+        axes.append(np.full(len(k), axis))
+        lo.append(line_points[line, k, axis])
+        hi.append(line_points[line, k + 1, axis])
+        flo.append(dlo[line, k])
+        fhi.append(dhi[line, k])
+    if sum(map(len, base)) == 0:
+        return []
+    base, axes, lo, hi, flo, fhi = map(np.concatenate, (base, axes, lo, hi, flo, fhi))
+    roots, kept = _bisect_roots(f, base, axes, lo, hi, flo)
+    points = base.copy()
+    points[np.arange(len(roots)), axes] = roots
+    residual = _determinants(f, points)
+    kept &= ~np.isnan(residual)
+    points, residual = points[kept], residual[kept]
+    # a pole: |det g| at the refined point is no smaller than at the bracket ends
+    pole = ~(np.abs(residual) < np.minimum(np.abs(flo[kept]), np.abs(fhi[kept])))
+    categories = np.array(_classify_roots(f, points), dtype=object)
+    categories[pole] = "pole"
+    names = grid.names
+    return [
+        SingularPoint(coords=dict(zip(names, map(float, p))), det_g=float(d), category=c)
+        for p, d, c in zip(points, residual, categories)
+    ]
 
 
 # -- divergence exponents ------------------------------------------------------------
@@ -306,18 +360,30 @@ def fit_power_law(
     """
     center = np.asarray(center, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    logs_x, logs_y = [], []
+    values = []
     for t in offsets:
         try:
-            value = abs(float(sample(center + t * direction)))
+            values.append(float(sample(center + t * direction)))
         except (DomainError, DegenerateMetricError):
+            values.append(None)
+    return _fit(offsets, values, noise_floor)
+
+
+def _fit(
+    offsets: Sequence[float], values: Sequence[float | None], noise_floor: float
+) -> DivergenceFit:
+    """The log-log fit of `fit_power_law` on sampled values (None for a failed sample)."""
+    logs_x, logs_y = [], []
+    for t, v in zip(offsets, values):
+        if v is None:
             continue
+        value = abs(v)
         if not math.isfinite(value) or value <= noise_floor:
             continue
         logs_x.append(math.log(t))
         logs_y.append(math.log(value))
     if len(logs_x) < 4:
-        if all(_below_floor(sample, center, direction, t, noise_floor) for t in offsets):
+        if all(v is None or abs(v) <= noise_floor for v in values):
             return DivergenceFit(
                 exponent=0.0, intercept=0.0, correlation=0.0, samples=len(logs_x), diverges=False
             )
@@ -335,23 +401,25 @@ def fit_power_law(
     )
 
 
-def _below_floor(sample, center, direction, t, floor) -> bool:
-    try:
-        return abs(float(sample(center + t * direction))) <= floor
-    except (DomainError, DegenerateMetricError):
-        return True
-
-
 def fit_divergence_exponent(
     f: MetricField,
     center: Sequence[float],
     direction: Sequence[float],
     offsets: Sequence[float],
 ) -> DivergenceFit:
-    """Divergence exponent of the curvature scalar approaching `center`."""
-    return fit_power_law(
-        lambda p: geometry.scalar_curvature(f, p).scalar, center, direction, offsets
-    )
+    """Divergence exponent of the curvature scalar approaching `center`.
+
+    All offsets are sampled as one batch of points.
+    """
+    center = np.asarray(center, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    points = center + np.asarray(offsets, dtype=float)[:, None] * direction
+    values: list[float | None] = []
+    for chunk in _chunks(points):
+        report = geometry.scalar_curvature(f, chunk)
+        for r, status in zip(report.scalar, report.status):
+            values.append(float(r) if status == STATUS_OK else None)
+    return _fit(offsets, values, NOISE_FLOOR)
 
 
 # -- Reissner-Nordstrom critical points ------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -312,8 +311,8 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    report_data = analysis.grid_scan(f, grid, args.quantity, workers=args.workers)
-    roots = analysis.find_singular_locus(f, grid)
+    report_data = analysis.grid_scan(f, grid, args.quantity)
+    roots = analysis.find_singular_locus(f, grid, det_g=report_data.det_g)
     fits = []
     if args.fit_center:
         center_map = _parse_assignments(args.fit_center, "--fit-center")
@@ -336,6 +335,9 @@ def cmd_scan(args) -> int:
     print(f"scanned {grid.size} points ({n_ok} ok, {grid.size - n_ok} marked)")
     for root in roots:
         coords = ", ".join(f"{k}={fmt(v)}" for k, v in root.coords.items())
+        if root.category == "pole":
+            print(f"pole: {coords}  det_g = {fmt(root.det_g)}")
+            continue
         cat = f" [{root.category}]" if root.category else ""
         print(f"root: {coords}  det_g = {fmt(root.det_g)}{cat}")
     for fit in fits:
@@ -550,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument("--pin", action="append", help="VAR=value (repeatable)")
     p_scan.add_argument("--quantity", default="curvature", choices=list(analysis.QUANTITIES))
-    p_scan.add_argument("--workers", type=int, default=os.cpu_count(), help="scan parallelism")
     p_scan.add_argument("--fit-center", default=None, help="divergence fit center, VAR=value,...")
     p_scan.add_argument("--fit-direction", default=None, help="approach direction, VAR=value,...")
     p_scan.add_argument("--fit-offsets", default="0.1:10", help="BASE:COUNT[:FACTOR]")

@@ -320,20 +320,31 @@ def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
     return _eval_pow(left, right)
 
 
+class _PointwiseOnly(Exception):
+    """The points of a batch take different branches of the evaluator."""
+
+
 def _eval_pow(base: Scalar, exponent: Scalar) -> Scalar:
     if isinstance(exponent, Jet):
         rest = exponent.coeffs[1:]
-        if rest.size and np.any(rest != 0.0):
+        variable = np.any(rest != 0.0, axis=0)
+        if exponent.batched and not (
+            variable.all() or (not variable.any() and np.all(exponent.value == exponent.value[0]))
+        ):
+            raise _PointwiseOnly
+        if rest.size and np.any(variable):
             # genuinely variable exponent: a^b = exp(b ln a)
             if not isinstance(base, Jet):
-                base = jets.constant(base, exponent.nvars, exponent.order)
+                shape = exponent.coeffs.shape[1:]
+                base = jets.constant(np.full(shape, base), exponent.nvars, exponent.order)
             return jets.exp(exponent * jets.ln(base))
-        exponent = exponent.value
+        exponent = float(np.ravel(exponent.value)[0])
     if isinstance(base, Jet):
         return jets.power(base, exponent)
     try:
+        # a negative base with a fractional exponent gives a complex number
         return float(base**exponent)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DomainError(f"{base} ^ {exponent} is undefined") from exc
 
 
@@ -403,11 +414,8 @@ class SystemSpec:
         return dict(zip(self.variables, map(float, point)))
 
     def in_domain(self, point: Point) -> bool:
-        env = self.point_env(point)
-        if self.domain is not None and not self.domain(env):
-            return False
         try:
-            eval_float(self.potential, {**self.parameters, **env})
+            evaluate(self, point, order=0)
         except DomainError:
             return False
         return True
@@ -419,22 +427,90 @@ class SystemSpec:
             raise DomainError(f"point {tuple(env.values())} outside domain of {self.name}{hint}")
 
 
+def evaluate_batch(
+    vectorized: Callable[[np.ndarray], list[Jet]],
+    one_point: Callable[[np.ndarray], list[Jet]],
+    points: np.ndarray,
+    domain: DomainPredicate | None,
+    names: Sequence[str],
+    order: int,
+    count: int = 1,
+) -> list[Jet]:
+    """Evaluate `count` jets over a (B, n) batch of points; failed points become NaN columns.
+
+    The domain predicate is called once per point, with floats; rejected
+    points are evaluated as NaN. A DomainError can only come from a
+    constant subexpression and fails every point. A batch whose points take
+    different evaluator branches (a power whose exponent jet is constant at
+    some points only) falls back to `one_point` for each point, so each
+    point's result is always that of its single-point evaluation.
+    """
+    nvars = len(names)
+    if points.ndim != 2 or points.shape[1] != nvars:
+        raise ValueError(f"expected points of shape (B, {nvars}), got {points.shape}")
+    failed = np.zeros(len(points), dtype=bool)
+    if domain is not None:
+        failed = np.array([not domain(dict(zip(names, map(float, p)))) for p in points], dtype=bool)
+    try:
+        out = vectorized(np.where(failed[:, None], np.nan, points))
+    except DomainError:
+        failed[:] = True
+        out = [jets.constant(np.zeros(len(points)), nvars, order)] * count
+    except _PointwiseOnly:
+        out = _pointwise(one_point, points, nvars, order, count)
+    for jet in out:
+        if jet.failed is not None:
+            failed |= jet.failed
+    return [jets.mark_failed(jet, failed) for jet in out]
+
+
+def _pointwise(one_point, points: np.ndarray, nvars: int, order: int, count: int) -> list[Jet]:
+    blank = np.full_like(jets.constant(0.0, nvars, order).coeffs, np.nan)
+    columns: list[list[Jet] | None] = []
+    for p in points:
+        try:
+            columns.append(one_point(p))
+        except DomainError:
+            columns.append(None)
+    failed = np.array([c is None for c in columns])
+    stacked = [np.stack([blank if c is None else c[k].coeffs for c in columns], 1) for k in range(count)]
+    return [Jet(nvars, order, coeffs, failed) for coeffs in stacked]
+
+
 def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) -> Jet:
-    """Jet of the potential around `point`, each variable seeded."""
-    spec.check_domain(point)
-    values = [float(v) for v in point]
+    """Jet of the potential around `point`, each variable seeded.
+
+    `point` is one point of n coordinates or a (B, n) array of B points. One
+    point outside the domain raises DomainError; in a batch such points come
+    back as failed columns of NaN (see `Jet.failed`).
+    """
+    points = np.asarray(point, dtype=float)
+    if points.ndim == 1:
+        spec.check_domain(point)
+        return _potential_jet(spec, points, order)
+    (jet,) = evaluate_batch(
+        lambda coords: [_potential_jet(spec, coords, order)],
+        lambda p: [evaluate(spec, p, order)],
+        points,
+        spec.domain,
+        spec.variables,
+        order,
+    )
+    return jet
+
+
+def _potential_jet(spec: SystemSpec, coords: np.ndarray, order: int) -> Jet:
     env: dict[str, Scalar] = dict(spec.parameters)
     for i, name in enumerate(spec.variables):
-        env[name] = jets.seed_variable(i, values[i], spec.dim, order)
+        env[name] = jets.seed_variable(i, coords[..., i], spec.dim, order)
     result = eval_jet(spec.potential, env)
     if not isinstance(result, Jet):
-        result = jets.constant(float(result), spec.dim, order)
+        result = jets.constant(np.full(coords.shape[:-1], float(result)), spec.dim, order)
     return result
 
 
 def potential_value(spec: SystemSpec, point: Point) -> float:
-    spec.check_domain(point)
-    return eval_float(spec.potential, {**spec.parameters, **spec.point_env(point)})
+    return evaluate(spec, point, order=0).value
 
 
 def intensive_variables(spec: SystemSpec, point: Point) -> np.ndarray:
@@ -448,14 +524,7 @@ def intensive_variables(spec: SystemSpec, point: Point) -> np.ndarray:
 
 def hessian(spec: SystemSpec, point: Point) -> np.ndarray:
     """Second-derivative matrix of the potential at a point."""
-    jet = evaluate(spec, point, order=2)
-    n = spec.dim
-    out = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            alpha = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
-            out[a, b] = out[b, a] = jets.extract_partial(jet, alpha)
-    return out
+    return jets.hessian_values(evaluate(spec, point, order=2))
 
 
 VDW_FAMILY = ("vdw", "ideal_gas")

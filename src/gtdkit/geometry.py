@@ -16,6 +16,12 @@ order-2 jets, so first and second derivatives of g are exact to rounding.
 No finite differences appear anywhere; curvature stays usable arbitrarily
 close to the singular loci the analysis module hunts for.
 
+Metric components, determinants and curvature accept one point or a (B, n)
+array of B points. A batch runs the same arithmetic with the batch axis
+first, so each point's result is bit-identical to its single-point call; a
+point that fails gets a status (`domain-error` or `degenerate`) and NaN
+values where one point would raise.
+
 Index conventions: Gamma[a, b, c] = Gamma^a_bc, riemann[a, b, c, d] =
 R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db
 - Gamma^a_de Gamma^e_cb, ricci[b, d] = R^a_bad, and the scalar is
@@ -38,6 +44,10 @@ from .fundeq import Expr, SystemSpec
 from .jets import Jet
 
 DEGENERACY_FACTOR = 1e-12
+
+STATUS_OK = "ok"
+STATUS_DEGENERATE = "degenerate"
+STATUS_DOMAIN_ERROR = "domain-error"
 
 Point = Sequence[float]
 
@@ -63,7 +73,9 @@ class CurvatureReport:
     """Connection and curvature data at a point.
 
     christoffel has shape (n, n, n), riemann (n, n, n, n), ricci (n, n);
-    `scalar` is the full contraction g^bd R_bd.
+    `scalar` is the full contraction g^bd R_bd. For a batch every field gets
+    a leading axis of B points, `point` is the (B, n) array, and `status`
+    gives each point's status; `det_g` is kept for degenerate points.
     """
 
     point: tuple[float, ...]
@@ -72,6 +84,7 @@ class CurvatureReport:
     ricci: np.ndarray
     scalar: float
     det_g: float
+    status: list[str] | None = None
 
 
 ComponentFn = Callable[[Mapping[str, Jet]], Union[Jet, float]]
@@ -119,18 +132,16 @@ class HessianMetricField:
         if self.kind is MetricKind.RUPPEINER:
             temp = jets.derive(phi, tuple(1 if i == 0 else 0 for i in range(n)))
             temp = jets.truncate(temp, gorder)
-            if temp.value == 0.0:
+            if not temp.batched and temp.value == 0.0:
                 raise DomainError("Ruppeiner metric undefined where the temperature vanishes")
-            out = [[None] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(a, n):
-                    out[a][b] = out[b][a] = hess[a][b] / temp
-            return out
-        phi_g = jets.truncate(phi, gorder)
+            # in a batch the reciprocal fails the points where T = 0
+            factor = 1.0 / temp
+        else:
+            factor = jets.truncate(phi, gorder)
         out = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                out[a][b] = out[b][a] = phi_g * hess[a][b]
+                out[a][b] = out[b][a] = hess[a][b] * factor
         return out
 
     def values(self, point: Point) -> np.ndarray:
@@ -168,9 +179,6 @@ class DirectMetricField:
         return len(self.coordinates)
 
     def in_domain(self, point: Point) -> bool:
-        env = dict(zip(self.coordinates, map(float, point)))
-        if self.domain is not None and not self.domain(env):
-            return False
         try:
             self.values(point)
         except DomainError:
@@ -179,25 +187,45 @@ class DirectMetricField:
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
         n = self.dim
-        if len(point) != n:
-            raise ValueError(f"expected {n} coordinates, got {len(point)}")
-        env_floats = dict(zip(self.coordinates, map(float, point)))
-        if self.domain is not None and not self.domain(env_floats):
-            raise DomainError(f"point {tuple(env_floats.values())} outside domain of {self.name}")
+        points = np.asarray(point, dtype=float)
+        if points.ndim == 1:
+            if len(points) != n:
+                raise ValueError(f"expected {n} coordinates, got {len(points)}")
+            env = dict(zip(self.coordinates, map(float, points)))
+            if self.domain is not None and not self.domain(env):
+                raise DomainError(f"point {tuple(env.values())} outside domain of {self.name}")
+            out = self._components(points, gorder)
+            failed = None
+        else:
+            flat = fundeq.evaluate_batch(
+                lambda coords: [g for row in self._components(coords, gorder) for g in row],
+                lambda p: [g for row in self.component_jets(p, gorder) for g in row],
+                points,
+                self.domain,
+                self.coordinates,
+                gorder,
+                count=n * n,
+            )
+            out = [flat[a * n : (a + 1) * n] for a in range(n)]
+            failed = _failed_points(out)
+        _check_symmetry(out, self.name, failed)
+        for a in range(n):
+            for b in range(a + 1, n):
+                out[b][a] = out[a][b]
+        return out
+
+    def _components(self, coords: np.ndarray, gorder: int) -> list[list[Jet]]:
+        n = self.dim
         env: dict[str, Union[Jet, float]] = dict(self.parameters)
         for i, cname in enumerate(self.coordinates):
-            env[cname] = jets.seed_variable(i, env_floats[cname], n, gorder)
+            env[cname] = jets.seed_variable(i, coords[..., i], n, gorder)
         out = [[None] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):
                 val = self.components[a][b](env)
                 if not isinstance(val, Jet):
-                    val = jets.constant(float(val), n, gorder)
+                    val = jets.constant(np.full(coords.shape[:-1], float(val)), n, gorder)
                 out[a][b] = val
-        _check_symmetry(out, self.name)
-        for a in range(n):
-            for b in range(a + 1, n):
-                out[b][a] = out[a][b]
         return out
 
     def values(self, point: Point) -> np.ndarray:
@@ -219,21 +247,34 @@ def _as_component(c) -> ComponentFn:
     return lambda env: fundeq.eval_jet(expr, env)
 
 
+def _stack(gjets: list[list[Jet]]) -> np.ndarray:
+    """Component coefficients as a C-contiguous (B, N, n, n) array (B = 1 for one point)."""
+    coeffs = np.array([[g.coeffs.reshape(len(g.coeffs), -1) for g in row] for row in gjets])
+    return np.ascontiguousarray(coeffs.transpose(3, 2, 0, 1))
+
+
 def _constant_terms(gjets: list[list[Jet]]) -> np.ndarray:
-    n = len(gjets)
-    return np.array([[gjets[a][b].value for b in range(n)] for a in range(n)])
+    g = _stack(gjets)[:, 0]
+    return g if gjets[0][0].batched else g[0]
 
 
-def _check_symmetry(gjets, name: str) -> None:
+def _check_symmetry(gjets, name: str, failed: np.ndarray | None) -> None:
+    """Each point's matrix must be symmetric, to a tolerance scaled by that point's entries."""
     n = len(gjets)
-    scale = max(1.0, max(abs(gjets[a][b].value) for a in range(n) for b in range(n)))
+    coeffs = _stack(gjets)
+    skip = np.zeros(len(coeffs), dtype=bool) if failed is None else failed
+    scale = np.maximum(1.0, np.max(np.abs(coeffs[:, 0]), axis=(1, 2)))[:, None]
     for a in range(n):
         for b in range(a + 1, n):
-            if not np.allclose(gjets[a][b].coeffs, gjets[b][a].coeffs, rtol=1e-9, atol=1e-9 * scale):
+            x, y = coeffs[:, :, a, b], coeffs[:, :, b, a]
+            # np.isclose(x, y, rtol=1e-9, atol=1e-9 * scale), with one atol per point
+            with np.errstate(invalid="ignore"):
+                close = (x == y) | (np.abs(x - y) <= 1e-9 * scale + 1e-9 * np.abs(y))
+            if not np.all(close.all(axis=1) | skip):
                 raise ValueError(f"direct metric {name!r} is not symmetric in ({a}, {b})")
 
 
-# -- pointwise evaluation ---------------------------------------------------------
+# -- evaluation at points ----------------------------------------------------------
 
 
 def metric_at(field: MetricField, point: Point) -> MetricValue:
@@ -242,93 +283,159 @@ def metric_at(field: MetricField, point: Point) -> MetricValue:
     return MetricValue(tuple(float(v) for v in point), field.values(point), kind)
 
 
-def metric_determinant(field: MetricField, point: Point) -> float:
-    return float(np.linalg.det(field.values(point)))
+def metric_determinant(field: MetricField, point: Point):
+    """det g at one point (a float), or for a (B, n) batch its B values and statuses.
+
+    Points of a batch outside the domain get NaN and `domain-error`.
+    """
+    gjets = field.component_jets(point, gorder=0)
+    g = _stack(gjets)[:, 0]
+    failed = _failed_points(gjets)
+    det = np.linalg.det(_replace(g, failed))
+    if not gjets[0][0].batched:
+        return float(det[0])
+    det[failed] = np.nan
+    return det, statuses(failed)
 
 
-def degeneracy_threshold(g: np.ndarray) -> float:
-    """Scale-aware cutoff below which |det g| counts as degenerate."""
-    n = g.shape[0]
-    return DEGENERACY_FACTOR * max(1.0, float(np.max(np.abs(g))) ** n)
+def degeneracy_threshold(g: np.ndarray):
+    """Scale-aware cutoff below which |det g| counts as degenerate.
+
+    A float for one (n, n) matrix, one cutoff per matrix for a (B, n, n) stack.
+    """
+    n = g.shape[-1]
+    out = DEGENERACY_FACTOR * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)) ** n)
+    return float(out) if g.ndim == 2 else out
 
 
-def _geometry_arrays(field: MetricField, point: Point, gorder: int):
-    """Metric values and derivatives: g, dg[c,a,b] = d_c g_ab, d2g[c,d,a,b]."""
-    n = field.dim
-    gjets = field.component_jets(point, gorder=gorder)
-    g = _constant_terms(gjets)
-    dg = np.empty((n, n, n))
-    for c in range(n):
-        ec = tuple(1 if i == c else 0 for i in range(n))
-        for a in range(n):
-            for b in range(n):
-                dg[c, a, b] = jets.extract_partial(gjets[a][b], ec)
-    if gorder < 2:
-        return g, dg, None
-    d2g = np.empty((n, n, n, n))
-    for c in range(n):
-        for d in range(n):
-            ecd = tuple((1 if i == c else 0) + (1 if i == d else 0) for i in range(n))
-            for a in range(n):
-                for b in range(n):
-                    d2g[c, d, a, b] = jets.extract_partial(gjets[a][b], ecd)
-    return g, dg, d2g
+def _failed_points(gjets: list[list[Jet]]) -> np.ndarray:
+    first = gjets[0][0]
+    failed = np.zeros(first.coeffs.shape[1] if first.batched else 1, dtype=bool)
+    for row in gjets:
+        for g in row:
+            if g.failed is not None:
+                failed |= g.failed
+    return failed
 
 
-def _checked_inverse(g: np.ndarray, point) -> tuple[np.ndarray, float]:
-    det = float(np.linalg.det(g))
+def statuses(failed: np.ndarray, degenerate: np.ndarray | None = None) -> list[str]:
+    """Status of each point of a batch from its failed and degenerate masks."""
+    out = np.where(failed, STATUS_DOMAIN_ERROR, STATUS_OK).astype(object)
+    if degenerate is not None:
+        out[degenerate] = STATUS_DEGENERATE
+    return out.tolist()
+
+
+def _replace(g: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The (B, n, n) stack with the matrices of bad points replaced by the identity."""
+    return np.where(bad[:, None, None], np.eye(g.shape[-1]), g)
+
+
+def _geometry_arrays(gjets: list[list[Jet]]):
+    """Metric values and derivatives, batch axis first and C-contiguous.
+
+    g[z,a,b], dg[z,c,a,b] = d_c g_ab and, for order-2 jets, d2g[z,c,d,a,b],
+    gathered from the component coefficients; plus the failed points.
+    """
+    n = len(gjets)
+    order = gjets[0][0].order
+    coeffs = _stack(gjets)
+    g = np.ascontiguousarray(coeffs[:, 0])
+    dg = coeffs[:, jets.unit_slots(n, order)]
+    d2g = None
+    if order >= 2:
+        slots, scale = jets.pair_slots(n, order)
+        d2g = coeffs[:, slots] * scale[:, :, None, None]
+    return g, dg, d2g, _failed_points(gjets)
+
+
+def _checked_inverse(g: np.ndarray, failed: np.ndarray, point=None):
+    """Inverse metrics, determinants and degenerate points of a (B, n, n) stack.
+
+    With `point` (one point) a degenerate metric raises DegenerateMetricError.
+    Failed and degenerate points get the identity as inverse; failed points
+    get NaN as determinant.
+    """
+    det = np.linalg.det(_replace(g, failed))
     threshold = degeneracy_threshold(g)
-    if abs(det) < threshold:
+    degenerate = ~failed & (np.abs(det) < threshold)
+    if point is not None and degenerate[0]:
         raise DegenerateMetricError(
-            f"metric degenerate at {tuple(point)}: |det g| = {abs(det):.3e} < {threshold:.3e}",
-            det=det,
-            threshold=threshold,
+            f"metric degenerate at {tuple(point)}: "
+            f"|det g| = {abs(det[0]):.3e} < {threshold[0]:.3e}",
+            det=float(det[0]),
+            threshold=float(threshold[0]),
         )
-    return np.linalg.inv(g), det
+    det[failed] = np.nan
+    return np.linalg.inv(_replace(g, failed | degenerate)), det, degenerate
 
 
-def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    # C-contiguous operands with the batch axis first keep einsum's summation
+    # order, and so every point's bits, independent of the batch size
+    return np.einsum(subscripts, *(np.ascontiguousarray(op) for op in operands))
+
+
+def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # T[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc; symmetric in (b, c) exactly
     # because g_ab and g_ba are the same jet.
-    term = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
-    return 0.5 * np.einsum("ad,dbc->abc", g_inv, term)
+    term = np.einsum("zbdc->zdbc", dg) + np.einsum("zcdb->zdbc", dg) - dg
+    return 0.5 * _einsum("zad,zdbc->zabc", g_inv, term), term
 
 
 def christoffel(field: MetricField, point: Point) -> np.ndarray:
-    """Christoffel symbols Gamma^a_bc of the Levi-Civita connection."""
-    g, dg, _ = _geometry_arrays(field, point, gorder=1)
-    g_inv, _ = _checked_inverse(g, point)
-    return _christoffel_from(g_inv, dg)
+    """Christoffel symbols Gamma^a_bc of the Levi-Civita connection at one point."""
+    g, dg, _, failed = _geometry_arrays(field.component_jets(point, gorder=1))
+    g_inv, _, _ = _checked_inverse(g, failed, point)
+    gamma, _ = _christoffel_from(g_inv, dg)
+    return gamma[0]
 
 
 def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
-    """Connection, Riemann and Ricci tensors, and the curvature scalar."""
-    n = field.dim
-    g, dg, d2g = _geometry_arrays(field, point, gorder=2)
-    g_inv, det = _checked_inverse(g, point)
-    gamma = _christoffel_from(g_inv, dg)
+    """Connection, Riemann and Ricci tensors, and the curvature scalar.
+
+    For a (B, n) batch of points the report holds stacked arrays and a
+    status per point; failed and degenerate points get NaN curvature.
+    """
+    gjets = field.component_jets(point, gorder=2)
+    batched = gjets[0][0].batched
+    g, dg, d2g, failed = _geometry_arrays(gjets)
+    g_inv, det, degenerate = _checked_inverse(g, failed, None if batched else point)
+    gamma, term = _christoffel_from(g_inv, dg)
     # d_e g^ad = -g^ax (d_e g_xy) g^yd
-    dg_inv = -np.einsum("ax,exy,yd->ead", g_inv, dg, g_inv)
-    term = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
+    dg_inv = -_einsum("zax,zexy,zyd->zead", g_inv, dg, g_inv)
     dterm = (
-        np.einsum("ebdc->edbc", d2g) + np.einsum("ecdb->edbc", d2g) - np.einsum("edbc->edbc", d2g)
+        np.einsum("zebdc->zedbc", d2g) + np.einsum("zecdb->zedbc", d2g) - d2g
     )
     dgamma = 0.5 * (
-        np.einsum("ead,dbc->eabc", dg_inv, term) + np.einsum("ad,edbc->eabc", g_inv, dterm)
+        _einsum("zead,zdbc->zeabc", dg_inv, term) + _einsum("zad,zedbc->zeabc", g_inv, dterm)
     )
     # half[a,b,c,d] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db; antisymmetrizing
     # the pair (c, d) as a single subtraction keeps R^a_bcd = -R^a_bdc exact.
-    half = np.einsum("cadb->abcd", dgamma) + np.einsum("ace,edb->abcd", gamma, gamma)
-    riemann = half - np.swapaxes(half, 2, 3)
-    ricci = np.einsum("abad->bd", riemann)
-    scalar = float(np.einsum("bd,bd->", g_inv, ricci))
+    half = np.einsum("zcadb->zabcd", dgamma) + _einsum("zace,zedb->zabcd", gamma, gamma)
+    riemann = half - np.swapaxes(half, 3, 4)
+    ricci = _einsum("zabad->zbd", riemann)
+    scalar = _einsum("zbd,zbd->z", g_inv, ricci)
+    if not batched:
+        return CurvatureReport(
+            point=tuple(float(v) for v in point),
+            christoffel=gamma[0],
+            riemann=riemann[0],
+            ricci=ricci[0],
+            scalar=float(scalar[0]),
+            det_g=float(det[0]),
+        )
+    bad = failed | degenerate
+    for arr in (gamma, riemann, ricci, scalar):
+        arr[bad] = np.nan
     return CurvatureReport(
-        point=tuple(float(v) for v in point),
+        point=np.asarray(point, dtype=float),
         christoffel=gamma,
         riemann=riemann,
         ricci=ricci,
         scalar=scalar,
         det_g=det,
+        status=statuses(failed, degenerate),
     )
 
 

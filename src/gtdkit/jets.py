@@ -7,6 +7,17 @@ elementary functions yields partial derivatives that are exact to rounding,
 which is what the curvature computations downstream rely on: metrics need
 second derivatives of the potential, curvature needs fourth.
 
+A jet holds one base point or a batch of them. Coefficients are stored
+coefficient-major: shape (N,) for one point, (N, B) for B points with one
+column per point. Both shapes run the same arithmetic, and every column is
+computed independently of the others in a fixed order, so a point's
+coefficients are bit-identical whatever batch it is evaluated in.
+
+Leaving the domain of an elementary function (ln or a fractional power of a
+non-positive value, a reciprocal of zero) raises `DomainError` for one
+point. In a batch it marks the point's column as failed instead: the column
+becomes NaN and `Jet.failed` records it, and the other points carry on.
+
 Jets are immutable; every operation returns a new jet. Mixing jets with
 plain numbers promotes the number to a constant jet.
 """
@@ -15,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,8 +59,24 @@ def _index_table(nvars: int, order: int) -> tuple[tuple[MultiIndex, ...], dict[M
 
 
 @lru_cache(maxsize=None)
+def _size(nvars: int, order: int) -> int:
+    """Number of coefficients of a jet; validates the shape once per (nvars, order)."""
+    if not 1 <= nvars <= MAX_VARS:
+        raise ValueError(f"nvars must be in [1, {MAX_VARS}], got {nvars}")
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    return len(_index_table(nvars, order)[0])
+
+
+@lru_cache(maxsize=None)
 def _mul_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index triplets (i, j, k) with alpha_i + alpha_j = alpha_k, degree <= order."""
+    """Gather plan of the truncated product.
+
+    Returns the slots (ii, jj) of every pair with alpha_i + alpha_j = alpha_k
+    and degree <= order, stably sorted by the output slot k, and the offset
+    of each output slot's run for `np.add.reduceat`. Every slot k has at
+    least the pair (0, k), so no run is empty.
+    """
     indices, pos = _index_table(nvars, order)
     ii, jj, kk = [], [], []
     for i, a in enumerate(indices):
@@ -60,105 +87,145 @@ def _mul_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
             ii.append(i)
             jj.append(j)
             kk.append(pos[tuple(x + y for x, y in zip(a, b))])
-    return np.array(ii), np.array(jj), np.array(kk)
+    kk = np.array(kk)
+    perm = np.argsort(kk, kind="stable")
+    starts = np.searchsorted(kk[perm], np.arange(len(indices)))
+    return np.array(ii)[perm], np.array(jj)[perm], starts
 
 
-def _validate_shape(nvars: int, order: int) -> None:
-    if not 1 <= nvars <= MAX_VARS:
-        raise ValueError(f"nvars must be in [1, {MAX_VARS}], got {nvars}")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+def _columns(coeffs: np.ndarray) -> np.ndarray:
+    """(N, B) view of one point's (N,) or a batch's (N, B) coefficients."""
+    return coeffs.reshape(coeffs.shape[0], -1)
+
+
+def _mul(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    # np.add.reduceat sums each output slot of each column on its own, in the
+    # fixed triplet order, so a column's result does not depend on B
+    ii, jj, starts = _mul_table(nvars, order)
+    return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+
+
+def _merge_failed(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a | b
 
 
 class Jet:
-    """A scalar field truncated to its Taylor polynomial at a point.
+    """A scalar field truncated to its Taylor polynomial at one or more points.
 
     `coeffs[i]` holds f_alpha for the multi-index at slot i of the graded
-    table for (nvars, order).
+    table for (nvars, order): a float for one point, a row of B floats for a
+    batch. `failed` is None, or for a batch a boolean mask of the points
+    (columns) that left an operation's domain.
     """
 
-    __slots__ = ("nvars", "order", "coeffs")
+    __slots__ = ("nvars", "order", "coeffs", "failed")
 
-    def __init__(self, nvars: int, order: int, coeffs: Sequence[float] | np.ndarray):
-        _validate_shape(nvars, order)
-        indices, _ = _index_table(nvars, order)
+    def __init__(
+        self,
+        nvars: int,
+        order: int,
+        coeffs: Sequence[float] | np.ndarray,
+        failed: np.ndarray | None = None,
+    ):
+        size = _size(nvars, order)
         arr = np.array(coeffs, dtype=float)
-        if arr.shape != (len(indices),):
+        if arr.ndim not in (1, 2) or arr.shape[0] != size:
             raise ValueError(
-                f"expected {len(indices)} coefficients for nvars={nvars}, order={order}, "
+                f"expected {size} coefficients for nvars={nvars}, order={order}, "
                 f"got shape {arr.shape}"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "failed", failed)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
     @property
-    def value(self) -> float:
-        """Value of the field at the base point (the constant coefficient)."""
-        return float(self.coeffs[0])
+    def batched(self) -> bool:
+        return self.coeffs.ndim == 2
+
+    @property
+    def value(self):
+        """Value of the field at the base point (the constant coefficient).
+
+        A float for one point, an array of B values for a batch.
+        """
+        return self.coeffs[0] if self.batched else float(self.coeffs[0])
 
     @property
     def gradient(self) -> np.ndarray:
-        """First partials at the base point, one per variable."""
+        """First partials at the base point, one per variable (rows of B values for a batch)."""
         if self.order < 1:
             raise ValueError("gradient requires order >= 1")
-        _, pos = _index_table(self.nvars, self.order)
-        return np.array([self.coeffs[pos[_unit(self.nvars, v)]] for v in range(self.nvars)])
+        return self.coeffs[unit_slots(self.nvars, self.order)]
 
     def __repr__(self) -> str:
+        if self.batched:
+            return f"Jet(nvars={self.nvars}, order={self.order}, batch={self.coeffs.shape[1]})"
         return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value!r})"
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "Jet | None":
-        if isinstance(other, Jet):
-            if (other.nvars, other.order) != (self.nvars, self.order):
-                raise ValueError(
-                    f"jet shape mismatch: ({self.nvars}, {self.order}) vs "
-                    f"({other.nvars}, {other.order})"
-                )
-            return other
-        if isinstance(other, (int, float)):
-            return constant(float(other), self.nvars, self.order)
-        return None
+    def _like(self, coeffs: np.ndarray, failed: np.ndarray | None) -> "Jet":
+        return Jet(self.nvars, self.order, coeffs, failed)
+
+    def _check(self, other: "Jet") -> None:
+        if (other.nvars, other.order) != (self.nvars, self.order):
+            raise ValueError(
+                f"jet shape mismatch: ({self.nvars}, {self.order}) vs "
+                f"({other.nvars}, {other.order})"
+            )
+        if other.coeffs.shape != self.coeffs.shape:
+            raise ValueError(
+                f"jet batch mismatch: {self.coeffs.shape} vs {other.coeffs.shape}"
+            )
+
+    def _offset(self, value: float, negate: bool = False) -> "Jet":
+        out = -self.coeffs if negate else self.coeffs.copy()
+        out[0] += value
+        return self._like(out, self.failed)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(self.nvars, self.order, self.coeffs + other.coeffs)
+        if isinstance(other, Jet):
+            self._check(other)
+            return self._like(self.coeffs + other.coeffs, _merge_failed(self.failed, other.failed))
+        if isinstance(other, (int, float)):
+            return self._offset(float(other))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(self.nvars, self.order, self.coeffs - other.coeffs)
+        if isinstance(other, Jet):
+            self._check(other)
+            return self._like(self.coeffs - other.coeffs, _merge_failed(self.failed, other.failed))
+        if isinstance(other, (int, float)):
+            return self._offset(-float(other))
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(self.nvars, self.order, other.coeffs - self.coeffs)
+        if isinstance(other, (int, float)):
+            return self._offset(float(other), negate=True)
+        return NotImplemented
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, -self.coeffs)
+        return self._like(-self.coeffs, self.failed)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.nvars, self.order, self.coeffs * float(other))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        ii, jj, kk = _mul_table(self.nvars, self.order)
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, kk, self.coeffs[ii] * other.coeffs[jj])
-        return Jet(self.nvars, self.order, out)
+            return self._like(self.coeffs * float(other), self.failed)
+        if isinstance(other, Jet):
+            self._check(other)
+            out = _mul(self.coeffs, other.coeffs, self.nvars, self.order)
+            return self._like(out, _merge_failed(self.failed, other.failed))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -166,17 +233,15 @@ class Jet:
         if isinstance(other, (int, float)):
             if other == 0:
                 raise DomainError("division by zero")
-            return Jet(self.nvars, self.order, self.coeffs / float(other))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * _reciprocal(other)
+            return self._like(self.coeffs / float(other), self.failed)
+        if isinstance(other, Jet):
+            return self * _reciprocal(other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * _reciprocal(self)
+        if isinstance(other, (int, float)):
+            return _reciprocal(self) * other
+        return NotImplemented
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, float)):
@@ -184,24 +249,27 @@ class Jet:
         return NotImplemented
 
 
-def constant(value: float, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Embed a number as a jet with all non-constant coefficients zero."""
-    indices, _ = _index_table(nvars, order)
-    coeffs = np.zeros(len(indices))
+def constant(value, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
+    """Embed a number (or a row of B numbers, one per point) as a constant jet."""
+    value = np.asarray(value, dtype=float)
+    coeffs = np.zeros((_size(nvars, order),) + value.shape)
     coeffs[0] = value
     return Jet(nvars, order, coeffs)
 
 
-def seed_variable(index: int, value: float, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet of the coordinate function x_index around x_index = value."""
-    _validate_shape(nvars, order)
+def seed_variable(index: int, value, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
+    """Jet of the coordinate function x_index around x_index = value.
+
+    `value` is a number, or a row of B numbers for a batch of points.
+    """
+    size = _size(nvars, order)
     if not 0 <= index < nvars:
         raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-    indices, pos = _index_table(nvars, order)
-    coeffs = np.zeros(len(indices))
+    value = np.asarray(value, dtype=float)
+    coeffs = np.zeros((size,) + value.shape)
     coeffs[0] = value
     if order >= 1:
-        coeffs[pos[_unit(nvars, index)]] = 1.0
+        coeffs[unit_slots(nvars, order)[index]] = 1.0
     return Jet(nvars, order, coeffs)
 
 
@@ -215,11 +283,39 @@ def _unit(nvars: int, index: int) -> MultiIndex:
     return tuple(1 if i == index else 0 for i in range(nvars))
 
 
-def extract_partial(jet: Jet, alpha: MultiIndex) -> float:
+@lru_cache(maxsize=None)
+def unit_slots(nvars: int, order: int) -> np.ndarray:
+    """Slot of each unit multi-index e_c."""
+    _, pos = _index_table(nvars, order)
+    return np.array([pos[_unit(nvars, c)] for c in range(nvars)])
+
+
+@lru_cache(maxsize=None)
+def pair_slots(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot of e_c + e_d and the factor (e_c + e_d)! for every pair (c, d)."""
+    _, pos = _index_table(nvars, order)
+    slots = np.empty((nvars, nvars), dtype=int)
+    for c in range(nvars):
+        for d in range(nvars):
+            alpha = tuple((1 if i == c else 0) + (1 if i == d else 0) for i in range(nvars))
+            slots[c, d] = pos[alpha]
+    return slots, np.where(np.eye(nvars, dtype=bool), 2.0, 1.0)
+
+
+def hessian_values(jet: Jet) -> np.ndarray:
+    """Second partials at the base point: (n, n) for one point, (B, n, n) for a batch."""
+    if jet.order < 2:
+        raise ValueError("hessian requires order >= 2")
+    slots, scale = pair_slots(jet.nvars, jet.order)
+    out = _columns(jet.coeffs).T[:, slots] * scale
+    return out if jet.batched else out[0]
+
+
+def extract_partial(jet: Jet, alpha: MultiIndex):
     """Exact partial derivative D^alpha f at the base point.
 
-    Recovers alpha! * f_alpha; degree(alpha) must not exceed the truncation
-    order carried by the jet.
+    Recovers alpha! * f_alpha (a float for one point, B values for a batch);
+    degree(alpha) must not exceed the truncation order carried by the jet.
     """
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != jet.nvars or any(a < 0 for a in alpha):
@@ -232,15 +328,33 @@ def extract_partial(jet: Jet, alpha: MultiIndex) -> float:
     fact = 1.0
     for a in alpha:
         fact *= math.factorial(a)
-    return float(jet.coeffs[pos[alpha]] * fact)
+    out = jet.coeffs[pos[alpha]] * fact
+    return out if jet.batched else float(out)
 
 
 def truncate(jet: Jet, order: int) -> Jet:
     """Drop coefficients above `order` (a prefix slice in the graded table)."""
     if order > jet.order:
         raise ValueError(f"cannot extend order {jet.order} to {order}")
-    indices, _ = _index_table(jet.nvars, order)
-    return Jet(jet.nvars, order, jet.coeffs[: len(indices)])
+    return Jet(jet.nvars, order, jet.coeffs[: _size(jet.nvars, order)], jet.failed)
+
+
+@lru_cache(maxsize=None)
+def _derive_plan(nvars: int, order: int, alpha: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Source slots and factors of D^alpha: f_{beta+alpha} (beta+alpha)!/beta! per beta."""
+    _, src_pos = _index_table(nvars, order)
+    dst_indices, _ = _index_table(nvars, order - sum(alpha))
+    slots = np.empty(len(dst_indices), dtype=int)
+    scales = np.empty(len(dst_indices))
+    for i, beta in enumerate(dst_indices):
+        slots[i] = src_pos[tuple(b + a for b, a in zip(beta, alpha))]
+        scale = 1.0
+        for b, a in zip(beta, alpha):
+            # (b+a)! / b! without large intermediates
+            for m in range(b + 1, b + a + 1):
+                scale *= m
+        scales[i] = scale
+    return slots, scales
 
 
 def derive(jet: Jet, alpha: MultiIndex) -> Jet:
@@ -254,57 +368,81 @@ def derive(jet: Jet, alpha: MultiIndex) -> Jet:
     dorder = sum(alpha)
     if dorder > jet.order:
         raise ValueError(f"cannot take order-{dorder} derivative of order-{jet.order} jet")
-    new_order = jet.order - dorder
-    src_indices, src_pos = _index_table(jet.nvars, jet.order)
-    dst_indices, _ = _index_table(jet.nvars, new_order)
-    out = np.empty(len(dst_indices))
-    for i, beta in enumerate(dst_indices):
-        gamma = tuple(b + a for b, a in zip(beta, alpha))
-        scale = 1.0
-        for b, a in zip(beta, alpha):
-            # (b+a)! / b! without large intermediates
-            for m in range(b + 1, b + a + 1):
-                scale *= m
-        out[i] = jet.coeffs[src_pos[gamma]] * scale
-    return Jet(jet.nvars, new_order, out)
+    slots, scales = _derive_plan(jet.nvars, jet.order, alpha)
+    out = jet.coeffs[slots] * (scales[:, None] if jet.batched else scales)
+    return Jet(jet.nvars, jet.order - dorder, out, jet.failed)
+
+
+def mark_failed(jet: Jet, failed: np.ndarray) -> Jet:
+    """The batch jet with the points in `failed` added to its failed mask and set to NaN."""
+    failed = _merge_failed(jet.failed, failed)
+    coeffs = np.where(failed, np.nan, jet.coeffs) if failed.any() else jet.coeffs
+    return Jet(jet.nvars, jet.order, coeffs, failed)
 
 
 # -- elementary functions ------------------------------------------------------
 #
 # Each is a composition f(a) = sum_m c_m (a - a0)^m with c_m the univariate
 # Taylor coefficients of f at the constant term a0. Since (a - a0) has zero
-# constant term, the Horner evaluation truncates itself.
+# constant term, the Horner evaluation truncates itself. The series are
+# computed with numpy on the row of constant terms, one value per point.
 
 
-def _compose(jet: Jet, series: Sequence[float]) -> Jet:
-    h = jet - jet.value
-    out = constant(series[jet.order], jet.nvars, jet.order)
-    for m in range(jet.order - 1, -1, -1):
-        out = out * h + series[m]
-    return out
+def _constant_terms(jet: Jet) -> np.ndarray:
+    return _columns(jet.coeffs)[0]
+
+
+def _domain(jet: Jet, a0: np.ndarray, bad: np.ndarray, message: Callable[[float], str]):
+    """Points where an operation is undefined: raise for one point, mark in a batch.
+
+    Returns the failed mask of the result and the constant terms with the
+    failed points replaced by NaN, so their series come out NaN.
+    """
+    if not bad.any():
+        return jet.failed, a0
+    if not jet.batched:
+        raise DomainError(message(float(a0[0])))
+    return _merge_failed(jet.failed, bad), np.where(bad, np.nan, a0)
+
+
+def _compose(jet: Jet, series: Sequence[np.ndarray], failed: np.ndarray | None) -> Jet:
+    # series[m] holds one value per point; `[:1]` addresses the constant
+    # terms of one point and of a batch alike
+    h = jet.coeffs.copy()
+    h[:1] = 0.0
+    # the first Horner step multiplies a constant: a per-point scaling of h
+    out = h * series[jet.order]
+    if jet.order == 0:
+        out[:1] = series[0]
+    else:
+        out[:1] += series[jet.order - 1]
+    for m in range(jet.order - 2, -1, -1):
+        out = _mul(out, h, jet.nvars, jet.order)
+        out[:1] += series[m]
+    return Jet(jet.nvars, jet.order, out, failed)
 
 
 def _reciprocal(jet: Jet) -> Jet:
-    a0 = jet.value
-    if a0 == 0.0:
-        raise DomainError("division by a jet with zero constant term")
+    a0 = _constant_terms(jet)
+    failed, a0 = _domain(
+        jet, a0, a0 == 0.0, lambda v: "division by a jet with zero constant term"
+    )
     series = [(-1.0) ** m / a0 ** (m + 1) for m in range(jet.order + 1)]
-    return _compose(jet, series)
+    return _compose(jet, series, failed)
 
 
 def exp(jet: Jet) -> Jet:
-    e0 = math.exp(jet.value)
+    e0 = np.exp(_constant_terms(jet))
     series = [e0 / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series)
+    return _compose(jet, series, jet.failed)
 
 
 def ln(jet: Jet) -> Jet:
-    a0 = jet.value
-    if a0 <= 0.0:
-        raise DomainError(f"ln of non-positive value {a0}")
-    series = [math.log(a0)]
+    a0 = _constant_terms(jet)
+    failed, a0 = _domain(jet, a0, a0 <= 0.0, lambda v: f"ln of non-positive value {v}")
+    series = [np.log(a0)]
     series += [(-1.0) ** (m + 1) / (m * a0**m) for m in range(1, jet.order + 1)]
-    return _compose(jet, series)
+    return _compose(jet, series, failed)
 
 
 def power(jet: Jet, r: float) -> Jet:
@@ -319,27 +457,32 @@ def power(jet: Jet, r: float) -> Jet:
         if r < 0:
             return _int_power(_reciprocal(jet), -r)
         return _int_power(jet, r)
-    a0 = jet.value
-    if a0 <= 0.0:
-        raise DomainError(f"fractional power of non-positive value {a0}")
+    a0 = _constant_terms(jet)
+    failed, a0 = _domain(
+        jet, a0, a0 <= 0.0, lambda v: f"fractional power of non-positive value {v}"
+    )
     series = []
     binom = 1.0
     for m in range(jet.order + 1):
         series.append(binom * a0 ** (r - m))
         binom *= (r - m) / (m + 1)
-    return _compose(jet, series)
+    return _compose(jet, series, failed)
 
 
 def _int_power(jet: Jet, r: int) -> Jet:
-    out = constant(1.0, jet.nvars, jet.order)
-    base = jet
+    if r == 0:
+        out = np.zeros_like(jet.coeffs)
+        out[0] = 1.0
+        return Jet(jet.nvars, jet.order, out, jet.failed)
+    out = None
+    base = jet.coeffs
     while r:
         if r & 1:
-            out = out * base
+            out = base if out is None else _mul(out, base, jet.nvars, jet.order)
         r >>= 1
         if r:
-            base = base * base
-    return out
+            base = _mul(base, base, jet.nvars, jet.order)
+    return Jet(jet.nvars, jet.order, out, jet.failed)
 
 
 def sqrt(jet: Jet) -> Jet:
@@ -347,28 +490,12 @@ def sqrt(jet: Jet) -> Jet:
 
 
 def sin(jet: Jet) -> Jet:
-    a0 = jet.value
-    series = [math.sin(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series)
+    a0 = _constant_terms(jet)
+    series = [np.sin(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
+    return _compose(jet, series, jet.failed)
 
 
 def cos(jet: Jet) -> Jet:
-    a0 = jet.value
-    series = [math.cos(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series)
-
-
-def add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def sub(a: Jet, b: Jet) -> Jet:
-    return a - b
-
-
-def mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def div(a: Jet, b: Jet) -> Jet:
-    return a / b
+    a0 = _constant_terms(jet)
+    series = [np.cos(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
+    return _compose(jet, series, jet.failed)

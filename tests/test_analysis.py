@@ -15,7 +15,7 @@ from gtdkit.analysis import (
     rn_critical_points,
 )
 from gtdkit.fundeq import builtin, potential_value
-from gtdkit.geometry import HessianMetricField, closed_form_metric, scalar_curvature
+from gtdkit.geometry import HessianMetricField, MetricKind, closed_form_metric, scalar_curvature
 
 PI = math.pi
 
@@ -107,15 +107,22 @@ def test_scan_potential_requires_system():
         grid_scan(f, grid, "potential")
 
 
-def test_scan_deterministic_across_workers():
+def test_scan_deterministic_across_chunk_sizes(monkeypatch):
     f = rn_field()
-    grid = GridSpec.build(f.coordinates, {"S": Axis(0.5, 10.0, 60), "Q": 1.0})
-    seq = grid_scan(f, grid, "curvature", workers=1)
-    rerun = grid_scan(f, grid, "curvature", workers=1)
-    par = grid_scan(f, grid, "curvature", workers=4)
-    assert seq.status == rerun.status == par.status
-    assert np.array_equal(seq.values, rerun.values, equal_nan=True)
-    assert np.array_equal(seq.values, par.values, equal_nan=True)
+    # S <= 0 is outside the domain and S = pi Q^2 is degenerate
+    grid = GridSpec.build(f.coordinates, {"S": Axis(-1.0, 10.0, 60), "Q": Axis(0.5, 1.5, 3)})
+    for quantity in analysis.QUANTITIES:
+        reports = []
+        for rows in (1, 7, analysis.CHUNK_ROWS):
+            monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+            reports.append(grid_scan(f, grid, quantity))
+        first = reports[0]
+        assert analysis.STATUS_DOMAIN_ERROR in first.status
+        for other in reports[1:]:
+            assert other.status == first.status
+            assert np.array_equal(other.values, first.values, equal_nan=True)
+            if first.det_g is not None:
+                assert np.array_equal(other.det_g, first.det_g, equal_nan=True)
 
 
 def test_scan_accepts_spec_quantity_aliases():
@@ -157,10 +164,8 @@ def test_vdw_roots_satisfy_stability_condition():
         assert root.category == "hessian-zero"
 
 
-def test_classify_potential_zero():
+def _vdw_potential_zero(spec):
     # on the S = 0 line the vdW potential itself crosses zero near V ~ 0.9
-    spec = builtin("vdw", a=1.0, b=0.1)
-    f = HessianMetricField(spec)
     lo, hi = 0.5, 1.5
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -168,8 +173,23 @@ def test_classify_potential_zero():
             lo = mid
         else:
             hi = mid
-    v_zero = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def test_classify_potential_zero():
+    spec = builtin("vdw", a=1.0, b=0.1)
+    f = HessianMetricField(spec)
+    v_zero = _vdw_potential_zero(spec)
     assert analysis._classify_root(f, np.array([0.0, v_zero])) == "potential-zero"
+
+
+@pytest.mark.parametrize("kind", [MetricKind.WEINHOLD, MetricKind.RUPPEINER])
+def test_classify_other_kinds_have_no_potential_factor(kind):
+    # det g = Phi^n det Hess holds for the natural kind only
+    spec = builtin("vdw", a=1.0, b=0.1)
+    f = HessianMetricField(spec, kind)
+    v_zero = _vdw_potential_zero(spec)
+    assert analysis._classify_root(f, np.array([0.0, v_zero])) == "hessian-zero"
 
 
 # -- exponent fitting ------------------------------------------------------------------

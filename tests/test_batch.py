@@ -1,0 +1,179 @@
+"""A batch of points gives each point exactly what its single-point call gives.
+
+Batched `fundeq.evaluate`, `component_jets`, `metric_determinant` and
+`scalar_curvature` must match the single-point calls bit for bit, and a
+point's status in the batch must match the exception its single-point call
+raises (DomainError -> domain-error, DegenerateMetricError -> degenerate).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expr_corpus import CORPUS
+from gtdkit import fundeq, geometry
+from gtdkit.errors import DegenerateMetricError, DomainError
+from gtdkit.geometry import HessianMetricField, MetricKind
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _single(call):
+    """('ok', result), ('domain-error', None) or ('degenerate', None)."""
+    try:
+        return geometry.STATUS_OK, call()
+    except DomainError:
+        return geometry.STATUS_DOMAIN_ERROR, None
+    except DegenerateMetricError:
+        return geometry.STATUS_DEGENERATE, None
+
+
+def _system(source: str) -> fundeq.SystemSpec:
+    tree = fundeq.parse(source)
+    names = tuple(sorted(fundeq.free_names(tree))) or ("x",)
+    first = names[0]
+    return fundeq.SystemSpec(
+        name="corpus",
+        variables=names,
+        potential=tree,
+        domain=lambda env: env[first] > -2.5,
+    )
+
+
+coordinate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+@st.composite
+def systems_and_points(draw, max_dim=3):
+    source = draw(st.sampled_from([s for s in CORPUS if len(_system(s).variables) <= max_dim]))
+    spec = _system(source)
+    count = draw(st.integers(min_value=1, max_value=6))
+    point = st.lists(coordinate, min_size=spec.dim, max_size=spec.dim)
+    rows = draw(st.lists(point, min_size=count, max_size=count))
+    return spec, np.array(rows, dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_and_points(max_dim=6), st.integers(min_value=0, max_value=4))
+def test_evaluate_batch_matches_points(case, order):
+    spec, points = case
+    with np.errstate(all="ignore"):
+        batch = fundeq.evaluate(spec, points, order=order)
+        for i, p in enumerate(points):
+            status, jet = _single(lambda: fundeq.evaluate(spec, p, order=order))
+            failed = batch.failed is not None and batch.failed[i]
+            assert failed == (status != geometry.STATUS_OK)
+            if jet is None:
+                assert np.all(np.isnan(batch.coeffs[:, i]))
+            else:
+                assert _same(batch.coeffs[:, i], jet.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_and_points(), st.sampled_from([MetricKind.NATURAL, MetricKind.RUPPEINER]))
+def test_hessian_field_batch_matches_points(case, kind):
+    spec, points = case
+    f = HessianMetricField(spec, kind)
+    _check_field(f, points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.5, max_value=1.5).map(lambda v: round(v, 3)),
+            st.floats(min_value=-0.5, max_value=3.0).map(lambda v: round(v, 3)),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_direct_field_batch_matches_points(rows):
+    # vdw_closed: V <= b = 0.1 is outside the domain
+    _check_field(geometry.closed_form_metric("vdw_closed"), np.array(rows, dtype=float))
+
+
+def test_direct_field_batch_marks_covolume():
+    f = geometry.closed_form_metric("vdw_closed")
+    points = np.array([[0.9, 0.05], [0.9, 0.1], [0.9, 1.0]])
+    _check_field(f, points)
+    _, status = geometry.metric_determinant(f, points)
+    assert status == ["domain-error", "domain-error", "ok"]
+
+
+def test_batch_marks_degenerate_points():
+    f = HessianMetricField(fundeq.builtin("reissner_nordstrom"))
+    points = np.array([[np.pi, 1.0], [2.0, 1.0], [-1.0, 1.0]])
+    report = geometry.scalar_curvature(f, points)
+    assert report.status == ["degenerate", "ok", "domain-error"]
+    assert np.isfinite(report.det_g[0]) and np.isnan(report.det_g[2])
+    _check_field(f, points)
+
+
+def test_batch_degeneracy_threshold_is_per_point():
+    # g = diag(x, x): |det g| = x^2 against 1e-12 max(1, x^2), judged per point
+    f = geometry.DirectMetricField(("x", "y"), [["x", 0], [0, "x"]])
+    points = np.array([[1e-7, 0.0], [1e-5, 0.0], [1e3, 0.0]])
+    assert geometry.scalar_curvature(f, points).status == ["degenerate", "ok", "ok"]
+    _check_field(f, points)
+
+
+def _check_field(f, points):
+    with np.errstate(all="ignore"):
+        gjets = f.component_jets(points, gorder=2)
+        det, det_status = geometry.metric_determinant(f, points)
+        report = geometry.scalar_curvature(f, points)
+        n = f.dim
+        for i, p in enumerate(points):
+            status, single = _single(lambda: f.component_jets(p, gorder=2))
+            failed = any(g.failed is not None and g.failed[i] for row in gjets for g in row)
+            assert failed == (status != geometry.STATUS_OK)
+            if single is not None:
+                for a in range(n):
+                    for b in range(n):
+                        assert _same(gjets[a][b].coeffs[:, i], single[a][b].coeffs)
+
+            status, single_det = _single(lambda: geometry.metric_determinant(f, p))
+            assert det_status[i] == status
+            if single_det is not None:
+                assert _same(det[i], single_det)
+
+            status, single_report = _single(lambda: geometry.scalar_curvature(f, p))
+            assert report.status[i] == status
+            if single_report is not None:
+                assert _same(report.scalar[i], single_report.scalar)
+                assert _same(report.det_g[i], single_report.det_g)
+                assert _same(report.riemann[i], single_report.riemann)
+                assert _same(report.christoffel[i], single_report.christoffel)
+            else:
+                assert np.isnan(report.scalar[i])
+
+
+def test_single_point_types_unchanged():
+    spec = fundeq.builtin("kerr_newman")
+    f = HessianMetricField(spec)
+    point = (5.0, 0.5, 0.8)
+    assert isinstance(fundeq.evaluate(spec, point).value, float)
+    assert isinstance(geometry.metric_determinant(f, point), float)
+    report = geometry.scalar_curvature(f, point)
+    assert isinstance(report.scalar, float) and report.status is None
+    assert report.riemann.shape == (3, 3, 3, 3)
+    with pytest.raises(DomainError):
+        geometry.scalar_curvature(f, (-1.0, 0.5, 0.8))
+
+
+def test_batch_with_exponent_constant_at_some_points_only():
+    # the exponent jet (V-1)^3 is flat to order 2 at V = 1 only, so points of
+    # one batch take different branches: S^0 is defined for S < 0, exp(b ln S) is not
+    potential = fundeq.parse("S^((V-1)^3)")
+    spec = fundeq.SystemSpec(name="flat", variables=("S", "V"), potential=potential)
+    points = np.array([[-1.0, 1.0], [2.0, 2.0], [-1.0, 2.0], [3.0, 1.0]])
+    batch = fundeq.evaluate(spec, points, order=2)
+    assert batch.failed.tolist() == [False, False, True, False]
+    for i in (0, 1, 3):
+        assert _same(batch.coeffs[:, i], fundeq.evaluate(spec, points[i], order=2).coeffs)
+    assert np.all(np.isnan(batch.coeffs[:, 2]))

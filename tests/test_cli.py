@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from gtdkit import cli
+from gtdkit import analysis, cli
 
 PI = math.pi
 
@@ -154,13 +154,16 @@ def test_scan_write_failure_exit_4(capsys):
     assert code == 4
 
 
-def test_scan_deterministic_output(tmp_path):
+def test_scan_deterministic_output(tmp_path, monkeypatch):
     args = ["scan", "--system", "rn_closed", "--range", "S=1:8:40", "--pin", "Q=1",
             "--quantity", "curvature", "--format", "csv"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(args + ["--output", str(a), "--workers", "1"]) == 0
-    assert run(args + ["--output", str(b), "--workers", "4"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    outputs = []
+    for rows in (1, 7, analysis.CHUNK_ROWS):
+        monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+        out = tmp_path / f"scan-{rows}.csv"
+        assert run(args + ["--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_scan_with_divergence_fit(capsys):
@@ -250,3 +253,35 @@ def test_scan_metric_file(tmp_path, capsys):
          "--quantity", "curvature"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("quantity", ["potential", "curvature"])
+def test_scan_fractional_power_of_negative_base_marks_points(tmp_path, capsys, quantity):
+    # (S - V)^(2/3) is undefined for S < V: a marked point, not a traceback
+    path = tmp_path / "cusp.ini"
+    path.write_text("[system]\nname = cusp\nvariables = S, V\npotential = (S - V)^(2/3) + S*V\n")
+    out = tmp_path / "scan.json"
+    code = run(
+        ["scan", "--system", str(path), "--range", "S=0.1:2:5", "--pin", "V=1",
+         "--quantity", quantity, "--output", str(out)]
+    )
+    assert code == 0
+    status = json.loads(out.read_text())["values"]["status"]
+    assert status[:2] == ["domain-error", "domain-error"]
+    assert "domain-error" not in status[2:]
+
+
+def test_scan_ruppeiner_pole_is_not_a_root(tmp_path, capsys):
+    # det g = det Hess / T^n changes sign through the T = 0 pole at S = pi Q^2
+    out = tmp_path / "scan.json"
+    code = run(
+        ["scan", "--system", "reissner_nordstrom", "--metric-kind", "ruppeiner",
+         "--range", "S=0.5:10:50", "--pin", "Q=1", "--quantity", "detg", "--output", str(out)]
+    )
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "root:" not in printed
+    assert "pole: S=3.14159265" in printed
+    (point,) = json.loads(out.read_text())["singular_points"]
+    assert point["category"] == "pole"
+    assert point["coords"]["S"] == pytest.approx(PI, abs=1e-9)
