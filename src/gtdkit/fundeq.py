@@ -3,7 +3,9 @@
 A system is a potential Phi(E^1..E^n) over named extensive variables plus a
 parameter map. Potentials come from a small expression grammar (or from the
 built-in catalogue) and are evaluated over jets, so every derivative the
-geometry needs is exact.
+geometry needs is exact. `evaluate_exprs` is the one place expressions
+become jets, at one point or over a batch: `evaluate` calls it on the
+potential and direct metric fields on their components.
 
 Expression grammar (also the format used in system definition files)::
 
@@ -363,6 +365,8 @@ def free_names(node: Expr) -> set[str]:
 # -- system specifications -------------------------------------------------------
 
 Point = Sequence[float]
+# A domain predicate sees one point as a mapping from every parameter and
+# every variable name to a float; True means the point is admissible.
 DomainPredicate = Callable[[Mapping[str, float]], bool]
 
 
@@ -408,11 +412,6 @@ class SystemSpec:
             raise ValueError(f"unknown parameters for {self.name!r}: {sorted(unknown)}")
         return replace(self, parameters={**self.parameters, **overrides})
 
-    def point_env(self, point: Point) -> dict[str, float]:
-        if len(point) != self.dim:
-            raise ValueError(f"{self.name} expects {self.dim} coordinates, got {len(point)}")
-        return dict(zip(self.variables, map(float, point)))
-
     def in_domain(self, point: Point) -> bool:
         try:
             evaluate(self, point, order=0)
@@ -420,61 +419,82 @@ class SystemSpec:
             return False
         return True
 
-    def check_domain(self, point: Point) -> None:
-        env = self.point_env(point)
-        if self.domain is not None and not self.domain(env):
-            hint = f" (requires {self.domain_text})" if self.domain_text else ""
-            raise DomainError(f"point {tuple(env.values())} outside domain of {self.name}{hint}")
 
-
-def evaluate_batch(
-    vectorized: Callable[[np.ndarray], list[Jet]],
-    one_point: Callable[[np.ndarray], list[Jet]],
-    points: np.ndarray,
-    domain: DomainPredicate | None,
-    names: Sequence[str],
+def evaluate_exprs(
+    exprs: Sequence[Expr],
+    variables: Sequence[str],
+    parameters: Mapping[str, float],
+    point: Point | np.ndarray,
     order: int,
-    count: int = 1,
+    domain: DomainPredicate | None = None,
+    label: str = "",
 ) -> list[Jet]:
-    """Evaluate `count` jets over a (B, n) batch of points; failed points become NaN columns.
+    """Jets of `exprs` around one point or a (B, n) batch, each variable seeded.
 
-    The domain predicate is called once per point, with floats; rejected
-    points are evaluated as NaN. A DomainError can only come from a
-    constant subexpression and fails every point. A batch whose points take
-    different evaluator branches (a power whose exponent jet is constant at
-    some points only) falls back to `one_point` for each point, so each
-    point's result is always that of its single-point evaluation.
+    The expressions see the parameters and the variables, and the domain
+    predicate sees both as floats, once per point. One point outside the
+    domain raises DomainError naming `label`; in a batch such points, and
+    points where evaluation fails, come back as failed columns of NaN (see
+    `Jet.failed`). A DomainError from a constant subexpression fails every
+    point. A batch whose points take different evaluator branches (a power
+    whose exponent jet is constant at some points only) is evaluated point
+    by point, so each point's result is always that of its single-point call.
     """
-    nvars = len(names)
-    if points.ndim != 2 or points.shape[1] != nvars:
-        raise ValueError(f"expected points of shape (B, {nvars}), got {points.shape}")
-    failed = np.zeros(len(points), dtype=bool)
-    if domain is not None:
-        failed = np.array([not domain(dict(zip(names, map(float, p)))) for p in points], dtype=bool)
+    points = np.asarray(point, dtype=float)
+    nvars = len(variables)
+    if points.ndim not in (1, 2) or points.shape[-1] != nvars:
+        raise ValueError(
+            f"expected {nvars} coordinates or a (B, {nvars}) batch, got shape {points.shape}"
+        )
+    env: dict[str, Scalar] = dict(parameters)
+    if points.ndim == 1:
+        failed = None
+        coords = points
+        if domain is not None:
+            env.update(zip(variables, points.tolist()))
+            if not domain(env):
+                message = f"point {tuple(points.tolist())} outside domain of {label}"
+                if parameters:
+                    message += " with " + ", ".join(f"{k} = {v}" for k, v in parameters.items())
+                raise DomainError(message)
+    else:
+        failed = np.zeros(len(points), dtype=bool)
+        if domain is not None:
+            # one dict updated per row: a fresh dict per point costs more than the predicate
+            for i, row in enumerate(points.tolist()):
+                env.update(zip(variables, row))
+                failed[i] = not domain(env)
+        coords = np.where(failed[:, None], np.nan, points)
+    for i, name in enumerate(variables):
+        env[name] = jets.seed_variable(i, coords[..., i], nvars, order)
     try:
-        out = vectorized(np.where(failed[:, None], np.nan, points))
+        out = []
+        for expr in exprs:
+            result = eval_jet(expr, env)
+            if not isinstance(result, Jet):
+                result = jets.constant(np.full(coords.shape[:-1], float(result)), nvars, order)
+            out.append(result)
     except DomainError:
+        if failed is None:
+            raise
         failed[:] = True
-        out = [jets.constant(np.zeros(len(points)), nvars, order)] * count
+        out = [jets.constant(np.zeros(len(points)), nvars, order)] * len(exprs)
     except _PointwiseOnly:
-        out = _pointwise(one_point, points, nvars, order, count)
+        blank = [jets.constant(np.nan, nvars, order)] * len(exprs)
+        columns = []
+        for i, p in enumerate(points):
+            try:
+                columns.append(evaluate_exprs(exprs, variables, parameters, p, order, domain))
+            except DomainError:
+                failed[i] = True
+                columns.append(blank)
+        out = [Jet(nvars, order, np.stack([j.coeffs for j in col], 1)) for col in zip(*columns)]
+    if failed is None:
+        return out
     for jet in out:
         if jet.failed is not None:
             failed |= jet.failed
     return [jets.mark_failed(jet, failed) for jet in out]
-
-
-def _pointwise(one_point, points: np.ndarray, nvars: int, order: int, count: int) -> list[Jet]:
-    blank = np.full_like(jets.constant(0.0, nvars, order).coeffs, np.nan)
-    columns: list[list[Jet] | None] = []
-    for p in points:
-        try:
-            columns.append(one_point(p))
-        except DomainError:
-            columns.append(None)
-    failed = np.array([c is None for c in columns])
-    stacked = [np.stack([blank if c is None else c[k].coeffs for c in columns], 1) for k in range(count)]
-    return [Jet(nvars, order, coeffs, failed) for coeffs in stacked]
 
 
 def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) -> Jet:
@@ -484,29 +504,11 @@ def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) ->
     point outside the domain raises DomainError; in a batch such points come
     back as failed columns of NaN (see `Jet.failed`).
     """
-    points = np.asarray(point, dtype=float)
-    if points.ndim == 1:
-        spec.check_domain(point)
-        return _potential_jet(spec, points, order)
-    (jet,) = evaluate_batch(
-        lambda coords: [_potential_jet(spec, coords, order)],
-        lambda p: [evaluate(spec, p, order)],
-        points,
-        spec.domain,
-        spec.variables,
-        order,
+    label = spec.name + (f" (requires {spec.domain_text})" if spec.domain_text else "")
+    (jet,) = evaluate_exprs(
+        [spec.potential], spec.variables, spec.parameters, point, order, spec.domain, label
     )
     return jet
-
-
-def _potential_jet(spec: SystemSpec, coords: np.ndarray, order: int) -> Jet:
-    env: dict[str, Scalar] = dict(spec.parameters)
-    for i, name in enumerate(spec.variables):
-        env[name] = jets.seed_variable(i, coords[..., i], spec.dim, order)
-    result = eval_jet(spec.potential, env)
-    if not isinstance(result, Jet):
-        result = jets.constant(np.full(coords.shape[:-1], float(result)), spec.dim, order)
-    return result
 
 
 def potential_value(spec: SystemSpec, point: Point) -> float:
@@ -553,19 +555,18 @@ _VDW_POTENTIAL = parse("(exp(S/k)/(V-b))^(2/3) - a/V")
 _KN_POTENTIAL = parse("sqrt(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)")
 
 
+def _above_covolume(env: Mapping[str, float]) -> bool:
+    return env["V"] > env["b"]
+
+
 def _vdw(a: float = 1.0, b: float = 0.1, k: float = 1.0, name: str = "vdw") -> SystemSpec:
-    bval = b
-
-    def domain(env: Mapping[str, float], _b=bval) -> bool:
-        return env["V"] > _b
-
     return SystemSpec(
         name=name,
         variables=("S", "V"),
         potential=_VDW_POTENTIAL,
         parameters={"a": a, "b": b, "k": k},
-        domain=domain,
-        domain_text=f"V > b = {bval}",
+        domain=_above_covolume,
+        domain_text="V > b",
     )
 
 
@@ -634,12 +635,7 @@ def builtin(name: str, **parameters: float) -> SystemSpec:
     except KeyError:
         raise ValueError(f"unknown built-in system {name!r}; choose from {BUILTIN_NAMES}") from None
     spec = factory()
-    if parameters:
-        spec = spec.with_parameters(**parameters)
-        if spec.name in VDW_FAMILY and "b" in parameters:
-            # the domain predicate closes over b; rebuild it
-            spec = factory(**{k: spec.parameters[k] for k in ("a", "b", "k")})
-    return spec
+    return spec.with_parameters(**parameters) if parameters else spec
 
 
 # -- system definition files -------------------------------------------------------

@@ -7,8 +7,8 @@ extensive coordinates. Fields come in two flavours:
   g_ab = Phi * d2Phi/dE^a dE^b (the Legendre-invariant choice this package
   is about); `weinhold` is the bare Hessian and `ruppeiner` the Hessian
   divided by the temperature T = dPhi/dE^1.
-* Direct, a matrix of expressions (or callables) over named coordinates,
-  used for closed-form metrics and curvature oracles such as the sphere.
+* Direct, a matrix of expressions over named coordinates, used for
+  closed-form metrics and curvature oracles such as the sphere.
 
 Everything downstream of g (Christoffel symbols, Riemann and Ricci tensors,
 the curvature scalar) is assembled from metric components carried as
@@ -87,9 +87,6 @@ class CurvatureReport:
     status: list[str] | None = None
 
 
-ComponentFn = Callable[[Mapping[str, Jet]], Union[Jet, float]]
-
-
 class HessianMetricField:
     """Metric field derived from a fundamental equation.
 
@@ -115,9 +112,6 @@ class HessianMetricField:
     @property
     def name(self) -> str:
         return f"{self.spec.name}[{self.kind.value}]"
-
-    def in_domain(self, point: Point) -> bool:
-        return self.spec.in_domain(point)
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
         n = self.dim
@@ -151,16 +145,17 @@ class HessianMetricField:
 class DirectMetricField:
     """Metric field given componentwise over named coordinates.
 
-    Components may be expression strings, parsed Expr trees, numbers, or
-    callables taking the coordinate-jet environment. The evaluated matrix
-    must be symmetric; the upper triangle is mirrored so downstream algebra
-    sees exact symmetry.
+    Components may be expression strings, parsed Expr trees or numbers;
+    each becomes an Expr over the coordinates and parameters. The evaluated
+    matrix must be symmetric; the upper triangle is mirrored so downstream
+    algebra sees exact symmetry. A lower entry equal to its mirror is the
+    same expression and is evaluated once.
     """
 
     def __init__(
         self,
         coordinates: Sequence[str],
-        components: Sequence[Sequence[Union[str, float, Expr, ComponentFn]]],
+        components: Sequence[Sequence[Union[str, float, Expr]]],
         parameters: Mapping[str, float] | None = None,
         name: str = "direct",
         domain: fundeq.DomainPredicate | None = None,
@@ -169,7 +164,17 @@ class DirectMetricField:
         n = len(self.coordinates)
         if len(components) != n or any(len(row) != n for row in components):
             raise ValueError(f"component matrix must be {n}x{n}")
-        self.components = [[_as_component(c) for c in row] for row in components]
+        self.components = [[_as_expr(c) for c in row] for row in components]
+        # slot of each entry in the list of distinct expressions evaluated
+        self._exprs: list[Expr] = []
+        self._slots = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                if b < a and self.components[a][b] == self.components[b][a]:
+                    self._slots[a][b] = self._slots[b][a]
+                else:
+                    self._slots[a][b] = len(self._exprs)
+                    self._exprs.append(self.components[a][b])
         self.parameters = dict(parameters or {})
         self.name = name
         self.domain = domain
@@ -178,54 +183,15 @@ class DirectMetricField:
     def dim(self) -> int:
         return len(self.coordinates)
 
-    def in_domain(self, point: Point) -> bool:
-        try:
-            self.values(point)
-        except DomainError:
-            return False
-        return True
-
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
-        n = self.dim
-        points = np.asarray(point, dtype=float)
-        if points.ndim == 1:
-            if len(points) != n:
-                raise ValueError(f"expected {n} coordinates, got {len(points)}")
-            env = dict(zip(self.coordinates, map(float, points)))
-            if self.domain is not None and not self.domain(env):
-                raise DomainError(f"point {tuple(env.values())} outside domain of {self.name}")
-            out = self._components(points, gorder)
-            failed = None
-        else:
-            flat = fundeq.evaluate_batch(
-                lambda coords: [g for row in self._components(coords, gorder) for g in row],
-                lambda p: [g for row in self.component_jets(p, gorder) for g in row],
-                points,
-                self.domain,
-                self.coordinates,
-                gorder,
-                count=n * n,
-            )
-            out = [flat[a * n : (a + 1) * n] for a in range(n)]
-            failed = _failed_points(out)
-        _check_symmetry(out, self.name, failed)
-        for a in range(n):
-            for b in range(a + 1, n):
+        flat = fundeq.evaluate_exprs(
+            self._exprs, self.coordinates, self.parameters, point, gorder, self.domain, self.name
+        )
+        out = [[flat[slot] for slot in row] for row in self._slots]
+        _check_symmetry(out, self.name)
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
                 out[b][a] = out[a][b]
-        return out
-
-    def _components(self, coords: np.ndarray, gorder: int) -> list[list[Jet]]:
-        n = self.dim
-        env: dict[str, Union[Jet, float]] = dict(self.parameters)
-        for i, cname in enumerate(self.coordinates):
-            env[cname] = jets.seed_variable(i, coords[..., i], n, gorder)
-        out = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                val = self.components[a][b](env)
-                if not isinstance(val, Jet):
-                    val = jets.constant(np.full(coords.shape[:-1], float(val)), n, gorder)
-                out[a][b] = val
         return out
 
     def values(self, point: Point) -> np.ndarray:
@@ -235,16 +201,14 @@ class DirectMetricField:
 MetricField = Union[HessianMetricField, DirectMetricField]
 
 
-def _as_component(c) -> ComponentFn:
-    if callable(c) and not isinstance(c, (str, int, float)):
-        return c
+def _as_expr(c) -> Expr:
     if isinstance(c, str):
-        c = fundeq.parse(c)
+        return fundeq.parse(c)
     if isinstance(c, (int, float)):
-        value = float(c)
-        return lambda env: value
-    expr = c
-    return lambda env: fundeq.eval_jet(expr, env)
+        return fundeq.Num(float(c))
+    if isinstance(c, Expr):
+        return c
+    raise TypeError(f"metric component must be an expression string, number or Expr, got {c!r}")
 
 
 def _stack(gjets: list[list[Jet]]) -> np.ndarray:
@@ -258,11 +222,11 @@ def _constant_terms(gjets: list[list[Jet]]) -> np.ndarray:
     return g if gjets[0][0].batched else g[0]
 
 
-def _check_symmetry(gjets, name: str, failed: np.ndarray | None) -> None:
+def _check_symmetry(gjets, name: str) -> None:
     """Each point's matrix must be symmetric, to a tolerance scaled by that point's entries."""
     n = len(gjets)
     coeffs = _stack(gjets)
-    skip = np.zeros(len(coeffs), dtype=bool) if failed is None else failed
+    skip = _failed_points(gjets)
     scale = np.maximum(1.0, np.max(np.abs(coeffs[:, 0]), axis=(1, 2)))[:, None]
     for a in range(n):
         for b in range(a + 1, n):
@@ -458,7 +422,6 @@ _KN_M2 = "(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)"
 
 
 def _vdw_closed(a: float = 1.0, b: float = 0.1, k: float = 1.0) -> DirectMetricField:
-    bval = b
     return DirectMetricField(
         coordinates=("S", "V"),
         components=[
@@ -473,7 +436,7 @@ def _vdw_closed(a: float = 1.0, b: float = 0.1, k: float = 1.0) -> DirectMetricF
         ],
         parameters={"a": a, "b": b, "k": k},
         name="vdw_closed",
-        domain=lambda env, _b=bval: env["V"] > _b,
+        domain=fundeq._above_covolume,
     )
 
 

@@ -175,6 +175,16 @@ def test_vdw_domain_follows_b_override():
     assert spec.in_domain((0.0, 0.6))
 
 
+def test_vdw_domain_follows_with_parameters():
+    # the domain predicate reads b from the parameters, not from the factory
+    spec = builtin("vdw").with_parameters(b=0.5)
+    with pytest.raises(DomainError, match="outside domain") as info:
+        evaluate(spec, (1.0, 0.3))
+    assert "V > b" in str(info.value) and "b = 0.5" in str(info.value)
+    batch = evaluate(spec, np.array([[1.0, 0.3], [1.0, 0.6]]))
+    assert batch.failed.tolist() == [True, False]
+
+
 def test_kerr_newman_weighted_scaling():
     spec = builtin("kerr_newman")
     rng = np.random.default_rng(3)

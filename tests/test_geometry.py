@@ -91,6 +91,41 @@ def test_direct_metric_rejects_asymmetric():
         f.values((1.0, 1.0))
 
 
+def test_direct_metric_rejects_asymmetric_batch():
+    f = DirectMetricField(("x", "y"), [["1", "x"], ["2*x", "1"]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        metric_determinant(f, np.array([[1.0, 1.0], [2.0, 0.5]]))
+
+
+def test_direct_metric_rejects_callable_component():
+    with pytest.raises(TypeError, match="metric component"):
+        DirectMetricField(("x",), [[lambda env: env["x"]]])
+
+
+@pytest.mark.parametrize("name, count", [("vdw_closed", 3), ("kn_closed", 6)])
+@pytest.mark.parametrize("batched", [False, True])
+def test_direct_metric_evaluates_each_distinct_entry_once(monkeypatch, name, count, batched):
+    calls = []
+    depth = [0]
+    eval_jet = fundeq.eval_jet
+
+    def counting(node, env):
+        # eval_jet recurses through the module attribute: count outermost calls only
+        if depth[0] == 0:
+            calls.append(node)
+        depth[0] += 1
+        try:
+            return eval_jet(node, env)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fundeq, "eval_jet", counting)
+    f = closed_form_metric(name)
+    point = (0.9, 1.0) if name == "vdw_closed" else (5.0, 0.5, 0.8)
+    f.component_jets(np.array([point, point]) if batched else point)
+    assert len(calls) == count
+
+
 # -- christoffel symbols ----------------------------------------------------------------
 
 
