@@ -4,10 +4,11 @@ Scans walk a cartesian grid over the metric field's coordinates, recording
 one of: curvature scalar, metric determinant, potential value, or the
 intensive variables. Points where the metric degenerates or the field leaves
 its domain are marked, never fatal. Root finding watches det g for sign
-changes along coordinate lines and bisects; divergence exponents come from a
-log-log fit of |R| against the distance to an approach point.
+changes along coordinate lines and refines each bracket by ITP root refinement
+(interpolate, truncate, project); divergence exponents come from a log-log fit
+of |R| against the distance to an approach point.
 
-Scans and root bisection evaluate points in batches of at most CHUNK_ROWS.
+Scans and root refinement evaluate points in batches of at most CHUNK_ROWS.
 Reports are deterministic: the grid is enumerated row-major in coordinate
 order, and a point's result is bit-identical whatever batch it is evaluated
 in, so results do not depend on the chunk size.
@@ -38,6 +39,12 @@ NOISE_FLOOR = 1e-8
 # Points evaluated together: enough to spread the jet engine's per-operation
 # Python overhead, few enough to bound the memory of one batch.
 CHUNK_ROWS = 128
+# ITP root refinement: a trial point moves ITP_KAPPA1 / width0 * width^ITP_KAPPA2
+# off regula falsi towards the midpoint, and a bracket takes at most ITP_N0
+# steps more than bisection.
+ITP_KAPPA1 = 0.2
+ITP_KAPPA2 = 2
+ITP_N0 = 1
 
 QUANTITIES = ("curvature", "detg", "potential", "intensive")
 _QUANTITY_ALIASES = {"scalar_curvature": "curvature", "det_g": "detg"}
@@ -225,47 +232,100 @@ def _determinants(f: MetricField, points: np.ndarray) -> np.ndarray:
     return np.concatenate([geometry.metric_determinant(f, c)[0] for c in _chunks(points)])
 
 
-def _bisect_roots(
+def _itp_points(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    flo: np.ndarray,
+    fhi: np.ndarray,
+    target: np.ndarray,
+    steps_left: np.ndarray,
+    width0: np.ndarray,
+) -> np.ndarray:
+    """The next ITP trial point of every bracket; the midpoint where it fails.
+
+    Interpolate (regula falsi), truncate (move towards the midpoint by
+    ITP_KAPPA1 / width0 * width^ITP_KAPPA2) and project into the window of
+    radius target / 2 * 2^steps_left - width / 2 around the midpoint, which
+    keeps every bracket narrower than target after the steps left to it.
+    """
+    width = hi - lo
+    mid = 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # flo / (flo - fhi) lies in [0, 1]: the signs at the ends differ
+        interpolated = lo + width * (flo / (flo - fhi))
+        toward_mid = np.sign(mid - interpolated)
+        delta = ITP_KAPPA1 / width0 * width**ITP_KAPPA2
+        truncated = np.where(
+            delta <= np.abs(mid - interpolated), interpolated + toward_mid * delta, mid
+        )
+        radius = 0.5 * (np.ldexp(target, steps_left) - width)
+        trial = np.where(
+            np.abs(truncated - mid) <= radius, truncated, mid - toward_mid * radius
+        )
+    inside = np.isfinite(trial) & (trial > lo) & (trial < hi)
+    return np.where(inside, trial, mid)
+
+
+def _refine_roots(
     f: MetricField,
     base: np.ndarray,
     axis: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     flo: np.ndarray,
+    fhi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect det g = 0 on all brackets at once, one batch per step.
+    """Refine det g = 0 on all brackets at once by ITP, one batch per step.
 
     Bracket k runs along coordinate axis[k] through base[k] from lo[k] to
-    hi[k], with det g = flo[k] at lo[k]. Each bracket follows the scalar
-    rules: stop when hi - lo <= tol, when the midpoint no longer splits the
-    bracket, or on det g == 0 exactly; the root is then 0.5 * (lo + hi). A
-    bracket whose midpoint leaves the domain is dropped. Returns the roots
-    and the mask of brackets that kept them.
+    hi[k], with det g = flo[k] at lo[k] and fhi[k] at hi[k]. ITP (interpolate,
+    truncate, project; Oliveira & Takahashi, ACM TOMS 47(1), 2020) keeps the
+    bracket and takes at most ceil(log2(width / tol)) + ITP_N0 steps, ITP_N0
+    more than bisection, converging superlinearly on smooth det g. Each
+    bracket follows the scalar rules: stop when hi - lo <= tol, when the
+    midpoint no longer splits the bracket, or at a trial point with det g ==
+    0 exactly, which becomes both ends; the root is then 0.5 * (lo + hi). A
+    bracket whose trial point leaves the domain is dropped. Every bracket starts at step 0 and
+    its arithmetic is elementwise, so its root does not depend on the others
+    in the batch. Returns the roots and the mask of brackets that kept them.
     """
-    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
-    tol = ROOT_TOL_FACTOR * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    active = hi - lo > tol
+    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    tol = ROOT_TOL_FACTOR * np.maximum(1.0, scale)
+    # the projection aims a few ulps inside tol: the rounded midpoints of the
+    # last steps could otherwise leave a bracket one ulp wider than tol
+    target = tol - 4.0 * np.spacing(scale)
+    width0 = hi - lo
+    active = width0 > tol
     kept = np.ones(len(lo), dtype=bool)
+    # ceil(log2(width0 / tol)) from the exact binary exponent, plus ITP_N0
+    mantissa, exponent = np.frexp(width0 / tol)
+    max_steps = exponent - (mantissa == 0.5) + ITP_N0
+    step = 0
     while active.any():
         idx = np.flatnonzero(active)
         mid = 0.5 * (lo[idx] + hi[idx])
         split = (mid > lo[idx]) & (mid < hi[idx])
         active[idx[~split]] = False
-        idx, mid = idx[split], mid[split]
+        idx = idx[split]
+        x = _itp_points(
+            lo[idx], hi[idx], flo[idx], fhi[idx], target[idx], max_steps[idx] - step, width0[idx]
+        )
         points = base[idx].copy()
-        points[np.arange(len(idx)), axis[idx]] = mid
-        fmid = _determinants(f, points)
-        left = np.isnan(fmid)
+        points[np.arange(len(idx)), axis[idx]] = x
+        fx = _determinants(f, points)
+        left = np.isnan(fx)
         kept[idx[left]] = False
-        zero = fmid == 0.0
+        zero = fx == 0.0
+        lo[idx[zero]] = hi[idx[zero]] = x[zero]
         active[idx[left | zero]] = False
         move = ~(left | zero)
-        idx, mid, fmid = idx[move], mid[move], fmid[move]
-        flip = (flo[idx] < 0.0) != (fmid < 0.0)
-        hi[idx[flip]] = mid[flip]
-        lo[idx[~flip]] = mid[~flip]
-        flo[idx[~flip]] = fmid[~flip]
+        idx, x, fx = idx[move], x[move], fx[move]
+        flip = (flo[idx] < 0.0) != (fx < 0.0)
+        hi[idx[flip]], fhi[idx[flip]] = x[flip], fx[flip]
+        lo[idx[~flip]], flo[idx[~flip]] = x[~flip], fx[~flip]
         active[idx] = hi[idx] - lo[idx] > tol[idx]
+        step += 1
     return 0.5 * (lo + hi), kept
 
 
@@ -282,14 +342,10 @@ def _classify_roots(f: MetricField, points: np.ndarray) -> list[str | None]:
     return ["potential-zero" if z else "hessian-zero" for z in potential_zero]
 
 
-def _classify_root(f: MetricField, point: np.ndarray) -> str | None:
-    return _classify_roots(f, np.asarray(point, dtype=float)[None])[0]
-
-
 def find_singular_locus(
     f: MetricField, grid: GridSpec, det_g: np.ndarray | None = None
 ) -> list[SingularPoint]:
-    """Bisect det g = 0 along every coordinate line of the grid.
+    """Refine det g = 0 along every coordinate line of the grid.
 
     `det_g` holds det g at every grid point in `grid.points()` order (NaN
     outside the domain), as `grid_scan` reports it; it is computed when not
@@ -320,7 +376,7 @@ def find_singular_locus(
     if sum(map(len, base)) == 0:
         return []
     base, axes, lo, hi, flo, fhi = map(np.concatenate, (base, axes, lo, hi, flo, fhi))
-    roots, kept = _bisect_roots(f, base, axes, lo, hi, flo)
+    roots, kept = _refine_roots(f, base, axes, lo, hi, flo, fhi)
     points = base.copy()
     points[np.arange(len(roots)), axes] = roots
     residual = _determinants(f, points)

@@ -176,6 +176,10 @@ class DirectMetricField:
                     self._slots[a][b] = len(self._exprs)
                     self._exprs.append(self.components[a][b])
         self.parameters = dict(parameters or {})
+        declared = set(self.coordinates) | set(self.parameters)
+        unknown = set().union(*map(fundeq.free_names, self._exprs)) - declared
+        if unknown:
+            raise ValueError(f"metric components reference undeclared identifiers: {sorted(unknown)}")
         self.name = name
         self.domain = domain
 

@@ -123,6 +123,12 @@ def test_scan_deterministic_across_chunk_sizes(monkeypatch):
             assert np.array_equal(other.values, first.values, equal_nan=True)
             if first.det_g is not None:
                 assert np.array_equal(other.det_g, first.det_g, equal_nan=True)
+    loci = []
+    for rows in (1, 7, analysis.CHUNK_ROWS):
+        monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+        loci.append(find_singular_locus(f, grid))
+    assert loci[0]
+    assert loci[0] == loci[1] == loci[2]
 
 
 def test_scan_accepts_spec_quantity_aliases():
@@ -142,6 +148,89 @@ def test_rn_root_at_extremal_entropy():
     assert len(roots) == 1
     assert roots[0].coords["S"] == pytest.approx(PI, abs=1e-9)
     assert roots[0].category == "hessian-zero"
+
+
+def _count_determinants(monkeypatch) -> list[int]:
+    calls = [0]
+    inner = analysis.geometry.metric_determinant
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(analysis.geometry, "metric_determinant", counted)
+    return calls
+
+
+def test_rn_locus_refines_in_few_determinant_batches(monkeypatch):
+    # the benchmark's RN grid: 92 brackets, refined together, then one residual batch
+    f = rn_field()
+    grid = GridSpec.build(f.coordinates, {"S": Axis(0.5, 10.0, 100), "Q": Axis(0.2, 1.6, 15)})
+    det_g = grid_scan(f, grid, "detg").det_g
+    calls = _count_determinants(monkeypatch)
+    roots = find_singular_locus(f, grid, det_g=det_g)
+    assert calls[0] <= 16
+    assert len(roots) > 80
+    for root in roots:
+        s, q = root.coords["S"], root.coords["Q"]
+        assert root.category == "hessian-zero"
+        assert s == pytest.approx(PI * q * q, rel=1e-11)
+
+
+def test_ruppeiner_pole_refinement_within_worst_case(monkeypatch):
+    # det g = det Hess / T^n changes sign through the T = 0 pole at S = pi Q^2
+    f = HessianMetricField(builtin("reissner_nordstrom"), MetricKind.RUPPEINER)
+    axis = Axis(0.5, 10.0, 50)
+    grid = GridSpec.build(f.coordinates, {"S": axis, "Q": 1.0})
+    det_g = grid_scan(f, grid, "detg").det_g
+    calls = _count_determinants(monkeypatch)
+    (point,) = find_singular_locus(f, grid, det_g=det_g)
+    values = axis.values()
+    hi = values[np.searchsorted(values, PI)]
+    tol = analysis.ROOT_TOL_FACTOR * hi
+    steps = calls[0] - 1  # one batch per step, then the residual
+    assert steps <= math.ceil(math.log2((values[1] - values[0]) / tol)) + analysis.ITP_N0
+    assert point.category == "pole"
+    assert point.coords["S"] == pytest.approx(PI, abs=1e-9)
+
+
+_HARD_CROSSINGS = {
+    "cubic": lambda x, c: (x - c) ** 3,
+    "pole": lambda x, c: 1.0 / (c - x),
+    "jump": lambda x, c: np.where(x < c, -1.0, 2.0),
+    "eleventh_power": lambda x, c: x**11 - c**11,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HARD_CROSSINGS))
+def test_refinement_worst_case_and_batch_independence(monkeypatch, name):
+    # bracket k lies on coordinate 0 and carries its index k in coordinate 1
+    g = _HARD_CROSSINGS[name]
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-5.0, 5.0, 40) * 10.0 ** rng.uniform(-3.0, 3.0, 40)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, 40) * np.maximum(1.0, np.abs(lo))
+    c = lo + rng.uniform(0.01, 0.99, 40) * (hi - lo)
+    steps = np.zeros(40, dtype=int)
+
+    def determinants(f, points):
+        k = points[:, 1].astype(int)
+        np.add.at(steps, k, 1)
+        return g(points[:, 0], c[k])
+
+    monkeypatch.setattr(analysis, "_determinants", determinants)
+    base = np.stack([lo, np.arange(40.0)], axis=1)
+    axis = np.zeros(40, dtype=int)
+    roots, kept = analysis._refine_roots(None, base, axis, lo, hi, g(lo, c), g(hi, c))
+    tol = analysis.ROOT_TOL_FACTOR * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    assert kept.all()
+    assert np.all(np.abs(roots - c) <= tol)
+    assert np.all(steps <= np.ceil(np.log2((hi - lo) / tol)) + analysis.ITP_N0)
+    for k in range(0, 40, 7):
+        one = slice(k, k + 1)
+        alone, _ = analysis._refine_roots(
+            None, base[one], axis[one], lo[one], hi[one], g(lo[one], c[one]), g(hi[one], c[one])
+        )
+        assert alone[0] == roots[k]
 
 
 def test_ideal_gas_has_no_roots():
@@ -180,7 +269,7 @@ def test_classify_potential_zero():
     spec = builtin("vdw", a=1.0, b=0.1)
     f = HessianMetricField(spec)
     v_zero = _vdw_potential_zero(spec)
-    assert analysis._classify_root(f, np.array([0.0, v_zero])) == "potential-zero"
+    assert analysis._classify_roots(f, np.array([0.0, v_zero])[None])[0] == "potential-zero"
 
 
 @pytest.mark.parametrize("kind", [MetricKind.WEINHOLD, MetricKind.RUPPEINER])
@@ -189,7 +278,7 @@ def test_classify_other_kinds_have_no_potential_factor(kind):
     spec = builtin("vdw", a=1.0, b=0.1)
     f = HessianMetricField(spec, kind)
     v_zero = _vdw_potential_zero(spec)
-    assert analysis._classify_root(f, np.array([0.0, v_zero])) == "hessian-zero"
+    assert analysis._classify_roots(f, np.array([0.0, v_zero])[None])[0] == "hessian-zero"
 
 
 # -- exponent fitting ------------------------------------------------------------------

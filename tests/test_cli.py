@@ -255,6 +255,22 @@ def test_scan_metric_file(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["scan", "eval"])
+def test_metric_file_with_undeclared_identifier_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "metric.ini"
+    path.write_text(
+        "[metric]\nname = sphere\ncoordinates = theta, phi\n"
+        "components = r^2, 0; 0, r^2*sin(theta)^2\n"
+    )
+    where = {
+        "scan": ["--range", "theta=0.5:1:3", "--pin", "phi=0"],
+        "eval": ["--point", "theta=0.5,phi=0"],
+    }[command]
+    code = run([command, "--system", str(path), *where, "--quantity", "detg"])
+    assert code == 2
+    assert "undeclared identifiers: ['r']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("quantity", ["potential", "curvature"])
 def test_scan_fractional_power_of_negative_base_marks_points(tmp_path, capsys, quantity):
     # (S - V)^(2/3) is undefined for S < V: a marked point, not a traceback

@@ -182,6 +182,38 @@ def test_kerr_flat_spot():
     assert abs(scalar_curvature(f, (4 * PI, 1.0)).scalar) <= 1e-8
 
 
+def _flat_grid_curvature(system, kind, axes):
+    f = HessianMetricField(builtin(system), kind)
+    mesh = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    report = scalar_curvature(f, points)
+    assert set(report.status) == {"ok"}
+    return points, report.scalar
+
+
+def test_rn_ruppeiner_flat_away_from_extremal_locus():
+    # flat (Aman, Bengtsson & Pidokrajt 2003); at the T = 0 locus S = pi Q^2
+    # the Ruppeiner metric is singular and rounding reaches |R| ~ 2e-8
+    points, scalar = _flat_grid_curvature(
+        "reissner_nordstrom", MetricKind.RUPPEINER, [(0.5, 10.0, 30), (0.2, 1.6, 30)]
+    )
+    s, q = points.T
+    away = np.abs(s - PI * q * q) > 0.05 * s
+    assert away.sum() > 800
+    assert np.max(np.abs(scalar[away])) <= 1e-10
+
+
+def test_kerr_weinhold_flat():
+    _, scalar = _flat_grid_curvature("kerr", MetricKind.WEINHOLD, [(1.0, 30.0, 30), (0.05, 2.0, 30)])
+    assert np.max(np.abs(scalar)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [MetricKind.NATURAL, MetricKind.WEINHOLD, MetricKind.RUPPEINER])
+def test_ideal_gas_flat_for_every_hessian_kind(kind):
+    _, scalar = _flat_grid_curvature("ideal_gas", kind, [(0.1, 2.0, 20), (0.5, 3.0, 20)])
+    assert np.max(np.abs(scalar)) <= 1e-12
+
+
 def test_constant_metric_zero_curvature():
     f = DirectMetricField(("x", "y"), [[2.0, 0.5], [0.5, 3.0]])
     assert abs(scalar_curvature(f, (0.0, 0.0)).scalar) <= 1e-10
