@@ -346,13 +346,18 @@ def cmd_scan(args) -> int:
         else:
             print("no divergence detected (values below noise floor)")
 
+    # build the rows of the requested report only
+    report_format = args.format if args.output is not None else None
     report = _report_skeleton(args, "scan")
     report["grid"] = grid.describe()
-    report["values"] = {
-        "columns": list(report_data.columns),
-        "rows": [[None if np.isnan(x) else float(x) for x in row] for row in report_data.values],
-        "status": report_data.status,
-    }
+    if report_format == "json":
+        report["values"] = {
+            "columns": list(report_data.columns),
+            "rows": [
+                [None if math.isnan(x) else x for x in row] for row in report_data.values.tolist()
+            ],
+            "status": report_data.status,
+        }
     report["singular_points"] = [
         {"coords": r.coords, "det_g": r.det_g, "category": r.category} for r in roots
     ]
@@ -368,13 +373,13 @@ def cmd_scan(args) -> int:
     ]
 
     header = list(grid.names) + list(report_data.columns) + ["status"]
-    points = grid.points()
     rows = []
-    for i in range(len(points)):
-        row = [fmt(x) for x in points[i]]
-        row += ["nan" if np.isnan(x) else fmt(x) for x in report_data.values[i]]
-        row.append(report_data.status[i])
-        rows.append(row)
+    if report_format == "csv":
+        points, values = grid.points().tolist(), report_data.values.tolist()
+        rows = [
+            [fmt(x) for x in point + row] + [status]
+            for point, row, status in zip(points, values, report_data.status)
+        ]
     _emit(args, report, header, rows)
     return EXIT_OK
 

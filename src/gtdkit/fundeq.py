@@ -3,7 +3,9 @@
 A system is a potential Phi(E^1..E^n) over named extensive variables plus a
 parameter map. Potentials come from a small expression grammar (or from the
 built-in catalogue) and are evaluated over jets, so every derivative the
-geometry needs is exact. `evaluate_exprs` is the one place expressions
+geometry needs is exact. `eval_jet` is the one evaluator: a constant
+subexpression runs the same jet operations at order 0, so it obeys the same
+domain and overflow rules. `evaluate_exprs` is the one place expressions
 become jets, at one point or over a batch: `evaluate` calls it on the
 potential and direct metric fields on their components.
 
@@ -230,14 +232,6 @@ def _wrap(node: Expr, parent_prec: int, strict: bool) -> str:
 
 Scalar = Union[float, Jet]
 
-_FLOAT_FUNCS: dict[str, Callable[[float], float]] = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-}
-
 _JET_FUNCS: dict[str, Callable[[Jet], Jet]] = {
     "exp": jets.exp,
     "ln": jets.ln,
@@ -247,47 +241,14 @@ _JET_FUNCS: dict[str, Callable[[Jet], Jet]] = {
 }
 
 
-def eval_float(node: Expr, env: Mapping[str, float]) -> float:
-    """Plain arithmetic evaluation, independent of the jet engine."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Name):
-        if node.ident in env:
-            return float(env[node.ident])
-        if node.ident in CONSTANTS:
-            return CONSTANTS[node.ident]
-        raise DomainError(f"unresolved identifier {node.ident!r}")
-    if isinstance(node, Neg):
-        return -eval_float(node.operand, env)
-    if isinstance(node, Call):
-        x = eval_float(node.arg, env)
-        try:
-            return _FLOAT_FUNCS[node.func](x)
-        except ValueError as exc:
-            raise DomainError(f"{node.func}({x}) is undefined") from exc
-    left = eval_float(node.left, env)
-    right = eval_float(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if right == 0.0:
-            raise DomainError("division by zero")
-        return left / right
-    try:
-        return float(left**right)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"{left} ^ {right} is undefined") from exc
-
-
 def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
     """Evaluate over an environment of jets and numbers.
 
-    Subtrees that touch no jet stay plain floats; the caller promotes the
-    final result if it needs a jet unconditionally.
+    Subtrees that touch no jet stay floats, and the caller promotes the final
+    result if it needs a jet. Float arithmetic is plain IEEE arithmetic, as in
+    the jets; a function or power of floats is the value of the jet operation
+    on an order-0 constant jet, so `sqrt(0)` is a DomainError as it is over a
+    variable, and `exp(1000)` is inf.
     """
     if isinstance(node, Num):
         return node.value
@@ -300,13 +261,7 @@ def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
     if isinstance(node, Neg):
         return -eval_jet(node.operand, env)
     if isinstance(node, Call):
-        x = eval_jet(node.arg, env)
-        if isinstance(x, Jet):
-            return _JET_FUNCS[node.func](x)
-        try:
-            return _FLOAT_FUNCS[node.func](x)
-        except ValueError as exc:
-            raise DomainError(f"{node.func}({x}) is undefined") from exc
+        return _on_jet(_JET_FUNCS[node.func], eval_jet(node.arg, env))
     left = eval_jet(node.left, env)
     right = eval_jet(node.right, env)
     if node.op == "+":
@@ -316,10 +271,17 @@ def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
     if node.op == "*":
         return left * right
     if node.op == "/":
-        if isinstance(right, float) and right == 0.0:
+        if not isinstance(right, Jet) and right == 0.0:
             raise DomainError("division by zero")
         return left / right
     return _eval_pow(left, right)
+
+
+def _on_jet(op: Callable[[Jet], Jet], x: Scalar) -> Scalar:
+    """op on a jet; on a float, the value of op on its order-0 constant jet."""
+    if isinstance(x, Jet):
+        return op(x)
+    return op(jets.constant(x, 1, 0)).value
 
 
 class _PointwiseOnly(Exception):
@@ -341,13 +303,7 @@ def _eval_pow(base: Scalar, exponent: Scalar) -> Scalar:
                 base = jets.constant(np.full(shape, base), exponent.nvars, exponent.order)
             return jets.exp(exponent * jets.ln(base))
         exponent = float(np.ravel(exponent.value)[0])
-    if isinstance(base, Jet):
-        return jets.power(base, exponent)
-    try:
-        # a negative base with a fractional exponent gives a complex number
-        return float(base**exponent)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DomainError(f"{base} ^ {exponent} is undefined") from exc
+    return _on_jet(lambda b: jets.power(b, exponent), base)
 
 
 def free_names(node: Expr) -> set[str]:
@@ -365,9 +321,10 @@ def free_names(node: Expr) -> set[str]:
 # -- system specifications -------------------------------------------------------
 
 Point = Sequence[float]
-# A domain predicate sees one point as a mapping from every parameter and
-# every variable name to a float; True means the point is admissible.
-DomainPredicate = Callable[[Mapping[str, float]], bool]
+# A domain predicate sees every parameter as a float and every variable as a
+# float for one point or an array of coordinates for a batch. It returns True,
+# or one bool per point, where a point is admissible: a comparison like V > b.
+DomainPredicate = Callable[[Mapping[str, Union[float, np.ndarray]]], Union[bool, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -431,8 +388,9 @@ def evaluate_exprs(
 ) -> list[Jet]:
     """Jets of `exprs` around one point or a (B, n) batch, each variable seeded.
 
-    The expressions see the parameters and the variables, and the domain
-    predicate sees both as floats, once per point. One point outside the
+    The expressions see the parameters and the variables, and so does the
+    domain predicate, once per call: as floats for one point, and for a batch
+    with one array of coordinates per variable. One point outside the
     domain raises DomainError naming `label`; in a batch such points, and
     points where evaluation fails, come back as failed columns of NaN (see
     `Jet.failed`). A DomainError from a constant subexpression fails every
@@ -447,23 +405,20 @@ def evaluate_exprs(
             f"expected {nvars} coordinates or a (B, {nvars}) batch, got shape {points.shape}"
         )
     env: dict[str, Scalar] = dict(parameters)
+    inside = True
+    if domain is not None:
+        env.update(zip(variables, points.T))
+        inside = domain(env)
     if points.ndim == 1:
         failed = None
         coords = points
-        if domain is not None:
-            env.update(zip(variables, points.tolist()))
-            if not domain(env):
-                message = f"point {tuple(points.tolist())} outside domain of {label}"
-                if parameters:
-                    message += " with " + ", ".join(f"{k} = {v}" for k, v in parameters.items())
-                raise DomainError(message)
+        if not inside:
+            message = f"point {tuple(points.tolist())} outside domain of {label}"
+            if parameters:
+                message += " with " + ", ".join(f"{k} = {v}" for k, v in parameters.items())
+            raise DomainError(message)
     else:
-        failed = np.zeros(len(points), dtype=bool)
-        if domain is not None:
-            # one dict updated per row: a fresh dict per point costs more than the predicate
-            for i, row in enumerate(points.tolist()):
-                env.update(zip(variables, row))
-                failed[i] = not domain(env)
+        failed = ~np.broadcast_to(np.asarray(inside, dtype=bool), len(points))
         coords = np.where(failed[:, None], np.nan, points)
     for i, name in enumerate(variables):
         env[name] = jets.seed_variable(i, coords[..., i], nvars, order)

@@ -267,12 +267,13 @@ def metric_determinant(field: MetricField, point: Point):
 
 
 def degeneracy_threshold(g: np.ndarray):
-    """Scale-aware cutoff below which |det g| counts as degenerate.
+    """Scale-free cutoff at or below which |det g| counts as degenerate.
 
-    A float for one (n, n) matrix, one cutoff per matrix for a (B, n, n) stack.
+    DEGENERACY_FACTOR times Hadamard's bound on |det g|, the product of the
+    row norms, so rescaling g does not change the verdict. A float for one
+    (n, n) matrix, one cutoff per matrix for a (B, n, n) stack.
     """
-    n = g.shape[-1]
-    out = DEGENERACY_FACTOR * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)) ** n)
+    out = DEGENERACY_FACTOR * np.prod(np.linalg.norm(g, axis=-1), axis=-1)
     return float(out) if g.ndim == 2 else out
 
 
@@ -326,11 +327,11 @@ def _checked_inverse(g: np.ndarray, failed: np.ndarray, point=None):
     """
     det = np.linalg.det(_replace(g, failed))
     threshold = degeneracy_threshold(g)
-    degenerate = ~failed & (np.abs(det) < threshold)
+    degenerate = ~failed & (np.abs(det) <= threshold)
     if point is not None and degenerate[0]:
         raise DegenerateMetricError(
             f"metric degenerate at {tuple(point)}: "
-            f"|det g| = {abs(det[0]):.3e} < {threshold[0]:.3e}",
+            f"|det g| = {abs(det[0]):.3e} <= {threshold[0]:.3e}",
             det=float(det[0]),
             threshold=float(threshold[0]),
         )

@@ -38,4 +38,7 @@ CORPUS = [
     "S^2^3",
     "3*pi^2*J^4/S^4 + 3*J^2/(2*S^2) - 1/(16*pi^2)",
     "sqrt(pi)*Q/sqrt(S)",
+    # constants that overflow: inf, as over a variable, and never a traceback
+    "S*exp(1000)",
+    "10^400 + S",
 ]

@@ -115,9 +115,9 @@ def test_batch_marks_degenerate_points():
 
 
 def test_batch_degeneracy_threshold_is_per_point():
-    # g = diag(x, x): |det g| = x^2 against 1e-12 max(1, x^2), judged per point
-    f = geometry.DirectMetricField(("x", "y"), [["x", 0], [0, "x"]])
-    points = np.array([[1e-7, 0.0], [1e-5, 0.0], [1e3, 0.0]])
+    # |det g| = x against 1e-12 times the product of the row norms, judged per point
+    f = geometry.DirectMetricField(("x", "y"), [[1, 1], [1, "1 + x"]])
+    points = np.array([[1e-13, 0.0], [1e-5, 0.0], [1e3, 0.0]])
     assert geometry.scalar_curvature(f, points).status == ["degenerate", "ok", "ok"]
     _check_field(f, points)
 

@@ -2,8 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from gtdkit import analysis, cli
+from expr_corpus import CORPUS
+from gtdkit import analysis, cli, fundeq
 
 PI = math.pi
 
@@ -301,3 +304,62 @@ def test_scan_ruppeiner_pole_is_not_a_root(tmp_path, capsys):
     (point,) = json.loads(out.read_text())["singular_points"]
     assert point["category"] == "pole"
     assert point["coords"]["S"] == pytest.approx(PI, abs=1e-9)
+
+
+# -- CLI contract over the expression corpus ----------------------------------------
+
+_fuzz_coordinate = st.floats(min_value=-3.0, max_value=3.0).map(lambda v: round(v, 3))
+_fuzz_width = st.floats(min_value=0.0, max_value=3.0).map(lambda v: round(v, 3))
+# start, width and count of one variable's range; count 0 pins the variable at start
+_fuzz_axis = st.tuples(_fuzz_coordinate, _fuzz_width, st.integers(min_value=0, max_value=4))
+_FUZZ_MAX_POINTS = 64
+_OVERFLOW_AXES = [(0.5, 1.5, 4)] * 6
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    source=st.sampled_from(CORPUS),
+    kind=st.sampled_from([k.value for k in cli.MetricKind if k is not cli.MetricKind.DIRECT]),
+    report_format=st.sampled_from(["json", "csv"]),
+    axes=st.lists(_fuzz_axis, min_size=6, max_size=6),
+)
+@example(source="S*exp(1000)", kind="natural", report_format="json", axes=_OVERFLOW_AXES)
+@example(source="10^400 + S", kind="ruppeiner", report_format="csv", axes=_OVERFLOW_AXES)
+def test_cli_exit_codes_over_corpus(tmp_path, source, kind, report_format, axes):
+    # every grammar-accepted potential ends in a documented exit code, never a traceback
+    names = sorted(fundeq.free_names(fundeq.parse(source))) or ["x"]
+    system = tmp_path / "corpus.ini"
+    system.write_text(
+        f"[system]\nname = corpus\nvariables = {', '.join(names)}\npotential = {source}\n"
+    )
+    where, size = [], 1
+    for name, (start, width, count) in zip(names, axes):
+        if count and size * count <= _FUZZ_MAX_POINTS:
+            size *= count
+            where += ["--range", f"{name}={start}:{start + width}:{count}"]
+        else:
+            where += ["--pin", f"{name}={start}"]
+    common = ["--system", str(system), "--metric-kind", kind]
+    output = ["--output", str(tmp_path / "report"), "--format", report_format]
+    for quantity in analysis.QUANTITIES:
+        assert run(["scan", *common, *where, "--quantity", quantity, *output]) in (0, 2, 3)
+    point = ",".join(f"{name}={start}" for name, (start, _, _) in zip(names, axes))
+    assert run(["eval", *common, "--point", point, *output]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("source", ["S*exp(1000)", "10^400 + S"])
+def test_overflowing_constant_gives_inf(tmp_path, capsys, source):
+    system = tmp_path / "big.ini"
+    system.write_text(f"[system]\nname = big\nvariables = S, V\npotential = {source}\n")
+    assert run(["eval", "--system", str(system), "--point", "S=1,V=2"]) == 0
+    assert "potential = inf" in capsys.readouterr().out
+    report = tmp_path / "scan.json"
+    code = run(
+        ["scan", "--system", str(system), "--range", "S=0.5:2:4", "--pin", "V=1",
+         "--quantity", "potential", "--output", str(report)]
+    )
+    assert code == 0
+    rows = json.loads(report.read_text())["values"]["rows"]
+    assert [row[0] for row in rows] == [math.inf] * 4

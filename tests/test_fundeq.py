@@ -11,8 +11,8 @@ from gtdkit.fundeq import (
     Name,
     Num,
     builtin,
+    eval_jet,
     evaluate,
-    eval_float,
     intensive_variables,
     load_system_file,
     parse,
@@ -55,20 +55,20 @@ def test_unbalanced_paren():
 
 
 def test_power_right_associative():
-    assert eval_float(parse("2^3^2"), {}) == 512.0
-    assert eval_float(parse("(2^3)^2"), {}) == 64.0
+    assert eval_jet(parse("2^3^2"), {}) == 512.0
+    assert eval_jet(parse("(2^3)^2"), {}) == 64.0
 
 
 def test_unary_minus_below_power():
     # precedence ^ > unary -: -S^2 is -(S^2)
-    assert eval_float(parse("-S^2"), {"S": 3.0}) == -9.0
-    assert eval_float(parse("(-S)^2"), {"S": 3.0}) == 9.0
-    assert eval_float(parse("-S*V"), {"S": 3.0, "V": 5.0}) == -15.0
+    assert eval_jet(parse("-S^2"), {"S": 3.0}) == -9.0
+    assert eval_jet(parse("(-S)^2"), {"S": 3.0}) == 9.0
+    assert eval_jet(parse("-S*V"), {"S": 3.0, "V": 5.0}) == -15.0
 
 
 def test_left_associativity():
-    assert eval_float(parse("10 - 4 - 3"), {}) == 3.0
-    assert eval_float(parse("24/4/2"), {}) == 3.0
+    assert eval_jet(parse("10 - 4 - 3"), {}) == 3.0
+    assert eval_jet(parse("24/4/2"), {}) == 3.0
 
 
 @pytest.mark.parametrize("source", CORPUS)
@@ -98,6 +98,16 @@ def test_evaluate_outside_domain():
         evaluate(spec, (0.0, 0.1))
 
 
+def _python_eval(tree, env):
+    """Python's own float arithmetic on the printed expression: an oracle independent of jets.
+
+    Python's `**` is right-associative and binds tighter than unary minus, as `^` does.
+    """
+    functions = {"exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "sin": math.sin}
+    namespace = {**functions, "cos": math.cos, "pi": math.pi, **env}
+    return eval(to_source(tree).replace("^", "**"), {"__builtins__": {}}, namespace)
+
+
 def test_order_zero_matches_plain_eval():
     env = {"S": 0.8, "V": 1.7, "J": 0.4, "Q": 0.9, "k": 1.0, "a": 1.0, "b": 0.1, "theta": 0.6}
     for source in (VDW_SOURCE, KN_SOURCE, "sin(theta)^2", "exp(S/k)/(V-b)"):
@@ -106,13 +116,46 @@ def test_order_zero_matches_plain_eval():
         jet_env = {n: jets.seed_variable(i, env[n], len(names), 0) for i, n in enumerate(names)}
         via_jet = fundeq.eval_jet(tree, jet_env)
         via_jet = via_jet.value if isinstance(via_jet, jets.Jet) else via_jet
-        plain = eval_float(tree, env)
+        plain = _python_eval(tree, env)
         assert via_jet == pytest.approx(plain, rel=1e-14)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "template", ["exp({})", "ln({})", "sqrt({})", "sin({})", "cos({})", "{}^3", "{}^(-1)", "{}^(1/3)"]
+)
+@pytest.mark.parametrize("x", [1000.0, 0.5, 0.0, -8.0])
+def test_constant_follows_variable_rules(template, x):
+    # a constant operand gives what the same operation gives over a variable at that value
+    over_constant = _outcome(lambda: eval_jet(parse(template.format(f"({x!r})")), {}))
+    seeded = {"x": jets.seed_variable(0, x, 1, 0)}
+    over_variable = _outcome(lambda: eval_jet(parse(template.format("x")), seeded).value)
+    assert over_constant == over_variable
+
+
+def test_domain_predicate_runs_once_per_batch():
+    calls = []
+
+    def positive_entropy(env):
+        calls.append(env["S"])
+        return env["S"] > 0.0
+
+    spec = fundeq.SystemSpec("counted", ("S",), parse("ln(S)"), domain=positive_entropy)
+    points = np.linspace(-1.0, 2.0, 128)[:, None]
+    jet = evaluate(spec, points, order=2)
+    assert len(calls) == 1
+    assert jet.failed.tolist() == (points[:, 0] <= 0.0).tolist()
 
 
 def test_unresolved_identifier():
     with pytest.raises(DomainError, match="unresolved"):
-        eval_float(parse("S + missing"), {"S": 1.0})
+        eval_jet(parse("S + missing"), {"S": 1.0})
 
 
 # -- intensive variables ------------------------------------------------------------

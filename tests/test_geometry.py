@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtdkit import fundeq
 from gtdkit.errors import DegenerateMetricError, DomainError
@@ -227,6 +229,37 @@ def test_riemann_antisymmetry_exact():
 def test_ricci_symmetry():
     rep = scalar_curvature(HessianMetricField(builtin("kerr_newman")), (4.0, 0.7, 0.9))
     assert rel_err(rep.ricci, rep.ricci.T) <= 1e-10
+
+
+def _scaled(f, c):
+    """The direct metric c * g."""
+    components = [[fundeq.BinOp("*", fundeq.Num(c), e) for e in row] for row in f.components]
+    return DirectMetricField(f.coordinates, components, f.parameters, f.name, f.domain)
+
+
+_REGULAR_POINTS = {
+    "sphere": (sphere_metric, [[1.0, 0.3], [0.4, 2.0], [2.5, -1.0]]),
+    "rn_closed": (lambda: closed_form_metric("rn_closed"), [[6.0, 1.0], [1.0, 0.2], [20.0, 1.5]]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_REGULAR_POINTS)), st.floats(min_value=-8.0, max_value=8.0))
+@example("sphere", -8.0)
+@example("rn_closed", -8.0)
+@example("rn_closed", 8.0)
+def test_curvature_survives_rescaling(name, log_factor):
+    # R(c g) = R(g) / c: the degeneracy test must not depend on the scale of g
+    make, rows = _REGULAR_POINTS[name]
+    f, c = make(), 10.0**log_factor
+    points = np.array(rows)
+    expected = scalar_curvature(f, points).scalar
+    batch = scalar_curvature(_scaled(f, c), points)
+    assert batch.status == ["ok"] * len(points)
+    np.testing.assert_allclose(c * batch.scalar, expected, rtol=1e-12, atol=0.0)
+    assert c * scalar_curvature(_scaled(f, c), points[0]).scalar == pytest.approx(
+        expected[0], rel=1e-12
+    )
 
 
 def test_degenerate_curvature_error_carries_det():
