@@ -68,14 +68,22 @@ def _size(nvars: int, order: int) -> int:
     return len(_index_table(nvars, order)[0])
 
 
+# Byte budget of one gathered product operand. glibc maps a block above its
+# default 128 KB mmap threshold fresh on every allocation and faults in each
+# page, which for KN order-4 products at 128 points cost more than the
+# arithmetic; blocks of columns under this budget stay on the heap.
+MUL_BLOCK_BYTES = 96 * 1024
+
+
 @lru_cache(maxsize=None)
-def _mul_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mul_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Gather plan of the truncated product.
 
     Returns the slots (ii, jj) of every pair with alpha_i + alpha_j = alpha_k
-    and degree <= order, stably sorted by the output slot k, and the offset
-    of each output slot's run for `np.add.reduceat`. Every slot k has at
-    least the pair (0, k), so no run is empty.
+    and degree <= order, stably sorted by the output slot k, the offset of
+    each output slot's run for `np.add.reduceat`, and the number of columns
+    whose gathered operands fit MUL_BLOCK_BYTES. Every slot k has at least
+    the pair (0, k), so no run is empty.
     """
     indices, pos = _index_table(nvars, order)
     ii, jj, kk = [], [], []
@@ -90,7 +98,8 @@ def _mul_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     kk = np.array(kk)
     perm = np.argsort(kk, kind="stable")
     starts = np.searchsorted(kk[perm], np.arange(len(indices)))
-    return np.array(ii)[perm], np.array(jj)[perm], starts
+    block = max(1, MUL_BLOCK_BYTES // (8 * len(kk)))
+    return np.array(ii)[perm], np.array(jj)[perm], starts, block
 
 
 def _columns(coeffs: np.ndarray) -> np.ndarray:
@@ -100,9 +109,16 @@ def _columns(coeffs: np.ndarray) -> np.ndarray:
 
 def _mul(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
     # np.add.reduceat sums each output slot of each column on its own, in the
-    # fixed triplet order, so a column's result does not depend on B
-    ii, jj, starts = _mul_table(nvars, order)
-    return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+    # fixed triplet order, so a column's result depends neither on B nor on
+    # the block it is computed in
+    ii, jj, starts, block = _mul_table(nvars, order)
+    if a.ndim == 1 or a.shape[1] <= block:
+        return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+    out = np.empty((len(starts), a.shape[1]))
+    for lo in range(0, a.shape[1], block):
+        cols = slice(lo, lo + block)
+        out[:, cols] = np.add.reduceat(a[ii, cols] * b[jj, cols], starts, axis=0)
+    return out
 
 
 def _merge_failed(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:

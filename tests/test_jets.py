@@ -73,6 +73,20 @@ def test_shape_mismatch():
         seed_variable(0, 1.0, 1, 2) + seed_variable(0, 1.0, 2, 2)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 58, 59, 128, 300])
+def test_blocked_product_matches_columns(batch):
+    # KN-sized jets: 210 product triplets, so wide batches run in column blocks
+    # (58 columns under MUL_BLOCK_BYTES), which must not change a bit
+    size = len(jets._index_table(3, 4)[0])
+    rng = np.random.default_rng(batch)
+    a = Jet(3, 4, rng.normal(size=(size, batch)))
+    b = Jet(3, 4, rng.normal(size=(size, batch)))
+    prod = a * b
+    for i in range(batch):
+        single = Jet(3, 4, a.coeffs[:, i]) * Jet(3, 4, b.coeffs[:, i])
+        assert np.array_equal(prod.coeffs[:, i], single.coeffs)
+
+
 def test_scalar_mixing():
     x = seed_variable(0, 3.0, nvars=1, order=2)
     assert (2 * x - x - x).value == 0.0
