@@ -590,13 +590,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args._params = _parse_assignments(args.params, "--params") if getattr(args, "params", None) else {}
-        if args.command == "systems":
-            return cmd_systems(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        return cmd_check(args)
+        command = {"systems": cmd_systems, "eval": cmd_eval, "scan": cmd_scan}.get(args.command, cmd_check)
+        # a non-finite result is reported through statuses and exit codes, not numpy warnings
+        with np.errstate(all="ignore"):
+            return command(args)
     except _IOFailure as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -284,25 +284,11 @@ def _on_jet(op: Callable[[Jet], Jet], x: Scalar) -> Scalar:
     return op(jets.constant(x, 1, 0)).value
 
 
-class _PointwiseOnly(Exception):
-    """The points of a batch take different branches of the evaluator."""
-
-
 def _eval_pow(base: Scalar, exponent: Scalar) -> Scalar:
+    # the rule follows the expression, never the point or the jet order: an
+    # exponent over the variables is a^b = exp(b ln a), which needs a > 0
     if isinstance(exponent, Jet):
-        rest = exponent.coeffs[1:]
-        variable = np.any(rest != 0.0, axis=0)
-        if exponent.batched and not (
-            variable.all() or (not variable.any() and np.all(exponent.value == exponent.value[0]))
-        ):
-            raise _PointwiseOnly
-        if rest.size and np.any(variable):
-            # genuinely variable exponent: a^b = exp(b ln a)
-            if not isinstance(base, Jet):
-                shape = exponent.coeffs.shape[1:]
-                base = jets.constant(np.full(shape, base), exponent.nvars, exponent.order)
-            return jets.exp(exponent * jets.ln(base))
-        exponent = float(np.ravel(exponent.value)[0])
+        return jets.exp(exponent * _on_jet(jets.ln, base))
     return _on_jet(lambda b: jets.power(b, exponent), base)
 
 
@@ -390,13 +376,13 @@ def evaluate_exprs(
 
     The expressions see the parameters and the variables, and so does the
     domain predicate, once per call: as floats for one point, and for a batch
-    with one array of coordinates per variable. One point outside the
-    domain raises DomainError naming `label`; in a batch such points, and
-    points where evaluation fails, come back as failed columns of NaN (see
-    `Jet.failed`). A DomainError from a constant subexpression fails every
-    point. A batch whose points take different evaluator branches (a power
-    whose exponent jet is constant at some points only) is evaluated point
-    by point, so each point's result is always that of its single-point call.
+    with one array of coordinates per variable. A point fails where it is
+    outside the domain, where an operation leaves its domain, or where any
+    result holds a NaN. One failed point raises DomainError naming `label`
+    and the point; in a batch each failed point is a column of NaN in every
+    result (see `Jet.failed`), and a DomainError from a constant
+    subexpression fails every point. A batch runs the same operations as one
+    point, so each point's result is that of its single-point call.
     """
     points = np.asarray(point, dtype=float)
     nvars = len(variables)
@@ -409,17 +395,14 @@ def evaluate_exprs(
     if domain is not None:
         env.update(zip(variables, points.T))
         inside = domain(env)
-    if points.ndim == 1:
-        failed = None
-        coords = points
-        if not inside:
-            message = f"point {tuple(points.tolist())} outside domain of {label}"
-            if parameters:
-                message += " with " + ", ".join(f"{k} = {v}" for k, v in parameters.items())
-            raise DomainError(message)
+    batched = points.ndim == 2
+    if batched:
+        outside = ~np.broadcast_to(np.asarray(inside, dtype=bool), len(points))
+        coords = np.where(outside[:, None], np.nan, points)
+    elif inside:
+        outside, coords = False, points
     else:
-        failed = ~np.broadcast_to(np.asarray(inside, dtype=bool), len(points))
-        coords = np.where(failed[:, None], np.nan, points)
+        raise _point_error(points, f"outside domain of {label}", parameters)
     for i, name in enumerate(variables):
         env[name] = jets.seed_variable(i, coords[..., i], nvars, order)
     try:
@@ -430,34 +413,33 @@ def evaluate_exprs(
                 result = jets.constant(np.full(coords.shape[:-1], float(result)), nvars, order)
             out.append(result)
     except DomainError:
-        if failed is None:
+        if not batched:
             raise
-        failed[:] = True
-        out = [jets.constant(np.zeros(len(points)), nvars, order)] * len(exprs)
-    except _PointwiseOnly:
-        blank = [jets.constant(np.nan, nvars, order)] * len(exprs)
-        columns = []
-        for i, p in enumerate(points):
-            try:
-                columns.append(evaluate_exprs(exprs, variables, parameters, p, order, domain))
-            except DomainError:
-                failed[i] = True
-                columns.append(blank)
-        out = [Jet(nvars, order, np.stack([j.coeffs for j in col], 1)) for col in zip(*columns)]
-    if failed is None:
-        return out
+        return [jets.constant(np.full(len(points), np.nan), nvars, order)] * len(exprs)
+    failed = outside
     for jet in out:
-        if jet.failed is not None:
-            failed |= jet.failed
-    return [jets.mark_failed(jet, failed) for jet in out]
+        # the max of a column is NaN exactly where the column holds a NaN
+        failed = failed | np.isnan(jet.coeffs.max(axis=0))
+    if not failed.any():
+        return out
+    if not batched:
+        raise _point_error(points, f"makes {label} not a number", parameters)
+    return [Jet(nvars, order, np.where(failed, np.nan, jet.coeffs)) for jet in out]
+
+
+def _point_error(point: np.ndarray, reason: str, parameters: Mapping[str, float]) -> DomainError:
+    message = f"point {tuple(point.tolist())} {reason}"
+    if parameters:
+        message += " with " + ", ".join(f"{k} = {v}" for k, v in parameters.items())
+    return DomainError(message)
 
 
 def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) -> Jet:
     """Jet of the potential around `point`, each variable seeded.
 
     `point` is one point of n coordinates or a (B, n) array of B points. One
-    point outside the domain raises DomainError; in a batch such points come
-    back as failed columns of NaN (see `Jet.failed`).
+    point outside the domain, or whose jet holds a NaN, raises DomainError; in
+    a batch such points come back as columns of NaN (see `Jet.failed`).
     """
     label = spec.name + (f" (requires {spec.domain_text})" if spec.domain_text else "")
     (jet,) = evaluate_exprs(

@@ -136,6 +136,10 @@ class HessianMetricField:
         for a in range(n):
             for b in range(a, n):
                 out[a][b] = out[b][a] = hess[a][b] * factor
+        # a product can be NaN where its factors are not, as inf * 0: a batch
+        # keeps the NaN column, one point raises
+        if not phi.batched and np.isnan([g.coeffs for row in out for g in row]).any():
+            raise DomainError(f"metric {self.name} is not a number at point {tuple(point)}")
         return out
 
     def values(self, point: Point) -> np.ndarray:
@@ -230,7 +234,7 @@ def _check_symmetry(gjets, name: str) -> None:
     """Each point's matrix must be symmetric, to a tolerance scaled by that point's entries."""
     n = len(gjets)
     coeffs = _stack(gjets)
-    skip = _failed_points(gjets)
+    skip = _failed_points(coeffs)
     scale = np.maximum(1.0, np.max(np.abs(coeffs[:, 0]), axis=(1, 2)))[:, None]
     for a in range(n):
         for b in range(a + 1, n):
@@ -254,14 +258,17 @@ def metric_at(field: MetricField, point: Point) -> MetricValue:
 def metric_determinant(field: MetricField, point: Point):
     """det g at one point (a float), or for a (B, n) batch its B values and statuses.
 
-    Points of a batch outside the domain get NaN and `domain-error`.
+    Points of a batch outside the domain, or whose det g is not a number (as
+    for a metric with an infinite entry), get NaN and `domain-error`.
     """
     gjets = field.component_jets(point, gorder=0)
-    g = _stack(gjets)[:, 0]
-    failed = _failed_points(gjets)
+    coeffs = _stack(gjets)
+    g = coeffs[:, 0]
+    failed = _failed_points(coeffs)
     det = np.linalg.det(_replace(g, failed))
     if not gjets[0][0].batched:
         return float(det[0])
+    failed |= np.isnan(det)
     det[failed] = np.nan
     return det, statuses(failed)
 
@@ -277,14 +284,10 @@ def degeneracy_threshold(g: np.ndarray):
     return float(out) if g.ndim == 2 else out
 
 
-def _failed_points(gjets: list[list[Jet]]) -> np.ndarray:
-    first = gjets[0][0]
-    failed = np.zeros(first.coeffs.shape[1] if first.batched else 1, dtype=bool)
-    for row in gjets:
-        for g in row:
-            if g.failed is not None:
-                failed |= g.failed
-    return failed
+def _failed_points(coeffs: np.ndarray) -> np.ndarray:
+    """Points whose (B, N, n, n) metric coefficients hold a NaN: the failed points."""
+    # a max is NaN exactly where it meets a NaN, and allocates no mask of the stack
+    return np.isnan(coeffs.max(axis=(1, 2, 3)))
 
 
 def statuses(failed: np.ndarray, degenerate: np.ndarray | None = None) -> list[str]:
@@ -315,19 +318,21 @@ def _geometry_arrays(gjets: list[list[Jet]]):
     if order >= 2:
         slots, scale = jets.pair_slots(n, order)
         d2g = coeffs[:, slots] * scale[:, :, None, None]
-    return g, dg, d2g, _failed_points(gjets)
+    return g, dg, d2g, _failed_points(coeffs)
 
 
 def _checked_inverse(g: np.ndarray, failed: np.ndarray, point=None):
     """Inverse metrics, determinants and degenerate points of a (B, n, n) stack.
 
-    With `point` (one point) a degenerate metric raises DegenerateMetricError.
-    Failed and degenerate points get the identity as inverse; failed points
-    get NaN as determinant.
+    A point is degenerate where |det g| is not above the threshold, which
+    includes a metric with an infinite entry: its threshold is inf or NaN.
+    With `point` (one point) a degenerate metric raises
+    DegenerateMetricError. Failed and degenerate points get the identity as
+    inverse; failed points get NaN as determinant.
     """
     det = np.linalg.det(_replace(g, failed))
     threshold = degeneracy_threshold(g)
-    degenerate = ~failed & (np.abs(det) <= threshold)
+    degenerate = ~failed & ~(np.abs(det) > threshold)
     if point is not None and degenerate[0]:
         raise DegenerateMetricError(
             f"metric degenerate at {tuple(point)}: "

@@ -15,8 +15,10 @@ coefficients are bit-identical whatever batch it is evaluated in.
 
 Leaving the domain of an elementary function (ln or a fractional power of a
 non-positive value, a reciprocal of zero) raises `DomainError` for one
-point. In a batch it marks the point's column as failed instead: the column
-becomes NaN and `Jet.failed` records it, and the other points carry on.
+point. In a batch the point's column becomes NaN instead and the other points
+carry on. Arithmetic and the elementary functions keep a NaN in its column
+(x^0 included), so a column that holds a NaN is the only record of a failed
+point, and `Jet.failed` reads it back.
 
 Jets are immutable; every operation returns a new jet. Mixing jets with
 plain numbers promotes the number to a constant jet.
@@ -121,32 +123,17 @@ def _mul(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
     return out
 
 
-def _merge_failed(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a | b
-
-
 class Jet:
     """A scalar field truncated to its Taylor polynomial at one or more points.
 
     `coeffs[i]` holds f_alpha for the multi-index at slot i of the graded
     table for (nvars, order): a float for one point, a row of B floats for a
-    batch. `failed` is None, or for a batch a boolean mask of the points
-    (columns) that left an operation's domain.
+    batch.
     """
 
-    __slots__ = ("nvars", "order", "coeffs", "failed")
+    __slots__ = ("nvars", "order", "coeffs")
 
-    def __init__(
-        self,
-        nvars: int,
-        order: int,
-        coeffs: Sequence[float] | np.ndarray,
-        failed: np.ndarray | None = None,
-    ):
+    def __init__(self, nvars: int, order: int, coeffs: Sequence[float] | np.ndarray):
         size = _size(nvars, order)
         arr = np.array(coeffs, dtype=float)
         if arr.ndim not in (1, 2) or arr.shape[0] != size:
@@ -158,7 +145,6 @@ class Jet:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "failed", failed)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -166,6 +152,11 @@ class Jet:
     @property
     def batched(self) -> bool:
         return self.coeffs.ndim == 2
+
+    @property
+    def failed(self) -> np.ndarray | None:
+        """None for one point; for a batch, the points whose column holds a NaN."""
+        return np.isnan(self.coeffs.max(axis=0)) if self.batched else None
 
     @property
     def value(self):
@@ -189,8 +180,8 @@ class Jet:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _like(self, coeffs: np.ndarray, failed: np.ndarray | None) -> "Jet":
-        return Jet(self.nvars, self.order, coeffs, failed)
+    def _like(self, coeffs: np.ndarray) -> "Jet":
+        return Jet(self.nvars, self.order, coeffs)
 
     def _check(self, other: "Jet") -> None:
         if (other.nvars, other.order) != (self.nvars, self.order):
@@ -206,12 +197,12 @@ class Jet:
     def _offset(self, value: float, negate: bool = False) -> "Jet":
         out = -self.coeffs if negate else self.coeffs.copy()
         out[0] += value
-        return self._like(out, self.failed)
+        return self._like(out)
 
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return self._like(self.coeffs + other.coeffs, _merge_failed(self.failed, other.failed))
+            return self._like(self.coeffs + other.coeffs)
         if isinstance(other, (int, float)):
             return self._offset(float(other))
         return NotImplemented
@@ -221,7 +212,7 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return self._like(self.coeffs - other.coeffs, _merge_failed(self.failed, other.failed))
+            return self._like(self.coeffs - other.coeffs)
         if isinstance(other, (int, float)):
             return self._offset(-float(other))
         return NotImplemented
@@ -232,15 +223,14 @@ class Jet:
         return NotImplemented
 
     def __neg__(self):
-        return self._like(-self.coeffs, self.failed)
+        return self._like(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return self._like(self.coeffs * float(other), self.failed)
+            return self._like(self.coeffs * float(other))
         if isinstance(other, Jet):
             self._check(other)
-            out = _mul(self.coeffs, other.coeffs, self.nvars, self.order)
-            return self._like(out, _merge_failed(self.failed, other.failed))
+            return self._like(_mul(self.coeffs, other.coeffs, self.nvars, self.order))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -249,7 +239,7 @@ class Jet:
         if isinstance(other, (int, float)):
             if other == 0:
                 raise DomainError("division by zero")
-            return self._like(self.coeffs / float(other), self.failed)
+            return self._like(self.coeffs / float(other))
         if isinstance(other, Jet):
             return self * _reciprocal(other)
         return NotImplemented
@@ -352,7 +342,7 @@ def truncate(jet: Jet, order: int) -> Jet:
     """Drop coefficients above `order` (a prefix slice in the graded table)."""
     if order > jet.order:
         raise ValueError(f"cannot extend order {jet.order} to {order}")
-    return Jet(jet.nvars, order, jet.coeffs[: _size(jet.nvars, order)], jet.failed)
+    return Jet(jet.nvars, order, jet.coeffs[: _size(jet.nvars, order)])
 
 
 @lru_cache(maxsize=None)
@@ -386,14 +376,7 @@ def derive(jet: Jet, alpha: MultiIndex) -> Jet:
         raise ValueError(f"cannot take order-{dorder} derivative of order-{jet.order} jet")
     slots, scales = _derive_plan(jet.nvars, jet.order, alpha)
     out = jet.coeffs[slots] * (scales[:, None] if jet.batched else scales)
-    return Jet(jet.nvars, jet.order - dorder, out, jet.failed)
-
-
-def mark_failed(jet: Jet, failed: np.ndarray) -> Jet:
-    """The batch jet with the points in `failed` added to its failed mask and set to NaN."""
-    failed = _merge_failed(jet.failed, failed)
-    coeffs = np.where(failed, np.nan, jet.coeffs) if failed.any() else jet.coeffs
-    return Jet(jet.nvars, jet.order, coeffs, failed)
+    return Jet(jet.nvars, jet.order - dorder, out)
 
 
 # -- elementary functions ------------------------------------------------------
@@ -409,56 +392,53 @@ def _constant_terms(jet: Jet) -> np.ndarray:
 
 
 def _domain(jet: Jet, a0: np.ndarray, bad: np.ndarray, message: Callable[[float], str]):
-    """Points where an operation is undefined: raise for one point, mark in a batch.
+    """Points where an operation is undefined: raise for one point, NaN in a batch.
 
-    Returns the failed mask of the result and the constant terms with the
-    failed points replaced by NaN, so their series come out NaN.
+    Returns the constant terms with the bad points replaced by NaN, so their
+    series, and so their columns of the result, come out NaN.
     """
     if not bad.any():
-        return jet.failed, a0
+        return a0
     if not jet.batched:
         raise DomainError(message(float(a0[0])))
-    return _merge_failed(jet.failed, bad), np.where(bad, np.nan, a0)
+    return np.where(bad, np.nan, a0)
 
 
-def _compose(jet: Jet, series: Sequence[np.ndarray], failed: np.ndarray | None) -> Jet:
+def _compose(jet: Jet, series: Sequence[np.ndarray]) -> Jet:
     # series[m] holds one value per point; `[:1]` addresses the constant
-    # terms of one point and of a batch alike
+    # terms of one point and of a batch alike. h has a zero constant term,
+    # so each Horner step's constant term is series[m] alone: assigning it
+    # keeps 0 * inf = NaN out of the value and the value the same at every order.
     h = jet.coeffs.copy()
     h[:1] = 0.0
     # the first Horner step multiplies a constant: a per-point scaling of h
     out = h * series[jet.order]
-    if jet.order == 0:
-        out[:1] = series[0]
-    else:
-        out[:1] += series[jet.order - 1]
+    out[:1] = series[jet.order - 1] if jet.order else series[0]
     for m in range(jet.order - 2, -1, -1):
         out = _mul(out, h, jet.nvars, jet.order)
-        out[:1] += series[m]
-    return Jet(jet.nvars, jet.order, out, failed)
+        out[:1] = series[m]
+    return Jet(jet.nvars, jet.order, out)
 
 
 def _reciprocal(jet: Jet) -> Jet:
     a0 = _constant_terms(jet)
-    failed, a0 = _domain(
-        jet, a0, a0 == 0.0, lambda v: "division by a jet with zero constant term"
-    )
+    a0 = _domain(jet, a0, a0 == 0.0, lambda v: "division by a jet with zero constant term")
     series = [(-1.0) ** m / a0 ** (m + 1) for m in range(jet.order + 1)]
-    return _compose(jet, series, failed)
+    return _compose(jet, series)
 
 
 def exp(jet: Jet) -> Jet:
     e0 = np.exp(_constant_terms(jet))
     series = [e0 / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series, jet.failed)
+    return _compose(jet, series)
 
 
 def ln(jet: Jet) -> Jet:
     a0 = _constant_terms(jet)
-    failed, a0 = _domain(jet, a0, a0 <= 0.0, lambda v: f"ln of non-positive value {v}")
+    a0 = _domain(jet, a0, a0 <= 0.0, lambda v: f"ln of non-positive value {v}")
     series = [np.log(a0)]
     series += [(-1.0) ** (m + 1) / (m * a0**m) for m in range(1, jet.order + 1)]
-    return _compose(jet, series, failed)
+    return _compose(jet, series)
 
 
 def power(jet: Jet, r: float) -> Jet:
@@ -474,22 +454,21 @@ def power(jet: Jet, r: float) -> Jet:
             return _int_power(_reciprocal(jet), -r)
         return _int_power(jet, r)
     a0 = _constant_terms(jet)
-    failed, a0 = _domain(
-        jet, a0, a0 <= 0.0, lambda v: f"fractional power of non-positive value {v}"
-    )
+    a0 = _domain(jet, a0, a0 <= 0.0, lambda v: f"fractional power of non-positive value {v}")
     series = []
     binom = 1.0
     for m in range(jet.order + 1):
         series.append(binom * a0 ** (r - m))
         binom *= (r - m) / (m + 1)
-    return _compose(jet, series, failed)
+    return _compose(jet, series)
 
 
 def _int_power(jet: Jet, r: int) -> Jet:
     if r == 0:
         out = np.zeros_like(jet.coeffs)
-        out[0] = 1.0
-        return Jet(jet.nvars, jet.order, out, jet.failed)
+        # x^0 = 1, except that a column holding a NaN stays NaN: its point has failed
+        out[:1] = np.where(np.isnan(jet.coeffs.max(axis=0)), np.nan, 1.0)
+        return Jet(jet.nvars, jet.order, out)
     out = None
     base = jet.coeffs
     while r:
@@ -498,7 +477,7 @@ def _int_power(jet: Jet, r: int) -> Jet:
         r >>= 1
         if r:
             base = _mul(base, base, jet.nvars, jet.order)
-    return Jet(jet.nvars, jet.order, out, jet.failed)
+    return Jet(jet.nvars, jet.order, out)
 
 
 def sqrt(jet: Jet) -> Jet:
@@ -508,10 +487,10 @@ def sqrt(jet: Jet) -> Jet:
 def sin(jet: Jet) -> Jet:
     a0 = _constant_terms(jet)
     series = [np.sin(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series, jet.failed)
+    return _compose(jet, series)
 
 
 def cos(jet: Jet) -> Jet:
     a0 = _constant_terms(jet)
     series = [np.cos(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series, jet.failed)
+    return _compose(jet, series)

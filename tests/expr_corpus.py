@@ -28,6 +28,9 @@ CORPUS = [
     ".5*V",
     "pi*Q^2/S",
     "S^(1/2)",
+    "S^V",
+    # x^0 of a failed x fails too, alone and in a batch
+    "ln(S)^0",
     "V^(-2)",
     "a*b*c + d*e*f",
     "(a + b)*(c - d)",

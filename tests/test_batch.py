@@ -8,7 +8,7 @@ raises (DomainError -> domain-error, DegenerateMetricError -> degenerate).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expr_corpus import CORPUS
@@ -59,6 +59,7 @@ def systems_and_points(draw, max_dim=3):
 
 @settings(max_examples=60, deadline=None)
 @given(systems_and_points(max_dim=6), st.integers(min_value=0, max_value=4))
+@example((_system("ln(S)^0"), np.array([[-1.0], [2.0]])), 2)
 def test_evaluate_batch_matches_points(case, order):
     spec, points = case
     with np.errstate(all="ignore"):
@@ -73,8 +74,25 @@ def test_evaluate_batch_matches_points(case, order):
                 assert _same(batch.coeffs[:, i], jet.coeffs)
 
 
+@settings(max_examples=60, deadline=None)
+@given(systems_and_points(max_dim=6), st.integers(min_value=1, max_value=4))
+@example((_system("S^V"), np.array([[2.0, 0.5]])), 1)
+def test_value_does_not_depend_on_order(case, order):
+    # wherever an order-k evaluation succeeds, its value is the order-0 value
+    spec, points = case
+    with np.errstate(all="ignore"):
+        for p in points:
+            _, jet = _single(lambda: fundeq.evaluate(spec, p, order=order))
+            if jet is not None:
+                assert _same(jet.value, fundeq.evaluate(spec, p, order=0).value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(systems_and_points(), st.sampled_from([MetricKind.NATURAL, MetricKind.RUPPEINER]))
+# each point fails, alone and in the batch: S*exp(1000) at S = 0 is 0 * inf,
+# and the natural metric of 10^400 + S is Phi * Hess Phi = inf * 0
+@example((_system("S*exp(1000)"), np.zeros((3, 1))), MetricKind.NATURAL)
+@example((_system("10^400 + S"), np.ones((2, 1))), MetricKind.NATURAL)
 def test_hessian_field_batch_matches_points(case, kind):
     spec, points = case
     f = HessianMetricField(spec, kind)
@@ -167,13 +185,18 @@ def test_single_point_types_unchanged():
 
 
 def test_batch_with_exponent_constant_at_some_points_only():
-    # the exponent jet (V-1)^3 is flat to order 2 at V = 1 only, so points of
-    # one batch take different branches: S^0 is defined for S < 0, exp(b ln S) is not
+    # (V-1)^3 is flat to order 2 at V = 1, yet S^((V-1)^3) is exp((V-1)^3 ln S)
+    # at every point and order, so S = -1 fails whatever V and the order are
     potential = fundeq.parse("S^((V-1)^3)")
     spec = fundeq.SystemSpec(name="flat", variables=("S", "V"), potential=potential)
     points = np.array([[-1.0, 1.0], [2.0, 2.0], [-1.0, 2.0], [3.0, 1.0]])
-    batch = fundeq.evaluate(spec, points, order=2)
-    assert batch.failed.tolist() == [False, False, True, False]
-    for i in (0, 1, 3):
-        assert _same(batch.coeffs[:, i], fundeq.evaluate(spec, points[i], order=2).coeffs)
-    assert np.all(np.isnan(batch.coeffs[:, 2]))
+    for order in range(5):
+        batch = fundeq.evaluate(spec, points, order=order)
+        assert batch.failed.tolist() == [True, False, True, False]
+        for i in (0, 2):
+            with pytest.raises(DomainError):
+                fundeq.evaluate(spec, points[i], order=order)
+            assert np.all(np.isnan(batch.coeffs[:, i]))
+        for i in (1, 3):
+            single = fundeq.evaluate(spec, points[i], order=order)
+            assert _same(batch.coeffs[:, i], single.coeffs)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -342,19 +343,46 @@ def test_cli_exit_codes_over_corpus(tmp_path, source, kind, report_format, axes)
         else:
             where += ["--pin", f"{name}={start}"]
     common = ["--system", str(system), "--metric-kind", kind]
-    output = ["--output", str(tmp_path / "report"), "--format", report_format]
+    report = tmp_path / "report"
+    output = ["--output", str(report), "--format", report_format]
     for quantity in analysis.QUANTITIES:
-        assert run(["scan", *common, *where, "--quantity", quantity, *output]) in (0, 2, 3)
+        code = run(["scan", *common, *where, "--quantity", quantity, *output])
+        assert code in (0, 2, 3)
+        if code == 0:
+            _assert_no_nan_reported_ok(report, report_format)
     point = ",".join(f"{name}={start}" for name, (start, _, _) in zip(names, axes))
-    assert run(["eval", *common, "--point", point, *output]) in (0, 2, 3)
+    code = run(["eval", *common, "--point", point, *output])
+    assert code in (0, 2, 3)
+    if code == 0:
+        _assert_no_nan_reported_ok(report, report_format)
+
+
+def _assert_no_nan_reported_ok(report, report_format):
+    # a NaN is written as nan in CSV, as null in a JSON scan and as NaN in a JSON eval
+    text = report.read_text()
+    if report_format == "csv":
+        for row in text.splitlines()[1:]:
+            fields = row.split(",")
+            assert fields[-1] != "ok" or "nan" not in fields, row
+        return
+    data = json.loads(text)
+    if data["command"] == "eval":
+        assert "NaN" not in text
+        return
+    for row, status in zip(data["values"]["rows"], data["values"]["status"]):
+        assert status != "ok" or None not in row, row
 
 
 @pytest.mark.parametrize("source", ["S*exp(1000)", "10^400 + S"])
 def test_overflowing_constant_gives_inf(tmp_path, capsys, source):
     system = tmp_path / "big.ini"
     system.write_text(f"[system]\nname = big\nvariables = S, V\npotential = {source}\n")
-    assert run(["eval", "--system", str(system), "--point", "S=1,V=2"]) == 0
+    at = ["--system", str(system), "--point", "S=1,V=2"]
+    assert run(["eval", *at, "--quantity", "potential"]) == 0
     assert "potential = inf" in capsys.readouterr().out
+    # inf times a zero derivative is NaN: the point fails in the intensives or the metric
+    assert run(["eval", *at, "--quantity", "all"]) == 2
+    assert "not a number" in capsys.readouterr().err
     report = tmp_path / "scan.json"
     code = run(
         ["scan", "--system", str(system), "--range", "S=0.5:2:4", "--pin", "V=1",
@@ -363,3 +391,52 @@ def test_overflowing_constant_gives_inf(tmp_path, capsys, source):
     assert code == 0
     rows = json.loads(report.read_text())["values"]["rows"]
     assert [row[0] for row in rows] == [math.inf] * 4
+
+
+@pytest.mark.parametrize("source", ["S*exp(1000)", "10^400 + S"])
+def test_overflow_prints_no_numpy_warning(tmp_path, source):
+    # non-finite results are reported through statuses and exit codes
+    system = tmp_path / "big.ini"
+    system.write_text(f"[system]\nname = big\nvariables = S, V\npotential = {source}\n")
+    common = ["--system", str(system), "--quantity", "potential"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", *common, "--point", "S=1,V=2"]) == 0
+        assert run(["scan", *common, "--range", "S=0.5:2:4", "--pin", "V=1"]) == 0
+
+
+def test_non_finite_metric_is_degenerate(tmp_path, capsys):
+    # at S = 0.5, Phi * Hess Phi of exp(1000*S) overflows to inf next to a zero
+    # row, so the degeneracy threshold is inf * 0 = NaN; from S = 1.25 on, Phi
+    # itself is inf and its jet holds inf * 0 = NaN
+    system = tmp_path / "steep.ini"
+    system.write_text("[system]\nname = steep\nvariables = S, V\npotential = exp(1000*S)\n")
+    report = tmp_path / "scan.json"
+    code = run(
+        ["scan", "--system", str(system), "--range", "S=0.5:2:3", "--pin", "V=1",
+         "--quantity", "curvature", "--output", str(report)]
+    )
+    assert code == 0
+    status = json.loads(report.read_text())["values"]["status"]
+    assert status == ["degenerate", "domain-error", "domain-error"]
+    assert run(["eval", "--system", str(system), "--point", "S=0.5,V=1"]) == 3
+    assert "degenerate" in capsys.readouterr().err
+
+
+def test_nan_determinant_is_domain_error(tmp_path):
+    # at S = 0.5 the entries are finite and det g overflows to -inf, a value;
+    # from S = 1.25 on exp(1000*S) is inf and det g is inf - inf, not a number
+    metric = tmp_path / "steep.ini"
+    metric.write_text(
+        "[metric]\nname = steep\ncoordinates = S, V\n"
+        "components = exp(1000*S), exp(1000*S); exp(1000*S), 1\n"
+    )
+    report = tmp_path / "scan.json"
+    code = run(
+        ["scan", "--system", str(metric), "--range", "S=0.5:2:3", "--pin", "V=1",
+         "--quantity", "detg", "--output", str(report)]
+    )
+    assert code == 0
+    values = json.loads(report.read_text())["values"]
+    assert values["status"] == ["ok", "domain-error", "domain-error"]
+    assert [row[-1] for row in values["rows"]] == [-math.inf, None, None]

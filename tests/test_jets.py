@@ -102,6 +102,14 @@ def test_exp_series():
     assert np.allclose(e.coeffs, [1, 1, 1 / 2, 1 / 6, 1 / 24], rtol=1e-15)
 
 
+@pytest.mark.parametrize("order", range(5))
+def test_exp_overflow_is_inf_at_every_order(order):
+    # the zero constant term of the Horner polynomial must not turn inf into 0 * inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = jets.exp(seed_variable(0, 1000.0, nvars=1, order=order))
+    assert e.value == math.inf
+
+
 def test_sqrt_constant_term():
     a = seed_variable(0, 4.0, nvars=1, order=3)
     assert jets.power(a, 0.5).value == 2.0
