@@ -337,7 +337,7 @@ def _classify_roots(f: MetricField, points: np.ndarray) -> list[str | None]:
         return ["hessian-zero"] * len(points)
     jet = fundeq.evaluate(f.spec, points, order=2)
     phi = jet.value
-    det_hess = np.linalg.det(jets.hessian_values(jet))
+    det_hess = np.linalg.det(jets.partials(jet, 2))
     potential_zero = np.abs(phi) ** f.dim <= np.abs(det_hess)
     return ["potential-zero" if z else "hessian-zero" for z in potential_zero]
 

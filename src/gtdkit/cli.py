@@ -245,10 +245,10 @@ def cmd_eval(args) -> int:
         intensive = fundeq.intensive_variables(f.spec, point)
         values["intensive"] = {f"I_{v}": float(x) for v, x in zip(f.spec.variables, intensive)}
     if want in ("metric", "detg", "all"):
-        g = geometry.metric_at(f, point).components
+        metric = geometry.metric_at(f, point)
         if want != "detg":
-            values["metric"] = g.tolist()
-        values["det_g"] = float(np.linalg.det(g))
+            values["metric"] = metric.components.tolist()
+        values["det_g"] = metric.det_g
     if want in ("curvature", "all"):
         report_c = geometry.scalar_curvature(f, point)
         values.setdefault("det_g", report_c.det_g)

@@ -463,7 +463,7 @@ def intensive_variables(spec: SystemSpec, point: Point) -> np.ndarray:
 
 def hessian(spec: SystemSpec, point: Point) -> np.ndarray:
     """Second-derivative matrix of the potential at a point."""
-    return jets.hessian_values(evaluate(spec, point, order=2))
+    return jets.partials(evaluate(spec, point, order=2), 2)[0]
 
 
 VDW_FAMILY = ("vdw", "ideal_gas")

@@ -11,8 +11,9 @@ extensive coordinates. Fields come in two flavours:
   closed-form metrics and curvature oracles such as the sphere.
 
 Everything downstream of g (Christoffel symbols, Riemann and Ricci tensors,
-the curvature scalar) is assembled from metric components carried as
-order-2 jets, so first and second derivatives of g are exact to rounding.
+the curvature scalar) is assembled from g and its derivatives, exact to
+rounding: a direct metric's components are order-2 jets, and a Hessian kind
+needs one order-3 jet of the potential (fourth derivatives cancel from R).
 No finite differences appear anywhere; curvature stays usable arbitrarily
 close to the singular loci the analysis module hunts for.
 
@@ -61,11 +62,12 @@ class MetricKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MetricValue:
-    """Metric components at a single equilibrium point."""
+    """Metric components and det g at a single equilibrium point."""
 
     point: tuple[float, ...]
     components: np.ndarray
     kind: MetricKind
+    det_g: float
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,8 @@ class CurvatureReport:
 class HessianMetricField:
     """Metric field derived from a fundamental equation.
 
-    The metric components at a point are extracted from a jet of the
-    potential of order (2 + requested g-order), so the components themselves
-    come out as jets and stay differentiable.
+    `component_jets` returns the components as jets of the requested g-order,
+    from a potential jet of order 2 + g-order; `metric_arrays` needs 3 at most.
     """
 
     def __init__(self, spec: SystemSpec, kind: MetricKind = MetricKind.NATURAL):
@@ -114,36 +115,66 @@ class HessianMetricField:
         return f"{self.spec.name}[{self.kind.value}]"
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
-        n = self.dim
         phi = fundeq.evaluate(self.spec, point, order=gorder + 2)
-        hess = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                alpha = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
-                hess[a][b] = hess[b][a] = jets.derive(phi, alpha)
+        e = np.eye(self.dim, dtype=int)
+        hess = [[jets.derive(phi, tuple(a + b)) for b in e] for a in e]
         if self.kind is MetricKind.WEINHOLD:
             return hess
         if self.kind is MetricKind.RUPPEINER:
-            temp = jets.derive(phi, tuple(1 if i == 0 else 0 for i in range(n)))
-            temp = jets.truncate(temp, gorder)
+            temp = jets.truncate(jets.derive(phi, tuple(e[0])), gorder)
             if not temp.batched and temp.value == 0.0:
                 raise DomainError("Ruppeiner metric undefined where the temperature vanishes")
             # in a batch the reciprocal fails the points where T = 0
             factor = 1.0 / temp
         else:
             factor = jets.truncate(phi, gorder)
-        out = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                out[a][b] = out[b][a] = hess[a][b] * factor
+        out = [[h * factor for h in row] for row in hess]
         # a product can be NaN where its factors are not, as inf * 0: a batch
         # keeps the NaN column, one point raises
         if not phi.batched and np.isnan([g.coeffs for row in out for g in row]).any():
             raise DomainError(f"metric {self.name} is not a number at point {tuple(point)}")
         return out
 
+    def metric_arrays(self, point: Point, gorder: int = 2):
+        """g, dg and d2g as `_geometry_arrays` returns them, gathered from one potential jet.
+
+        g = c h for h = Hess Phi and c = Phi (natural), 1 (Weinhold) or 1/T
+        (Ruppeiner), so d_e g_ab = c_e h_ab + c Phi_abe. Fourth derivatives of
+        Phi enter d_e d_f g_ab only through c Phi_abef, which is symmetric in
+        all four indices and so drops out of R^a_bcd = half - swap_cd(half)
+        exactly (see `scalar_curvature`). d2g leaves it out, so curvature needs
+        Phi to order 3 only; d2g serves curvature and is not d_e d_f g_ab.
+        """
+        phi = fundeq.evaluate(self.spec, point, order=min(gorder + 2, 3))
+        # d[k][z, a, b, ...] = D^(e_a + e_b + ...) Phi at point z
+        d = [jets.partials(phi, k) for k in range(phi.order + 1)]
+        h, batch = d[2], len(d[0])
+        if self.kind is MetricKind.WEINHOLD:
+            out = [h, *d[3:], np.zeros((batch,) + (self.dim,) * 4)][: gorder + 1]
+        else:
+            c = d  # c[k]: k-th derivatives of the conformal factor
+            if self.kind is MetricKind.RUPPEINER:
+                temp = d[1][:, 0]
+                if not phi.batched and temp[0] == 0.0:
+                    raise DomainError("Ruppeiner metric undefined where the temperature vanishes")
+                t, dt = np.where(temp == 0.0, np.nan, temp), h[:, 0]  # a batch fails T = 0
+                c = [1.0 / t, _times(-1.0 / t**2, dt)]
+                if gorder == 2:
+                    c.append(_times(2.0 / t**3, _times(dt, dt)) - _times(1.0 / t**2, d[3][:, 0]))
+            out = [_times(c[0], h)]
+            if gorder:
+                out.append(_times(c[1], h) + _times(c[0], d[3]))
+            if gorder == 2:
+                cross = _times(c[1], d[3])  # [z, e, f, a, b] = c_e Phi_fab
+                out.append(_times(c[2], h) + cross + np.swapaxes(cross, 1, 2))
+        failed = np.isnan(np.concatenate([x.reshape(batch, -1) for x in out], axis=1).max(axis=1))
+        if not phi.batched and failed[0]:
+            raise DomainError(f"metric {self.name} is not a number at point {tuple(point)}")
+        return (*out, *[None] * (2 - gorder), failed, phi.batched)
+
     def values(self, point: Point) -> np.ndarray:
-        return _constant_terms(self.component_jets(point, gorder=0))
+        g, _, _, _, batched = self.metric_arrays(point, gorder=0)
+        return g if batched else g[0]
 
 
 class DirectMetricField:
@@ -202,8 +233,13 @@ class DirectMetricField:
                 out[b][a] = out[a][b]
         return out
 
+    def metric_arrays(self, point: Point, gorder: int = 2):
+        """g, dg and d2g as `_geometry_arrays` returns them, from the component jets."""
+        return _geometry_arrays(self.component_jets(point, gorder))
+
     def values(self, point: Point) -> np.ndarray:
-        return _constant_terms(self.component_jets(point, gorder=0))
+        g, _, _, _, batched = self.metric_arrays(point, gorder=0)
+        return g if batched else g[0]
 
 
 MetricField = Union[HessianMetricField, DirectMetricField]
@@ -223,11 +259,6 @@ def _stack(gjets: list[list[Jet]]) -> np.ndarray:
     """Component coefficients as a C-contiguous (B, N, n, n) array (B = 1 for one point)."""
     coeffs = np.array([[g.coeffs.reshape(len(g.coeffs), -1) for g in row] for row in gjets])
     return np.ascontiguousarray(coeffs.transpose(3, 2, 0, 1))
-
-
-def _constant_terms(gjets: list[list[Jet]]) -> np.ndarray:
-    g = _stack(gjets)[:, 0]
-    return g if gjets[0][0].batched else g[0]
 
 
 def _check_symmetry(gjets, name: str) -> None:
@@ -250,24 +281,26 @@ def _check_symmetry(gjets, name: str) -> None:
 
 
 def metric_at(field: MetricField, point: Point) -> MetricValue:
-    """Metric components at a point."""
+    """Metric components and det g at one point; DomainError where det g is not a number."""
     kind = field.kind if isinstance(field, HessianMetricField) else MetricKind.DIRECT
-    return MetricValue(tuple(float(v) for v in point), field.values(point), kind)
+    g = field.values(point)
+    det = float(np.linalg.det(g))
+    if np.isnan(det):
+        raise DomainError(f"det g of {field.name} is not a number at point {tuple(point)}")
+    return MetricValue(tuple(float(v) for v in point), g, kind, det)
 
 
 def metric_determinant(field: MetricField, point: Point):
     """det g at one point (a float), or for a (B, n) batch its B values and statuses.
 
-    Points of a batch outside the domain, or whose det g is not a number (as
-    for a metric with an infinite entry), get NaN and `domain-error`.
+    A point outside the domain, or whose det g is not a number (as for a
+    metric with an infinite entry), raises DomainError alone (see `metric_at`)
+    and gets NaN and `domain-error` in a batch.
     """
-    gjets = field.component_jets(point, gorder=0)
-    coeffs = _stack(gjets)
-    g = coeffs[:, 0]
-    failed = _failed_points(coeffs)
+    if np.ndim(point) == 1:
+        return metric_at(field, point).det_g
+    g, _, _, failed, _ = field.metric_arrays(point, gorder=0)
     det = np.linalg.det(_replace(g, failed))
-    if not gjets[0][0].batched:
-        return float(det[0])
     failed |= np.isnan(det)
     det[failed] = np.nan
     return det, statuses(failed)
@@ -304,21 +337,26 @@ def _replace(g: np.ndarray, bad: np.ndarray) -> np.ndarray:
 
 
 def _geometry_arrays(gjets: list[list[Jet]]):
-    """Metric values and derivatives, batch axis first and C-contiguous.
+    """Metric values and derivatives, batch axis first, from the component jets.
 
-    g[z,a,b], dg[z,c,a,b] = d_c g_ab and, for order-2 jets, d2g[z,c,d,a,b],
-    gathered from the component coefficients; plus the failed points.
+    g[z,a,b], dg[z,c,a,b] = d_c g_ab and d2g[z,c,d,a,b] = d_c d_d g_ab (None
+    above the jet order); plus the failed points and whether it is a batch.
     """
     n = len(gjets)
     order = gjets[0][0].order
     coeffs = _stack(gjets)
     g = np.ascontiguousarray(coeffs[:, 0])
-    dg = coeffs[:, jets.unit_slots(n, order)]
+    dg = coeffs[:, jets.unit_slots(n, order)] if order >= 1 else None
     d2g = None
     if order >= 2:
-        slots, scale = jets.pair_slots(n, order)
+        slots, scale = jets.partial_slots(n, order, 2)
         d2g = coeffs[:, slots] * scale[:, :, None, None]
-    return g, dg, d2g, _failed_points(coeffs)
+    return g, dg, d2g, _failed_points(coeffs), gjets[0][0].batched
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Outer product at each point: [z, i..., j...] = x[z, i...] * y[z, j...]."""
+    return x.reshape(x.shape + (1,) * (y.ndim - 1)) * y[(slice(None),) + (None,) * (x.ndim - 1)]
 
 
 def _checked_inverse(g: np.ndarray, failed: np.ndarray, point=None):
@@ -334,9 +372,11 @@ def _checked_inverse(g: np.ndarray, failed: np.ndarray, point=None):
     threshold = degeneracy_threshold(g)
     degenerate = ~failed & ~(np.abs(det) > threshold)
     if point is not None and degenerate[0]:
+        why = "g has an infinite entry" if np.isinf(g[0]).any() else (
+            f"|det g| = {abs(det[0]):.3e} <= {threshold[0]:.3e}"
+        )
         raise DegenerateMetricError(
-            f"metric degenerate at {tuple(point)}: "
-            f"|det g| = {abs(det[0]):.3e} <= {threshold[0]:.3e}",
+            f"metric degenerate at {tuple(point)}: {why}",
             det=float(det[0]),
             threshold=float(threshold[0]),
         )
@@ -359,7 +399,7 @@ def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np
 
 def christoffel(field: MetricField, point: Point) -> np.ndarray:
     """Christoffel symbols Gamma^a_bc of the Levi-Civita connection at one point."""
-    g, dg, _, failed = _geometry_arrays(field.component_jets(point, gorder=1))
+    g, dg, _, failed, _ = field.metric_arrays(point, gorder=1)
     g_inv, _, _ = _checked_inverse(g, failed, point)
     gamma, _ = _christoffel_from(g_inv, dg)
     return gamma[0]
@@ -371,9 +411,7 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
     For a (B, n) batch of points the report holds stacked arrays and a
     status per point; failed and degenerate points get NaN curvature.
     """
-    gjets = field.component_jets(point, gorder=2)
-    batched = gjets[0][0].batched
-    g, dg, d2g, failed = _geometry_arrays(gjets)
+    g, dg, d2g, failed, batched = field.metric_arrays(point, gorder=2)
     g_inv, det, degenerate = _checked_inverse(g, failed, None if batched else point)
     gamma, term = _christoffel_from(g_inv, dg)
     # d_e g^ad = -g^ax (d_e g_xy) g^yd

@@ -4,8 +4,8 @@ A jet stores the Taylor coefficients f_alpha = D^alpha f(x0) / alpha! of a
 scalar field around a base point, for every multi-index alpha of degree at
 most the truncation order. Propagating jets through arithmetic and the
 elementary functions yields partial derivatives that are exact to rounding,
-which is what the curvature computations downstream rely on: metrics need
-second derivatives of the potential, curvature needs fourth.
+which the geometry downstream relies on: the Hessian metrics need second
+derivatives of the potential, and their curvature needs third.
 
 A jet holds one base point or a batch of them. Coefficients are stored
 coefficient-major: shape (N,) for one point, (N, B) for B points with one
@@ -285,36 +285,38 @@ def seed_point(values: Sequence[float], order: int = DEFAULT_ORDER) -> list[Jet]
     return [seed_variable(i, float(v), n, order) for i, v in enumerate(values)]
 
 
-def _unit(nvars: int, index: int) -> MultiIndex:
-    return tuple(1 if i == index else 0 for i in range(nvars))
-
-
-@lru_cache(maxsize=None)
 def unit_slots(nvars: int, order: int) -> np.ndarray:
     """Slot of each unit multi-index e_c."""
-    _, pos = _index_table(nvars, order)
-    return np.array([pos[_unit(nvars, c)] for c in range(nvars)])
+    return partial_slots(nvars, order, 1)[0]
 
 
 @lru_cache(maxsize=None)
-def pair_slots(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slot of e_c + e_d and the factor (e_c + e_d)! for every pair (c, d)."""
+def partial_slots(nvars: int, order: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot of alpha = e_a + e_b + ... and the factor alpha! for every index tuple (a, b, ...).
+
+    Both arrays have shape (nvars,) * degree, so coefficients gathered at the
+    slots times the factors are the partials D^alpha f, symmetric in (a, b, ...).
+    """
     _, pos = _index_table(nvars, order)
-    slots = np.empty((nvars, nvars), dtype=int)
-    for c in range(nvars):
-        for d in range(nvars):
-            alpha = tuple((1 if i == c else 0) + (1 if i == d else 0) for i in range(nvars))
-            slots[c, d] = pos[alpha]
-    return slots, np.where(np.eye(nvars, dtype=bool), 2.0, 1.0)
+    slots = np.empty((nvars,) * degree, dtype=int)
+    scale = np.empty(slots.shape)
+    for idx in np.ndindex(slots.shape):
+        alpha = tuple(idx.count(i) for i in range(nvars))
+        slots[idx] = pos[alpha]
+        scale[idx] = math.prod(math.factorial(a) for a in alpha)
+    return slots, scale
 
 
-def hessian_values(jet: Jet) -> np.ndarray:
-    """Second partials at the base point: (n, n) for one point, (B, n, n) for a batch."""
-    if jet.order < 2:
-        raise ValueError("hessian requires order >= 2")
-    slots, scale = pair_slots(jet.nvars, jet.order)
-    out = _columns(jet.coeffs).T[:, slots] * scale
-    return out if jet.batched else out[0]
+def partials(jet: Jet, degree: int) -> np.ndarray:
+    """Every partial of `degree` at the base points, shape (B,) + (nvars,) * degree.
+
+    Entry [z, a, b, ...] is D^(e_a + e_b + ...) f at point z; one point has
+    B = 1. The degree must not exceed the truncation order.
+    """
+    if degree > jet.order:
+        raise ValueError(f"degree-{degree} partials need order >= {degree}, got {jet.order}")
+    slots, scale = partial_slots(jet.nvars, jet.order, degree)
+    return _columns(jet.coeffs).T[:, slots] * scale
 
 
 def extract_partial(jet: Jet, alpha: MultiIndex):

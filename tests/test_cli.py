@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from expr_corpus import CORPUS
-from gtdkit import analysis, cli, fundeq
+from gtdkit import analysis, cli, fundeq, geometry
+from gtdkit.errors import DegenerateMetricError
 
 PI = math.pi
 
@@ -440,3 +441,33 @@ def test_nan_determinant_is_domain_error(tmp_path):
     values = json.loads(report.read_text())["values"]
     assert values["status"] == ["ok", "domain-error", "domain-error"]
     assert [row[-1] for row in values["rows"]] == [-math.inf, None, None]
+
+
+def test_eval_nan_determinant_is_domain_error(tmp_path, capsys):
+    # eval agrees with the detg scan above: at S = 1.25 det g is inf - inf
+    metric = tmp_path / "steep.ini"
+    metric.write_text(
+        "[metric]\nname = steep\ncoordinates = S, V\n"
+        "components = exp(1000*S), exp(1000*S); exp(1000*S), 1\n"
+    )
+    for quantity in ("detg", "metric"):
+        at = ["--system", str(metric), "--point", "S=1.25,V=1", "--quantity", quantity]
+        assert run(["eval", *at]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "det g of steep is not a number at point (1.25, 1.0)" in captured.err
+    assert run(["eval", "--system", str(metric), "--point", "S=0.5,V=1", "--quantity", "detg"]) == 0
+    assert "det_g = -inf" in capsys.readouterr().out
+
+
+def test_degenerate_message_names_infinite_entry(tmp_path, capsys):
+    # at S = 0.5 g = [[inf, 0], [0, 0]]: no threshold can be compared with |det g|
+    system = tmp_path / "steep.ini"
+    system.write_text("[system]\nname = steep\nvariables = S, V\npotential = exp(1000*S)\n")
+    assert run(["eval", "--system", str(system), "--point", "S=0.5,V=1"]) == 3
+    err = capsys.readouterr().err
+    assert "metric degenerate at (0.5, 1.0): g has an infinite entry" in err
+    assert "nan" not in err
+    with pytest.raises(DegenerateMetricError) as raised:
+        geometry.scalar_curvature(geometry.HessianMetricField(fundeq.load_system_file(system)), (0.5, 1.0))
+    assert raised.value.det == 0.0 and math.isnan(raised.value.threshold)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtdkit import fundeq
+from gtdkit import cli, fundeq, geometry, jets
 from gtdkit.errors import DegenerateMetricError, DomainError
 from gtdkit.fundeq import builtin
 from gtdkit.geometry import (
@@ -260,6 +260,114 @@ def test_curvature_survives_rescaling(name, log_factor):
     assert c * scalar_curvature(_scaled(f, c), points[0]).scalar == pytest.approx(
         expected[0], rel=1e-12
     )
+
+
+class _JetRoute:
+    """A field's curvature contracted from its own metric jets (the potential to order 4)."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def metric_arrays(self, point, gorder=2):
+        return geometry._geometry_arrays(self.field.component_jets(point, gorder))
+
+
+_HESSIAN_KINDS = [MetricKind.NATURAL, MetricKind.WEINHOLD, MetricKind.RUPPEINER]
+# pairs whose curvature vanishes; RN Ruppeiner away from T = 0 only, and these
+# points keep clear of that locus
+_FLAT = {("ideal_gas", k) for k in _HESSIAN_KINDS} | {
+    ("kerr", MetricKind.NATURAL),
+    ("kerr", MetricKind.WEINHOLD),
+    ("reissner_nordstrom", MetricKind.RUPPEINER),
+}
+# measured at these points: flat pairs reach |R| = 3.1e-10 (RN Ruppeiner; the
+# rest stay below 1e-13), the smallest |R| elsewhere is 0.064, and there the
+# routes differ by at most 2.3e-13 relative (RN natural; KN at most 1.3e-13)
+_NOISE_FLOOR = 1e-9
+_ROUTE_REL = 1e-12
+
+
+def _box_points(system, count, seed=23):
+    box = cli._CHECK_BOXES[system]
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(*box[v], count) for v in builtin(system).variables])
+
+
+@pytest.mark.parametrize("kind", _HESSIAN_KINDS)
+@pytest.mark.parametrize("system", sorted(cli._CHECK_BOXES))
+def test_hessian_curvature_matches_jet_contraction(system, kind):
+    # the order-3 gathers of HessianMetricField.metric_arrays against the
+    # general contraction of the order-2 metric jets
+    f = HessianMetricField(builtin(system), kind)
+    points = _box_points(system, 64)
+    new, old = scalar_curvature(f, points), scalar_curvature(_JetRoute(f), points)
+    assert new.status == old.status == ["ok"] * len(points)
+    if (system, kind) in _FLAT:
+        assert np.max(np.abs(new.scalar)) <= _NOISE_FLOOR
+        assert np.max(np.abs(old.scalar)) <= _NOISE_FLOOR
+    else:
+        assert np.min(np.abs(old.scalar)) > 1e4 * _NOISE_FLOOR
+        assert rel_err(new.scalar, old.scalar) <= _ROUTE_REL
+        # each point's tensor against its largest entry: at most 5.1e-14 (RN natural)
+        axes = tuple(range(1, old.riemann.ndim))
+        scale = np.max(np.abs(old.riemann), axis=axes)
+        assert np.all(np.max(np.abs(new.riemann - old.riemann), axis=axes) <= _ROUTE_REL * scale)
+    # g and d_e g are the same products as in the jets, summed in the same order
+    assert np.array_equal(new.christoffel, old.christoffel)
+    assert np.array_equal(new.det_g, old.det_g)
+    single = scalar_curvature(f, points[0])
+    assert single.scalar == new.scalar[0]
+    assert abs(single.scalar - scalar_curvature(_JetRoute(f), points[0]).scalar) <= max(
+        _NOISE_FLOOR, _ROUTE_REL * abs(single.scalar)
+    )
+
+
+def test_hessian_route_asks_for_low_orders(monkeypatch):
+    # curvature needs the potential to order 3, g and det g to order 2
+    orders = []
+    evaluate = fundeq.evaluate
+
+    def recording(spec, point, order=jets.DEFAULT_ORDER):
+        orders.append(order)
+        return evaluate(spec, point, order)
+
+    monkeypatch.setattr(fundeq, "evaluate", recording)
+    for system in sorted(cli._CHECK_BOXES):
+        points = _box_points(system, 8)
+        for kind in _HESSIAN_KINDS:
+            f = HessianMetricField(builtin(system), kind)
+            scalar_curvature(f, points)
+            scalar_curvature(f, points[0])
+            christoffel(f, points[0])
+            assert max(orders) == 3
+            orders.clear()
+            metric_determinant(f, points)
+            metric_determinant(f, points[0])
+            metric_at(f, points[0])
+            assert max(orders) == 2
+            orders.clear()
+
+
+@pytest.mark.parametrize("kind", _HESSIAN_KINDS)
+@pytest.mark.parametrize(
+    "system, axes",
+    [
+        ("reissner_nordstrom", [(0.5, 10.0, 40), (0.2, 1.6, 15)]),
+        ("kerr_newman", [(1.0, 10.0, 12), (0.1, 1.5, 12), (0.3, 1.5, 4)]),
+    ],
+)
+def test_determinant_matches_component_jets_bit_for_bit(system, axes, kind):
+    f = HessianMetricField(builtin(system), kind)
+    mesh = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    det, status = metric_determinant(f, points)
+    assert status == ["ok"] * len(points)
+    g = geometry._geometry_arrays(f.component_jets(points, gorder=0))[0]
+    assert np.linalg.det(g).tobytes() == det.tobytes()
+    assert f.values(points).tobytes() == g.tobytes()
+    for p in points[::37]:
+        expected = np.linalg.det(geometry._geometry_arrays(f.component_jets(p, gorder=0))[0][0])
+        assert metric_determinant(f, p) == expected
 
 
 def test_degenerate_curvature_error_carries_det():
