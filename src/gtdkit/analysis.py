@@ -17,7 +17,7 @@ in, so results do not depend on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -153,8 +153,6 @@ class ScanReport:
     columns: tuple[str, ...]
     values: np.ndarray  # (npoints, ncols), NaN where status != ok
     status: list[str]
-    singular_points: list[SingularPoint] = field(default_factory=list)
-    fits: list[DivergenceFit] = field(default_factory=list)
     # det g per point when the quantity computes it (NaN where domain-error),
     # reused by find_singular_locus
     det_g: np.ndarray | None = None

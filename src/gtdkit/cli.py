@@ -234,64 +234,56 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--point is missing coordinates {missing}")
     point = [point_map[c] for c in f.coordinates]
 
-    values: dict = {"point": dict(zip(f.coordinates, point))}
     want = args.quantity
     has_spec = isinstance(f, HessianMetricField)
     if want in ("potential", "intensive") and not has_spec:
         raise UsageError(f"{want!r} requires a fundamental-equation system")
-    if want == "potential" or (want == "all" and has_spec):
-        values["potential"] = fundeq.potential_value(f.spec, point)
-    if want == "intensive" or (want == "all" and has_spec):
-        intensive = fundeq.intensive_variables(f.spec, point)
-        values["intensive"] = {f"I_{v}": float(x) for v, x in zip(f.spec.variables, intensive)}
-    if want in ("metric", "detg", "all"):
+    values: dict = {"point": dict(zip(f.coordinates, point))}
+    # each source is evaluated once: the potential and its gradient from one
+    # jet, and g, det g and R from one curvature call
+    if want in ("potential", "intensive") or (want == "all" and has_spec):
+        phi = fundeq.evaluate(f.spec, point, order=0 if want == "potential" else 1)
+        if want != "intensive":
+            values["potential"] = phi.value
+        if want != "potential":
+            values["intensive"] = {f"I_{v}": float(x) for v, x in zip(f.spec.variables, phi.gradient)}
+    if want in ("metric", "detg"):
+        # not through the curvature, which calls a zero det g degenerate
         metric = geometry.metric_at(f, point)
-        if want != "detg":
+        if want == "metric":
             values["metric"] = metric.components.tolist()
         values["det_g"] = metric.det_g
     if want in ("curvature", "all"):
-        report_c = geometry.scalar_curvature(f, point)
-        values.setdefault("det_g", report_c.det_g)
-        values["curvature"] = report_c.scalar
+        try:
+            curvature = geometry.scalar_curvature(f, point)
+        except DegenerateMetricError as exc:
+            # `all` asks for det g too, and a det g that is not a number is a
+            # domain error before it is a degenerate metric (see metric_at)
+            if want == "all" and math.isnan(exc.det):
+                raise DomainError(f"det g of {f.name} is not a number at point {tuple(point)}") from None
+            raise
+        if want == "all":
+            values["metric"] = curvature.metric.tolist()
+        values["det_g"] = curvature.det_g
+        values["curvature"] = curvature.scalar
 
+    # one flat list of (name, value) feeds the stdout lines and the CSV row
+    flat: list[tuple[str, float]] = []
+    coords = f.coordinates
     for key, val in values.items():
-        if key == "point":
-            continue
-        if key == "metric":
-            for a, row in enumerate(val):
-                for b, x in enumerate(row):
-                    print(f"g_{f.coordinates[a]}_{f.coordinates[b]} = {fmt(x)}")
-        elif key == "intensive":
-            for name, x in val.items():
-                print(f"{name} = {fmt(x)}")
-        else:
-            print(f"{key} = {fmt(val)}")
+        if key == "intensive":
+            flat += val.items()
+        elif key == "metric":
+            flat += [(f"g_{a}_{b}", x) for a, row in zip(coords, val) for b, x in zip(coords, row)]
+        elif key != "point":
+            flat.append((key, val))
+    for name, x in flat:
+        print(f"{name} = {fmt(x)}")
 
     report = _report_skeleton(args, "eval")
     report["values"] = values
-    header = list(f.coordinates)
-    row = [fmt(x) for x in point]
-    for key in ("potential",):
-        if key in values:
-            header.append(key)
-            row.append(fmt(values[key]))
-    if "intensive" in values:
-        for name, x in values["intensive"].items():
-            header.append(name)
-            row.append(fmt(x))
-    if "metric" in values:
-        for a in range(f.dim):
-            for b in range(f.dim):
-                header.append(f"g_{f.coordinates[a]}_{f.coordinates[b]}")
-                row.append(fmt(values["metric"][a][b]))
-    if "det_g" in values:
-        header.append("det_g")
-        row.append(fmt(values["det_g"]))
-    if "curvature" in values:
-        header.append("R")
-        row.append(fmt(values["curvature"]))
-    header.append("status")
-    row.append(analysis.STATUS_OK)
+    header = [*coords, *("R" if name == "curvature" else name for name, _ in flat), "status"]
+    row = [*map(fmt, point), *(fmt(x) for _, x in flat), analysis.STATUS_OK]
     _emit(args, report, header, [row])
     return EXIT_OK
 
@@ -328,8 +320,6 @@ def cmd_scan(args) -> int:
                 f, center, direction, analysis.geometric_offsets(base, count, factor)
             )
         )
-    report_data.singular_points = roots
-    report_data.fits = fits
 
     n_ok = sum(1 for s in report_data.status if s == analysis.STATUS_OK)
     print(f"scanned {grid.size} points ({n_ok} ok, {grid.size - n_ok} marked)")

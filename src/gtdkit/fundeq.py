@@ -24,6 +24,7 @@ The identifier ``pi`` is a reserved constant.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -180,8 +181,12 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", at)
 
 
+@functools.lru_cache(maxsize=256)
 def parse(source: str) -> Expr:
-    """Parse an expression string into an AST."""
+    """Parse an expression string into an AST.
+
+    Trees are frozen, so a source parsed again shares its first tree.
+    """
     return _Parser(source).parse()
 
 
@@ -354,13 +359,6 @@ class SystemSpec:
         if unknown:
             raise ValueError(f"unknown parameters for {self.name!r}: {sorted(unknown)}")
         return replace(self, parameters={**self.parameters, **overrides})
-
-    def in_domain(self, point: Point) -> bool:
-        try:
-            evaluate(self, point, order=0)
-        except DomainError:
-            return False
-        return True
 
 
 def evaluate_exprs(

@@ -74,13 +74,16 @@ class MetricValue:
 class CurvatureReport:
     """Connection and curvature data at a point.
 
-    christoffel has shape (n, n, n), riemann (n, n, n, n), ricci (n, n);
-    `scalar` is the full contraction g^bd R_bd. For a batch every field gets
-    a leading axis of B points, `point` is the (B, n) array, and `status`
-    gives each point's status; `det_g` is kept for degenerate points.
+    `metric` is g itself, (n, n), the same components and det g as
+    `metric_at` gives; christoffel has shape (n, n, n), riemann (n, n, n, n),
+    ricci (n, n); `scalar` is the full contraction g^bd R_bd. For a batch
+    every field gets a leading axis of B points, `point` is the (B, n) array,
+    and `status` gives each point's status; `metric` and `det_g` are kept for
+    degenerate points.
     """
 
     point: tuple[float, ...]
+    metric: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
@@ -431,6 +434,7 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
     if not batched:
         return CurvatureReport(
             point=tuple(float(v) for v in point),
+            metric=g[0],
             christoffel=gamma[0],
             riemann=riemann[0],
             ricci=ricci[0],
@@ -442,6 +446,7 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
         arr[bad] = np.nan
     return CurvatureReport(
         point=np.asarray(point, dtype=float),
+        metric=g,
         christoffel=gamma,
         riemann=riemann,
         ricci=ricci,

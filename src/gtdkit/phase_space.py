@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fundeq
+from . import fundeq, jets
 from .fundeq import Point, SystemSpec
 
 
@@ -239,8 +239,8 @@ def gibbs_duhem_residual(
     v = np.asarray(direction, dtype=float)
     if v.shape != (spec.dim,):
         raise ValueError("direction must match the system dimension")
-    grad = fundeq.evaluate(spec, point, order=1).gradient
-    hess_v = fundeq.hessian(spec, point) @ v
+    jet = fundeq.evaluate(spec, point, order=2)
+    grad, hess_v = jet.gradient, jets.partials(jet, 2)[0] @ v
     e = np.asarray(point, dtype=float)
     return float(np.sum((w - b) * grad * v) + np.sum(w * e * hess_v))
 

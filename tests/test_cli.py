@@ -2,12 +2,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from expr_corpus import CORPUS
-from gtdkit import analysis, cli, fundeq, geometry
+from gtdkit import analysis, cli, fundeq, geometry, jets
 from gtdkit.errors import DegenerateMetricError
 
 PI = math.pi
@@ -85,6 +86,112 @@ def test_eval_json_report(tmp_path, capsys):
         assert key in report
     assert report["command"] == "eval"
     assert report["values"]["potential"] == pytest.approx(1.0)
+
+
+# the box of each closed-form metric's system
+_CLOSED_BOXES = {
+    "kerr_closed": "kerr",
+    "kn_closed": "kerr_newman",
+    "rn_closed": "reissner_nordstrom",
+    "vdw_closed": "vdw",
+}
+
+
+def _eval_point(system, seed):
+    box = cli._CHECK_BOXES[_CLOSED_BOXES.get(system, system)]
+    rng = np.random.default_rng(seed)
+    return ",".join(f"{name}={rng.uniform(*box[name])!r}" for name in box)
+
+
+@pytest.mark.parametrize(
+    "quantity, orders",
+    [("all", [1, 3]), ("potential", [0]), ("intensive", [1]), ("metric", [2]), ("detg", [2]),
+     ("curvature", [3])],
+)
+@pytest.mark.parametrize("system", ["kerr_newman", "kn_closed"])
+def test_eval_evaluates_each_source_once(monkeypatch, capsys, system, quantity, orders):
+    # the potential and intensives from one jet; g, det g and R from one more
+    potential, components = [], []
+    evaluate, evaluate_exprs = fundeq.evaluate, fundeq.evaluate_exprs
+
+    def recording_evaluate(spec, point, order=jets.DEFAULT_ORDER):
+        potential.append(order)
+        return evaluate(spec, point, order)
+
+    def recording_evaluate_exprs(exprs, variables, parameters, point, order, *rest):
+        components.append(order)
+        return evaluate_exprs(exprs, variables, parameters, point, order, *rest)
+
+    monkeypatch.setattr(fundeq, "evaluate", recording_evaluate)
+    monkeypatch.setattr(fundeq, "evaluate_exprs", recording_evaluate_exprs)
+    code = run(["eval", "--system", system, "--point", _eval_point(system, 0), "--quantity", quantity])
+    if system == "kn_closed":
+        # a direct metric has no potential, and its components are evaluated once
+        assert code == (2 if quantity in ("potential", "intensive") else 0)
+        assert potential == []
+        assert components == {"all": [2], "curvature": [2], "metric": [0], "detg": [0]}.get(quantity, [])
+    else:
+        assert code == 0
+        assert potential == components == orders
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("system", [*fundeq.BUILTIN_NAMES, *geometry.CLOSED_FORM_NAMES])
+def test_eval_all_prints_the_single_quantity_lines(tmp_path, capsys, system):
+    has_spec = system in fundeq.BUILTIN_NAMES
+    singles = (["potential", "intensive"] if has_spec else []) + ["metric", "detg", "curvature"]
+    kinds = ["natural", "weinhold", "ruppeiner"] if has_spec else ["natural"]
+    report = tmp_path / "eval.csv"
+    for kind in kinds:
+        for seed in range(3):
+            where = ["--system", system, "--metric-kind", kind, "--point", _eval_point(system, seed)]
+
+            def lines(quantity, *output):
+                assert run(["eval", *where, "--quantity", quantity, *output]) == 0
+                return capsys.readouterr().out.splitlines()
+
+            single = {quantity: lines(quantity) for quantity in singles}
+            # det g is one value whichever call computes it
+            assert single["metric"][-1:] == single["detg"] == single["curvature"][:1]
+            expected = [line for q in singles if q not in ("detg", "curvature") for line in single[q]]
+            assert lines("all", "--output", str(report), "--format", "csv") == [
+                *expected, *single["curvature"][1:]
+            ]
+            # the CSV row holds the same names and values, with R for curvature
+            header, row = (line.split(",") for line in report.read_text().splitlines())
+            dim = len(header) - len(expected) - 2
+            printed = [line.replace("curvature", "R").split(" = ") for line in lines("all")]
+            assert [list(pair) for pair in zip(header, row)][dim:-1] == printed
+            assert (header[-1], row[-1]) == ("status", "ok")
+
+
+def test_eval_all_reports_nan_determinant_before_degeneracy(tmp_path, capsys):
+    # natural g = Phi Hess Phi overflows to inf in every entry, so det g is NaN:
+    # a domain error when det g is asked for, a degenerate metric for curvature
+    system = tmp_path / "steep.ini"
+    system.write_text("[system]\nname = steep\nvariables = S, V\npotential = exp(200*S+200*V)\n")
+    where = ["eval", "--system", str(system), "--point", "S=1.25,V=1", "--quantity"]
+    for quantity in ("all", "detg"):
+        assert run([*where, quantity]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "det g of steep[natural] is not a number at point (1.25, 1.0)" in captured.err
+    assert run([*where, "curvature"]) == 3
+    assert "g has an infinite entry" in capsys.readouterr().err
+
+
+def test_eval_all_of_failing_direct_metric_names_its_first_evaluation(tmp_path, capsys):
+    # `all` evaluates the components once, to second order, and that evaluation
+    # fails before det g is formed (`--quantity detg` still names det g)
+    metric = tmp_path / "steep.ini"
+    metric.write_text(
+        "[metric]\nname = steep\ncoordinates = S, V\n"
+        "components = exp(1000*S), exp(1000*S); exp(1000*S), 1\n"
+    )
+    assert run(["eval", "--system", str(metric), "--point", "S=1.25,V=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: point (1.25, 1.0) makes steep not a number" in captured.err
 
 
 # -- scan ------------------------------------------------------------------------

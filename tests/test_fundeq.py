@@ -214,8 +214,9 @@ def test_with_parameters_rejects_unknown():
 
 def test_vdw_domain_follows_b_override():
     spec = builtin("vdw", b=0.5)
-    assert not spec.in_domain((0.0, 0.4))
-    assert spec.in_domain((0.0, 0.6))
+    with pytest.raises(DomainError):
+        evaluate(spec, (0.0, 0.4), order=0)
+    evaluate(spec, (0.0, 0.6), order=0)
 
 
 def test_vdw_domain_follows_with_parameters():
