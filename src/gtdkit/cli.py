@@ -170,27 +170,15 @@ def _report_skeleton(args, command: str) -> dict:
     }
 
 
-def _write_csv(path_or_stream, header: Sequence[str], rows) -> None:
-    def emit(stream):
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(row) + "\n")
-
-    if isinstance(path_or_stream, (str, Path)):
-        with open(path_or_stream, "w", newline="\n") as stream:
-            emit(stream)
-    else:
-        emit(path_or_stream)
-
-
 def _emit(args, report: dict, csv_header: Sequence[str], csv_rows) -> None:
     if args.output is None:
         return
     try:
-        if args.format == "csv":
-            _write_csv(args.output, csv_header, csv_rows)
-        else:
-            with open(args.output, "w", newline="\n") as stream:
+        with open(args.output, "w", newline="\n") as stream:
+            if args.format == "csv":
+                for row in (csv_header, *csv_rows):
+                    stream.write(",".join(row) + "\n")
+            else:
                 json.dump(report, stream, indent=2)
                 stream.write("\n")
     except OSError as exc:
@@ -232,6 +220,9 @@ def cmd_eval(args) -> int:
     missing = [c for c in f.coordinates if c not in point_map]
     if missing:
         raise UsageError(f"--point is missing coordinates {missing}")
+    unknown = set(point_map) - set(f.coordinates)
+    if unknown:
+        raise UsageError(f"--point names unknown coordinates {sorted(unknown)}")
     point = [point_map[c] for c in f.coordinates]
 
     want = args.quantity
@@ -254,14 +245,7 @@ def cmd_eval(args) -> int:
             values["metric"] = metric.components.tolist()
         values["det_g"] = metric.det_g
     if want in ("curvature", "all"):
-        try:
-            curvature = geometry.scalar_curvature(f, point)
-        except DegenerateMetricError as exc:
-            # `all` asks for det g too, and a det g that is not a number is a
-            # domain error before it is a degenerate metric (see metric_at)
-            if want == "all" and math.isnan(exc.det):
-                raise DomainError(f"det g of {f.name} is not a number at point {tuple(point)}") from None
-            raise
+        curvature = geometry.scalar_curvature(f, point)
         if want == "all":
             values["metric"] = curvature.metric.tolist()
         values["det_g"] = curvature.det_g
@@ -437,6 +421,8 @@ def _parse_transform(text: str, n: int) -> phase_space.LegendreMap:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
     residuals: list[float] = []

@@ -17,11 +17,13 @@ needs one order-3 jet of the potential (fourth derivatives cancel from R).
 No finite differences appear anywhere; curvature stays usable arbitrarily
 close to the singular loci the analysis module hunts for.
 
-Metric components, determinants and curvature accept one point or a (B, n)
-array of B points. A batch runs the same arithmetic with the batch axis
-first, so each point's result is bit-identical to its single-point call; a
-point that fails gets a status (`domain-error` or `degenerate`) and NaN
-values where one point would raise.
+Metric components, determinants, Christoffel symbols and curvature accept
+one point or a (B, n) array of B points. A batch runs the same arithmetic
+with the batch axis first, so each point's result is bit-identical to its
+single-point call; a point that fails gets a status (`domain-error` or
+`degenerate`) and NaN values where one point would raise. A det g that is
+not a number fails the point whatever the quantity; only a quantity that
+needs g^-1 (Christoffel symbols, curvature) calls a point `degenerate`.
 
 Index conventions: Gamma[a, b, c] = Gamma^a_bc, riemann[a, b, c, d] =
 R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db
@@ -286,27 +288,21 @@ def _check_symmetry(gjets, name: str) -> None:
 def metric_at(field: MetricField, point: Point) -> MetricValue:
     """Metric components and det g at one point; DomainError where det g is not a number."""
     kind = field.kind if isinstance(field, HessianMetricField) else MetricKind.DIRECT
-    g = field.values(point)
-    det = float(np.linalg.det(g))
-    if np.isnan(det):
-        raise DomainError(f"det g of {field.name} is not a number at point {tuple(point)}")
-    return MetricValue(tuple(float(v) for v in point), g, kind, det)
+    g, _, _, failed, _ = field.metric_arrays(point, gorder=0)
+    det, _ = _checked_det(g, failed, field, point)
+    return MetricValue(tuple(float(v) for v in point), g[0], kind, float(det[0]))
 
 
 def metric_determinant(field: MetricField, point: Point):
     """det g at one point (a float), or for a (B, n) batch its B values and statuses.
 
     A point outside the domain, or whose det g is not a number (as for a
-    metric with an infinite entry), raises DomainError alone (see `metric_at`)
-    and gets NaN and `domain-error` in a batch.
+    metric with an infinite entry), raises DomainError alone and gets NaN and
+    `domain-error` in a batch (see `_checked_det`).
     """
-    if np.ndim(point) == 1:
-        return metric_at(field, point).det_g
-    g, _, _, failed, _ = field.metric_arrays(point, gorder=0)
-    det = np.linalg.det(_replace(g, failed))
-    failed |= np.isnan(det)
-    det[failed] = np.nan
-    return det, statuses(failed)
+    g, _, _, failed, batched = field.metric_arrays(point, gorder=0)
+    det, failed = _checked_det(g, failed, field, point)
+    return (det, statuses(failed)) if batched else float(det[0])
 
 
 def degeneracy_threshold(g: np.ndarray):
@@ -362,19 +358,32 @@ def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape + (1,) * (y.ndim - 1)) * y[(slice(None),) + (None,) * (x.ndim - 1)]
 
 
-def _checked_inverse(g: np.ndarray, failed: np.ndarray, point=None):
-    """Inverse metrics, determinants and degenerate points of a (B, n, n) stack.
+def _checked_det(g: np.ndarray, failed: np.ndarray, field: MetricField, point: Point):
+    """det g of a (B, n, n) stack, and `failed` with every point whose det g is NaN added.
 
-    A point is degenerate where |det g| is not above the threshold, which
-    includes a metric with an infinite entry: its threshold is inf or NaN.
-    With `point` (one point) a degenerate metric raises
-    DegenerateMetricError. Failed and degenerate points get the identity as
-    inverse; failed points get NaN as determinant.
+    A failed point's det is NaN; one point (a 1-D `point`) raises DomainError.
     """
     det = np.linalg.det(_replace(g, failed))
+    failed = failed | np.isnan(det)
+    if np.ndim(point) == 1 and failed[0]:
+        raise DomainError(f"det g of {field.name} is not a number at point {tuple(point)}")
+    det[failed] = np.nan
+    return det, failed
+
+
+def _checked_inverse(g: np.ndarray, failed: np.ndarray, field: MetricField, point: Point):
+    """Inverse metrics, determinants, failed and degenerate points of a (B, n, n) stack.
+
+    On top of `_checked_det`, a point is degenerate where |det g| is not above
+    the threshold, which includes a metric with an infinite entry whose det g
+    is a number: its threshold is inf or NaN. One point raises
+    DegenerateMetricError. Failed and degenerate points get the identity as
+    inverse.
+    """
+    det, failed = _checked_det(g, failed, field, point)
     threshold = degeneracy_threshold(g)
     degenerate = ~failed & ~(np.abs(det) > threshold)
-    if point is not None and degenerate[0]:
+    if np.ndim(point) == 1 and degenerate[0]:
         why = "g has an infinite entry" if np.isinf(g[0]).any() else (
             f"|det g| = {abs(det[0]):.3e} <= {threshold[0]:.3e}"
         )
@@ -383,8 +392,7 @@ def _checked_inverse(g: np.ndarray, failed: np.ndarray, point=None):
             det=float(det[0]),
             threshold=float(threshold[0]),
         )
-    det[failed] = np.nan
-    return np.linalg.inv(_replace(g, failed | degenerate)), det, degenerate
+    return np.linalg.inv(_replace(g, failed | degenerate)), det, failed, degenerate
 
 
 def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
@@ -401,11 +409,16 @@ def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np
 
 
 def christoffel(field: MetricField, point: Point) -> np.ndarray:
-    """Christoffel symbols Gamma^a_bc of the Levi-Civita connection at one point."""
-    g, dg, _, failed, _ = field.metric_arrays(point, gorder=1)
-    g_inv, _, _ = _checked_inverse(g, failed, point)
+    """Christoffel symbols Gamma^a_bc of the Levi-Civita connection.
+
+    (n, n, n) at one point; for a (B, n) batch (B, n, n, n), NaN at failed
+    and degenerate points.
+    """
+    g, dg, _, failed, batched = field.metric_arrays(point, gorder=1)
+    g_inv, _, failed, degenerate = _checked_inverse(g, failed, field, point)
     gamma, _ = _christoffel_from(g_inv, dg)
-    return gamma[0]
+    gamma[failed | degenerate] = np.nan
+    return gamma if batched else gamma[0]
 
 
 def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
@@ -415,7 +428,7 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
     status per point; failed and degenerate points get NaN curvature.
     """
     g, dg, d2g, failed, batched = field.metric_arrays(point, gorder=2)
-    g_inv, det, degenerate = _checked_inverse(g, failed, None if batched else point)
+    g_inv, det, failed, degenerate = _checked_inverse(g, failed, field, point)
     gamma, term = _christoffel_from(g_inv, dg)
     # d_e g^ad = -g^ax (d_e g_xy) g^yd
     dg_inv = -_einsum("zax,zexy,zyd->zead", g_inv, dg, g_inv)

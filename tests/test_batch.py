@@ -1,9 +1,10 @@
 """A batch of points gives each point exactly what its single-point call gives.
 
-Batched `fundeq.evaluate`, `component_jets`, `metric_determinant` and
-`scalar_curvature` must match the single-point calls bit for bit, and a
-point's status in the batch must match the exception its single-point call
-raises (DomainError -> domain-error, DegenerateMetricError -> degenerate).
+Batched `fundeq.evaluate`, `component_jets`, `metric_determinant`,
+`christoffel` and `scalar_curvature` must match the single-point calls bit
+for bit, and a point's status in the batch must match the exception its
+single-point call raises (DomainError -> domain-error,
+DegenerateMetricError -> degenerate).
 """
 
 import numpy as np
@@ -93,6 +94,8 @@ def test_value_does_not_depend_on_order(case, order):
 # and the natural metric of 10^400 + S is Phi * Hess Phi = inf * 0
 @example((_system("S*exp(1000)"), np.zeros((3, 1))), MetricKind.NATURAL)
 @example((_system("10^400 + S"), np.ones((2, 1))), MetricKind.NATURAL)
+# Phi Hess Phi overflows to inf in every entry, so det g is NaN at both points
+@example((_system("exp(200*S+200*V)"), np.array([[1.2, 1.0], [1.25, 1.0]])), MetricKind.NATURAL)
 def test_hessian_field_batch_matches_points(case, kind):
     spec, points = case
     f = HessianMetricField(spec, kind)
@@ -145,6 +148,8 @@ def _check_field(f, points):
         gjets = f.component_jets(points, gorder=2)
         det, det_status = geometry.metric_determinant(f, points)
         report = geometry.scalar_curvature(f, points)
+        gamma = geometry.christoffel(f, points)
+        assert gamma.shape == (len(points),) + (f.dim,) * 3
         n = f.dim
         for i, p in enumerate(points):
             status, single = _single(lambda: f.component_jets(p, gorder=2))
@@ -162,6 +167,9 @@ def _check_field(f, points):
 
             status, single_report = _single(lambda: geometry.scalar_curvature(f, p))
             assert report.status[i] == status
+            # det g decides a domain error alone, whichever quantity asks
+            if det_status[i] == geometry.STATUS_DOMAIN_ERROR:
+                assert status == geometry.STATUS_DOMAIN_ERROR
             if single_report is not None:
                 assert _same(report.scalar[i], single_report.scalar)
                 assert _same(report.det_g[i], single_report.det_g)
@@ -169,6 +177,12 @@ def _check_field(f, points):
                 assert _same(report.christoffel[i], single_report.christoffel)
             else:
                 assert np.isnan(report.scalar[i])
+
+            _, single_gamma = _single(lambda: geometry.christoffel(f, p))
+            if single_gamma is not None:
+                assert _same(gamma[i], single_gamma)
+            else:
+                assert np.all(np.isnan(gamma[i]))
 
 
 def test_single_point_types_unchanged():

@@ -167,17 +167,38 @@ def test_eval_all_prints_the_single_quantity_lines(tmp_path, capsys, system):
 
 def test_eval_all_reports_nan_determinant_before_degeneracy(tmp_path, capsys):
     # natural g = Phi Hess Phi overflows to inf in every entry, so det g is NaN:
-    # a domain error when det g is asked for, a degenerate metric for curvature
+    # a domain error whichever quantity asks, before curvature could call the
+    # metric degenerate
     system = tmp_path / "steep.ini"
     system.write_text("[system]\nname = steep\nvariables = S, V\npotential = exp(200*S+200*V)\n")
     where = ["eval", "--system", str(system), "--point", "S=1.25,V=1", "--quantity"]
-    for quantity in ("all", "detg"):
+    for quantity in ("all", "detg", "curvature"):
         assert run([*where, quantity]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "det g of steep[natural] is not a number at point (1.25, 1.0)" in captured.err
-    assert run([*where, "curvature"]) == 3
-    assert "g has an infinite entry" in capsys.readouterr().err
+
+
+def test_scan_marks_nan_determinant_domain_error_for_every_quantity(tmp_path):
+    # the eval test above at two scan points: a NaN det g is a domain error
+    # under curvature as under detg
+    system = tmp_path / "steep.ini"
+    system.write_text("[system]\nname = steep\nvariables = S, V\npotential = exp(200*S+200*V)\n")
+    for quantity in ("curvature", "detg"):
+        report = tmp_path / f"{quantity}.json"
+        code = run(
+            ["scan", "--system", str(system), "--range", "S=1.2:1.3:2", "--pin", "V=1",
+             "--quantity", quantity, "--output", str(report)]
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["values"]["status"] == ["domain-error"] * 2
+
+
+def test_eval_point_rejects_unknown_coordinates(capsys):
+    assert run(["eval", "--system", "vdw", "--point", "S=1,V=2,X=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --point names unknown coordinates ['X']" in captured.err
 
 
 def test_eval_all_of_failing_direct_metric_names_its_first_evaluation(tmp_path, capsys):
@@ -327,6 +348,13 @@ def test_check_first_law(capsys):
 
 def test_check_bad_transform_exit_2(capsys):
     assert run(["check", "legendre", "--transform", "diagonal"]) == 2
+
+
+def test_check_needs_a_trial(capsys):
+    assert run(["check", "legendre", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --trials must be at least 1" in captured.err
 
 
 def test_check_report_file(tmp_path, capsys):
