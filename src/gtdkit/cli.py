@@ -121,38 +121,30 @@ def _parse_pins(items: Sequence[str]) -> dict[str, float]:
 
 
 def resolve_field(name: str, params: dict[str, float], kind: MetricKind):
-    """Turn a --system value into a metric field."""
-    if name in fundeq.BUILTIN_NAMES:
-        spec = fundeq.builtin(name, **params)
-        return HessianMetricField(spec, kind)
-    if name in geometry.CLOSED_FORM_NAMES:
-        if kind is not MetricKind.NATURAL:
-            raise UsageError(f"{name} is a closed-form metric; --metric-kind does not apply")
-        try:
-            return geometry.closed_form_metric(name, **params)
-        except TypeError:
-            raise UsageError(f"{name} does not take parameters {sorted(params)}") from None
+    """Turn a --system value into a metric field: the source, then `params`, then `kind`."""
     path = Path(name)
-    if path.exists():
-        text = path.read_text()
-        if "[metric]" in text:
-            f = geometry.load_metric_file(path)
-            if params:
-                unknown = set(params) - set(f.parameters)
-                if unknown:
-                    raise UsageError(f"unknown parameters for {name}: {sorted(unknown)}")
-                f.parameters.update(params)
-            return f
-        spec = fundeq.load_system_file(path)
-        for key in params:
-            if key not in spec.parameters:
-                raise UsageError(f"unknown parameter {key!r} for system file {name}")
-        return HessianMetricField(spec.with_parameters(**params), kind)
-    raise UsageError(
-        f"unknown system {name!r}: not a built-in "
-        f"({', '.join(fundeq.BUILTIN_NAMES)}), not a closed-form metric "
-        f"({', '.join(geometry.CLOSED_FORM_NAMES)}), and no such file"
-    )
+    if name in fundeq.BUILTIN_NAMES:
+        source = fundeq.builtin(name)
+    elif name in geometry.CLOSED_FORM_NAMES:
+        source = geometry.closed_form_metric(name)
+    elif path.exists():
+        if "[metric]" in path.read_text():
+            source = geometry.load_metric_file(path)
+        else:
+            source = fundeq.load_system_file(path)
+    else:
+        raise UsageError(
+            f"unknown system {name!r}: not a built-in "
+            f"({', '.join(fundeq.BUILTIN_NAMES)}), not a closed-form metric "
+            f"({', '.join(geometry.CLOSED_FORM_NAMES)}), and no such file"
+        )
+    if params:
+        source = source.with_parameters(**params)
+    if isinstance(source, geometry.DirectMetricField):
+        if kind is not MetricKind.NATURAL:
+            raise UsageError(f"{name} is a direct metric; --metric-kind does not apply")
+        return source
+    return HessianMetricField(source, kind)
 
 
 def _report_skeleton(args, command: str) -> dict:

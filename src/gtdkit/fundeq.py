@@ -337,16 +337,7 @@ class SystemSpec:
     domain_text: str = ""
 
     def __post_init__(self):
-        names = list(self.variables) + list(self.parameters)
-        if len(set(names)) != len(names):
-            raise ValueError("variable and parameter names must be distinct")
-        reserved = set(FUNCTIONS) | set(CONSTANTS)
-        bad = reserved.intersection(names)
-        if bad:
-            raise ValueError(f"reserved identifiers cannot be declared: {sorted(bad)}")
-        unknown = free_names(self.potential) - set(names)
-        if unknown:
-            raise ValueError(f"potential references undeclared identifiers: {sorted(unknown)}")
+        check_names([*self.variables, *self.parameters], [self.potential], "potential references")
         if self.weights is not None and len(self.weights) != len(self.variables):
             raise ValueError("one weight per variable required")
 
@@ -355,10 +346,27 @@ class SystemSpec:
         return len(self.variables)
 
     def with_parameters(self, **overrides: float) -> "SystemSpec":
-        unknown = set(overrides) - set(self.parameters)
-        if unknown:
-            raise ValueError(f"unknown parameters for {self.name!r}: {sorted(unknown)}")
-        return replace(self, parameters={**self.parameters, **overrides})
+        return replace(self, parameters=override_parameters(self.name, self.parameters, overrides))
+
+
+def check_names(declared: Sequence[str], exprs: Sequence[Expr], subject: str) -> None:
+    """The names `declared` are distinct and not reserved, and `exprs` use no other name."""
+    if len(set(declared)) != len(declared):
+        raise ValueError("variable and parameter names must be distinct")
+    bad = (set(FUNCTIONS) | set(CONSTANTS)).intersection(declared)
+    if bad:
+        raise ValueError(f"reserved identifiers cannot be declared: {sorted(bad)}")
+    unknown = set().union(*map(free_names, exprs)) - set(declared)
+    if unknown:
+        raise ValueError(f"{subject} undeclared identifiers: {sorted(unknown)}")
+
+
+def override_parameters(name: str, parameters: Mapping, overrides: Mapping) -> dict[str, float]:
+    """A new parameter map with `overrides` applied; each must name a parameter."""
+    unknown = set(overrides) - set(parameters)
+    if unknown:
+        raise ValueError(f"unknown parameters for {name!r}: {sorted(unknown)}")
+    return {**parameters, **overrides}
 
 
 def evaluate_exprs(

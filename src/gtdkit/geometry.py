@@ -17,6 +17,10 @@ needs one order-3 jet of the potential (fourth derivatives cancel from R).
 No finite differences appear anywhere; curvature stays usable arbitrarily
 close to the singular loci the analysis module hunts for.
 
+Both kinds are read only through `metric_arrays(point, gorder)`, which returns
+(g, dg, d2g, failed) with the batch axis first, also for one point (see
+`_geometry_arrays`). Both take a system's name and parameter rules.
+
 Metric components, determinants, Christoffel symbols and curvature accept
 one point or a (B, n) array of B points. A batch runs the same arithmetic
 with the batch axis first, so each point's result is bit-identical to its
@@ -137,11 +141,11 @@ class HessianMetricField:
         # a product can be NaN where its factors are not, as inf * 0: a batch
         # keeps the NaN column, one point raises
         if not phi.batched and np.isnan([g.coeffs for row in out for g in row]).any():
-            raise DomainError(f"metric {self.name} is not a number at point {tuple(point)}")
+            raise DomainError(f"metric {self.name} is not a number at point {_coords(point)}")
         return out
 
     def metric_arrays(self, point: Point, gorder: int = 2):
-        """g, dg and d2g as `_geometry_arrays` returns them, gathered from one potential jet.
+        """(g, dg, d2g, failed) as `_geometry_arrays` returns them, from one potential jet.
 
         g = c h for h = Hess Phi and c = Phi (natural), 1 (Weinhold) or 1/T
         (Ruppeiner), so d_e g_ab = c_e h_ab + c Phi_abe. Fourth derivatives of
@@ -174,12 +178,8 @@ class HessianMetricField:
                 out.append(_times(c[2], h) + cross + np.swapaxes(cross, 1, 2))
         failed = np.isnan(np.concatenate([x.reshape(batch, -1) for x in out], axis=1).max(axis=1))
         if not phi.batched and failed[0]:
-            raise DomainError(f"metric {self.name} is not a number at point {tuple(point)}")
-        return (*out, *[None] * (2 - gorder), failed, phi.batched)
-
-    def values(self, point: Point) -> np.ndarray:
-        g, _, _, _, batched = self.metric_arrays(point, gorder=0)
-        return g if batched else g[0]
+            raise DomainError(f"metric {self.name} is not a number at point {_coords(point)}")
+        return (*out, *[None] * (2 - gorder), failed)
 
 
 class DirectMetricField:
@@ -216,10 +216,9 @@ class DirectMetricField:
                     self._slots[a][b] = len(self._exprs)
                     self._exprs.append(self.components[a][b])
         self.parameters = dict(parameters or {})
-        declared = set(self.coordinates) | set(self.parameters)
-        unknown = set().union(*map(fundeq.free_names, self._exprs)) - declared
-        if unknown:
-            raise ValueError(f"metric components reference undeclared identifiers: {sorted(unknown)}")
+        fundeq.check_names(
+            [*self.coordinates, *self.parameters], self._exprs, "metric components reference"
+        )
         self.name = name
         self.domain = domain
 
@@ -227,24 +226,25 @@ class DirectMetricField:
     def dim(self) -> int:
         return len(self.coordinates)
 
+    def with_parameters(self, **overrides: float) -> "DirectMetricField":
+        """The same metric with some parameters replaced, by the rule of `SystemSpec`."""
+        params = fundeq.override_parameters(self.name, self.parameters, overrides)
+        return DirectMetricField(self.coordinates, self.components, params, self.name, self.domain)
+
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
         flat = fundeq.evaluate_exprs(
             self._exprs, self.coordinates, self.parameters, point, gorder, self.domain, self.name
         )
+        _check_symmetry(flat, self._slots, self.name)
         out = [[flat[slot] for slot in row] for row in self._slots]
-        _check_symmetry(out, self.name)
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
                 out[b][a] = out[a][b]
         return out
 
     def metric_arrays(self, point: Point, gorder: int = 2):
-        """g, dg and d2g as `_geometry_arrays` returns them, from the component jets."""
+        """(g, dg, d2g, failed) as `_geometry_arrays` returns them, from the component jets."""
         return _geometry_arrays(self.component_jets(point, gorder))
-
-    def values(self, point: Point) -> np.ndarray:
-        g, _, _, _, batched = self.metric_arrays(point, gorder=0)
-        return g if batched else g[0]
 
 
 MetricField = Union[HessianMetricField, DirectMetricField]
@@ -260,26 +260,25 @@ def _as_expr(c) -> Expr:
     raise TypeError(f"metric component must be an expression string, number or Expr, got {c!r}")
 
 
-def _stack(gjets: list[list[Jet]]) -> np.ndarray:
-    """Component coefficients as a C-contiguous (B, N, n, n) array (B = 1 for one point)."""
-    coeffs = np.array([[g.coeffs.reshape(len(g.coeffs), -1) for g in row] for row in gjets])
-    return np.ascontiguousarray(coeffs.transpose(3, 2, 0, 1))
+def _check_symmetry(flat: list[Jet], slots: list[list[int]], name: str) -> None:
+    """Each point's matrix must be symmetric, to a tolerance scaled by that point's entries.
 
-
-def _check_symmetry(gjets, name: str) -> None:
-    """Each point's matrix must be symmetric, to a tolerance scaled by that point's entries."""
-    n = len(gjets)
-    coeffs = _stack(gjets)
-    skip = _failed_points(coeffs)
-    scale = np.maximum(1.0, np.max(np.abs(coeffs[:, 0]), axis=(1, 2)))[:, None]
-    for a in range(n):
-        for b in range(a + 1, n):
-            x, y = coeffs[:, :, a, b], coeffs[:, :, b, a]
-            # np.isclose(x, y, rtol=1e-9, atol=1e-9 * scale), with one atol per point
-            with np.errstate(invalid="ignore"):
-                close = (x == y) | (np.abs(x - y) <= 1e-9 * scale + 1e-9 * np.abs(y))
-            if not np.all(close.all(axis=1) | skip):
-                raise ValueError(f"direct metric {name!r} is not symmetric in ({a}, {b})")
+    Compares the jets `flat[slots[a][b]]` and `flat[slots[b][a]]` of mirror
+    entries that are different expressions.
+    """
+    n = len(slots)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if slots[a][b] != slots[b][a]]
+    if not pairs:
+        return
+    scale = np.maximum(1.0, np.max(np.abs([jet.coeffs[0] for jet in flat]), axis=0))
+    for a, b in pairs:
+        x, y = flat[slots[a][b]].coeffs, flat[slots[b][a]].coeffs
+        # not np.isclose(x, y, rtol=1e-9, atol=1e-9 * scale), with one atol per point;
+        # a NaN compares false, so a failed point, NaN in every jet, passes
+        with np.errstate(invalid="ignore"):
+            far = np.abs(x - y) > 1e-9 * scale + 1e-9 * np.abs(y)
+        if far.any():
+            raise ValueError(f"direct metric {name!r} is not symmetric in ({a}, {b})")
 
 
 # -- evaluation at points ----------------------------------------------------------
@@ -288,9 +287,9 @@ def _check_symmetry(gjets, name: str) -> None:
 def metric_at(field: MetricField, point: Point) -> MetricValue:
     """Metric components and det g at one point; DomainError where det g is not a number."""
     kind = field.kind if isinstance(field, HessianMetricField) else MetricKind.DIRECT
-    g, _, _, failed, _ = field.metric_arrays(point, gorder=0)
+    g, _, _, failed = field.metric_arrays(point, gorder=0)
     det, _ = _checked_det(g, failed, field, point)
-    return MetricValue(tuple(float(v) for v in point), g[0], kind, float(det[0]))
+    return MetricValue(_coords(point), g[0], kind, float(det[0]))
 
 
 def metric_determinant(field: MetricField, point: Point):
@@ -300,9 +299,9 @@ def metric_determinant(field: MetricField, point: Point):
     metric with an infinite entry), raises DomainError alone and gets NaN and
     `domain-error` in a batch (see `_checked_det`).
     """
-    g, _, _, failed, batched = field.metric_arrays(point, gorder=0)
+    g, _, _, failed = field.metric_arrays(point, gorder=0)
     det, failed = _checked_det(g, failed, field, point)
-    return (det, statuses(failed)) if batched else float(det[0])
+    return float(det[0]) if np.ndim(point) == 1 else (det, statuses(failed))
 
 
 def degeneracy_threshold(g: np.ndarray):
@@ -314,12 +313,6 @@ def degeneracy_threshold(g: np.ndarray):
     """
     out = DEGENERACY_FACTOR * np.prod(np.linalg.norm(g, axis=-1), axis=-1)
     return float(out) if g.ndim == 2 else out
-
-
-def _failed_points(coeffs: np.ndarray) -> np.ndarray:
-    """Points whose (B, N, n, n) metric coefficients hold a NaN: the failed points."""
-    # a max is NaN exactly where it meets a NaN, and allocates no mask of the stack
-    return np.isnan(coeffs.max(axis=(1, 2, 3)))
 
 
 def statuses(failed: np.ndarray, degenerate: np.ndarray | None = None) -> list[str]:
@@ -336,21 +329,29 @@ def _replace(g: np.ndarray, bad: np.ndarray) -> np.ndarray:
 
 
 def _geometry_arrays(gjets: list[list[Jet]]):
-    """Metric values and derivatives, batch axis first, from the component jets.
+    """(g, dg, d2g, failed), batch axis first, from the component jets.
 
     g[z,a,b], dg[z,c,a,b] = d_c g_ab and d2g[z,c,d,a,b] = d_c d_d g_ab (None
-    above the jet order); plus the failed points and whether it is a batch.
+    above the jet order), and the points whose coefficients hold a NaN.
     """
     n = len(gjets)
     order = gjets[0][0].order
-    coeffs = _stack(gjets)
+    # one C-contiguous (B, N, n, n) stack of the coefficients (B = 1 for one point)
+    coeffs = np.array([[g.coeffs.reshape(len(g.coeffs), -1) for g in row] for row in gjets])
+    coeffs = np.ascontiguousarray(coeffs.transpose(3, 2, 0, 1))
     g = np.ascontiguousarray(coeffs[:, 0])
     dg = coeffs[:, jets.unit_slots(n, order)] if order >= 1 else None
     d2g = None
     if order >= 2:
         slots, scale = jets.partial_slots(n, order, 2)
         d2g = coeffs[:, slots] * scale[:, :, None, None]
-    return g, dg, d2g, _failed_points(coeffs), gjets[0][0].batched
+    # a max is NaN exactly where it meets a NaN, and allocates no mask of the stack
+    return g, dg, d2g, np.isnan(coeffs.max(axis=(1, 2, 3)))
+
+
+def _coords(point: Point) -> tuple[float, ...]:
+    """One point as plain floats, for reports and messages."""
+    return tuple(float(v) for v in point)
 
 
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -366,7 +367,7 @@ def _checked_det(g: np.ndarray, failed: np.ndarray, field: MetricField, point: P
     det = np.linalg.det(_replace(g, failed))
     failed = failed | np.isnan(det)
     if np.ndim(point) == 1 and failed[0]:
-        raise DomainError(f"det g of {field.name} is not a number at point {tuple(point)}")
+        raise DomainError(f"det g of {field.name} is not a number at point {_coords(point)}")
     det[failed] = np.nan
     return det, failed
 
@@ -388,7 +389,7 @@ def _checked_inverse(g: np.ndarray, failed: np.ndarray, field: MetricField, poin
             f"|det g| = {abs(det[0]):.3e} <= {threshold[0]:.3e}"
         )
         raise DegenerateMetricError(
-            f"metric degenerate at {tuple(point)}: {why}",
+            f"metric degenerate at {_coords(point)}: {why}",
             det=float(det[0]),
             threshold=float(threshold[0]),
         )
@@ -414,11 +415,11 @@ def christoffel(field: MetricField, point: Point) -> np.ndarray:
     (n, n, n) at one point; for a (B, n) batch (B, n, n, n), NaN at failed
     and degenerate points.
     """
-    g, dg, _, failed, batched = field.metric_arrays(point, gorder=1)
+    g, dg, _, failed = field.metric_arrays(point, gorder=1)
     g_inv, _, failed, degenerate = _checked_inverse(g, failed, field, point)
     gamma, _ = _christoffel_from(g_inv, dg)
     gamma[failed | degenerate] = np.nan
-    return gamma if batched else gamma[0]
+    return gamma[0] if np.ndim(point) == 1 else gamma
 
 
 def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
@@ -427,7 +428,7 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
     For a (B, n) batch of points the report holds stacked arrays and a
     status per point; failed and degenerate points get NaN curvature.
     """
-    g, dg, d2g, failed, batched = field.metric_arrays(point, gorder=2)
+    g, dg, d2g, failed = field.metric_arrays(point, gorder=2)
     g_inv, det, failed, degenerate = _checked_inverse(g, failed, field, point)
     gamma, term = _christoffel_from(g_inv, dg)
     # d_e g^ad = -g^ax (d_e g_xy) g^yd
@@ -444,9 +445,9 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
     riemann = half - np.swapaxes(half, 3, 4)
     ricci = _einsum("zabad->zbd", riemann)
     scalar = _einsum("zbd,zbd->z", g_inv, ricci)
-    if not batched:
+    if np.ndim(point) == 1:
         return CurvatureReport(
-            point=tuple(float(v) for v in point),
+            point=_coords(point),
             metric=g[0],
             christoffel=gamma[0],
             riemann=riemann[0],
@@ -487,7 +488,7 @@ _VDW_U = "(exp(S/k)/(V-b))^(2/3)"  # Phi + a/V
 _KN_M2 = "(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)"
 
 
-def _vdw_closed(a: float = 1.0, b: float = 0.1, k: float = 1.0) -> DirectMetricField:
+def _vdw_closed() -> DirectMetricField:
     return DirectMetricField(
         coordinates=("S", "V"),
         components=[
@@ -500,7 +501,7 @@ def _vdw_closed(a: float = 1.0, b: float = 0.1, k: float = 1.0) -> DirectMetricF
                 f"(10/9) * {_VDW_PHI} * {_VDW_U} / (V-b)^2 - 2*a*{_VDW_PHI}/V^3",
             ],
         ],
-        parameters={"a": a, "b": b, "k": k},
+        parameters={"a": 1.0, "b": 0.1, "k": 1.0},
         name="vdw_closed",
         domain=fundeq._above_covolume,
     )
@@ -553,7 +554,7 @@ def _kerr_closed() -> DirectMetricField:
     )
 
 
-_CLOSED_FORMS: dict[str, Callable[..., DirectMetricField]] = {
+_CLOSED_FORMS: dict[str, Callable[[], DirectMetricField]] = {
     "kerr_closed": _kerr_closed,
     "kn_closed": _kn_closed,
     "rn_closed": _rn_closed,
@@ -571,7 +572,8 @@ def closed_form_metric(name: str, **parameters: float) -> DirectMetricField:
         raise ValueError(
             f"unknown closed-form metric {name!r}; choose from {CLOSED_FORM_NAMES}"
         ) from None
-    return factory(**parameters)
+    field = factory()
+    return field.with_parameters(**parameters) if parameters else field
 
 
 def sphere_metric(radius: float = 1.0) -> DirectMetricField:

@@ -93,10 +93,6 @@ class LegendreMap:
     def partial(cls, n: int, indices: Sequence[int]) -> "LegendreMap":
         return cls(n, frozenset(int(i) for i in indices))
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.exchanged
-
 
 def lift_point(spec: SystemSpec, point: Point) -> PhasePoint:
     """Embed an equilibrium point: (E) -> (Phi(E), E, grad Phi(E))."""

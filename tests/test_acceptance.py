@@ -96,7 +96,8 @@ def test_criterion_04_closed_form_pipeline_agreement():
             box = SAMPLING_BOXES[system]
             for _ in range(50):
                 point = [rng.uniform(*box[v]) for v in spec.variables]
-                assert rel_err(nat.values(point), cf.values(point)) <= 1e-10
+                g_nat = geometry.metric_at(nat, point).components
+                assert rel_err(g_nat, geometry.metric_at(cf, point).components) <= 1e-10
 
 
 def test_criterion_05_rn_curvature_closed_form():

@@ -411,6 +411,100 @@ def test_metric_file_with_undeclared_identifier_exit_2(tmp_path, capsys, command
     assert "undeclared identifiers: ['r']" in capsys.readouterr().err
 
 
+# metric files that break the name rule of a [system] file: a coordinate named
+# twice, a parameter named like a coordinate, a coordinate named like a constant
+_NAME_CLASHES = {
+    "twice": (
+        "coordinates = x, x\ncomponents = 1, 0; 0, x^2\n",
+        ["x"],
+        "variable and parameter names must be distinct",
+    ),
+    "parameter": (
+        "coordinates = x, y\ncomponents = x^2, 0; 0, y^2\n[parameters]\nx = 5\n",
+        ["x", "y"],
+        "variable and parameter names must be distinct",
+    ),
+    "reserved": (
+        "coordinates = pi, y\ncomponents = pi^2, 0; 0, y^2\n",
+        ["pi", "y"],
+        "reserved identifiers cannot be declared: ['pi']",
+    ),
+}
+
+
+@pytest.mark.parametrize("clash", sorted(_NAME_CLASHES))
+@pytest.mark.parametrize("command", ["scan", "eval"])
+def test_metric_file_follows_the_system_name_rule(tmp_path, capsys, command, clash):
+    body, coords, message = _NAME_CLASHES[clash]
+    path = tmp_path / "metric.ini"
+    path.write_text(f"[metric]\nname = clash\n{body}")
+    if command == "scan":
+        where = ["--range", f"{coords[0]}=1:2:3", *(f"--pin={c}=1" for c in coords[1:])]
+    else:
+        where = ["--point", ",".join(f"{c}=1" for c in coords)]
+    assert run([command, "--system", str(path), *where]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["scan", "eval"])
+@pytest.mark.parametrize("system", ["kn_closed", "metric file"])
+def test_metric_kind_applies_to_fundamental_equations_only(tmp_path, capsys, command, system):
+    path = tmp_path / "metric.ini"
+    path.write_text(
+        "[metric]\nname = flat\ncoordinates = S, J, Q\ncomponents = 1, 0, 0; 0, S, 0; 0, 0, 1\n"
+    )
+    system = str(path) if system == "metric file" else system
+    where = {
+        "scan": ["--range", "S=1:2:3", "--pin", "J=0.5", "--pin", "Q=0.5"],
+        "eval": ["--point", "S=1,J=0.5,Q=0.5"],
+    }[command]
+    assert run([command, "--system", system, "--metric-kind", "ruppeiner", *where]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {system} is a direct metric; --metric-kind does not apply" in captured.err
+
+
+@pytest.mark.parametrize("source", ["builtin", "closed form", "metric file", "system file"])
+def test_unknown_params_get_one_message_for_every_source(tmp_path, capsys, source):
+    path = tmp_path / "source.ini"
+    if source == "metric file":
+        path.write_text(
+            "[metric]\nname = gas\ncoordinates = S, V\ncomponents = a, 0; 0, b/V\n"
+            "[parameters]\na = 1\nb = 0.1\n"
+        )
+    else:
+        path.write_text(
+            "[system]\nname = gas\nvariables = S, V\npotential = (exp(S/k)/(V-b))^(2/3) - a/V\n"
+            "[parameters]\na = 1\nb = 0.1\nk = 1\n"
+        )
+    system, name = {
+        "builtin": ("vdw", "vdw"),
+        "closed form": ("vdw_closed", "vdw_closed"),
+    }.get(source, (str(path), "gas"))
+    at = ["--system", system, "--params", "a=2,zz=1", "--point", "S=1,V=2"]
+    assert run(["eval", *at]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown parameters for '{name}': ['zz']\n"
+    # a known name replaces the default
+    assert run(["eval", *at[:3], "a=2", *at[4:], "--quantity", "detg"]) == 0
+    capsys.readouterr()
+
+
+def test_closed_form_params_move_the_domain(tmp_path, capsys):
+    # b = 0.5 moves the vdW covolume: V <= 0.5 is outside the domain
+    report = tmp_path / "scan.json"
+    code = run(
+        ["scan", "--system", "vdw_closed", "--params", "b=0.5", "--range", "V=0.3:0.9:7",
+         "--pin", "S=1", "--quantity", "detg", "--output", str(report)]
+    )
+    assert code == 0
+    status = json.loads(report.read_text())["values"]["status"]
+    assert status == ["domain-error"] * 3 + ["ok"] * 4
+
+
 @pytest.mark.parametrize("quantity", ["potential", "curvature"])
 def test_scan_fractional_power_of_negative_base_marks_points(tmp_path, capsys, quantity):
     # (S - V)^(2/3) is undefined for S < V: a marked point, not a traceback
@@ -465,11 +559,18 @@ _OVERFLOW_AXES = [(0.5, 1.5, 4)] * 6
 @example(source="S*exp(1000)", kind="natural", report_format="json", axes=_OVERFLOW_AXES)
 @example(source="10^400 + S", kind="ruppeiner", report_format="csv", axes=_OVERFLOW_AXES)
 def test_cli_exit_codes_over_corpus(tmp_path, source, kind, report_format, axes):
-    # every grammar-accepted potential ends in a documented exit code, never a traceback
+    # every grammar-accepted potential, and every direct metric with it on the
+    # diagonal, ends in a documented exit code, never a traceback
     names = sorted(fundeq.free_names(fundeq.parse(source))) or ["x"]
     system = tmp_path / "corpus.ini"
     system.write_text(
         f"[system]\nname = corpus\nvariables = {', '.join(names)}\npotential = {source}\n"
+    )
+    metric = tmp_path / "metric.ini"
+    n = len(names)
+    diagonal = "; ".join(", ".join(source if i == j else "0" for j in range(n)) for i in range(n))
+    metric.write_text(
+        f"[metric]\nname = corpus\ncoordinates = {', '.join(names)}\ncomponents = {diagonal}\n"
     )
     where, size = [], 1
     for name, (start, width, count) in zip(names, axes):
@@ -478,19 +579,24 @@ def test_cli_exit_codes_over_corpus(tmp_path, source, kind, report_format, axes)
             where += ["--range", f"{name}={start}:{start + width}:{count}"]
         else:
             where += ["--pin", f"{name}={start}"]
-    common = ["--system", str(system), "--metric-kind", kind]
     report = tmp_path / "report"
     output = ["--output", str(report), "--format", report_format]
-    for quantity in analysis.QUANTITIES:
-        code = run(["scan", *common, *where, "--quantity", quantity, *output])
+    point = ",".join(f"{name}={start}" for name, (start, _, _) in zip(names, axes))
+    for path in (system, metric):
+        common = ["--system", str(path), "--metric-kind", kind]
+        if path == metric and kind != "natural":
+            # --metric-kind applies to fundamental equations only
+            assert run(["eval", *common, "--point", point]) == 2
+            continue
+        for quantity in analysis.QUANTITIES:
+            code = run(["scan", *common, *where, "--quantity", quantity, *output])
+            assert code in (0, 2, 3)
+            if code == 0:
+                _assert_no_nan_reported_ok(report, report_format)
+        code = run(["eval", *common, "--point", point, *output])
         assert code in (0, 2, 3)
         if code == 0:
             _assert_no_nan_reported_ok(report, report_format)
-    point = ",".join(f"{name}={start}" for name, (start, _, _) in zip(names, axes))
-    code = run(["eval", *common, "--point", point, *output])
-    assert code in (0, 2, 3)
-    if code == 0:
-        _assert_no_nan_reported_ok(report, report_format)
 
 
 def _assert_no_nan_reported_ok(report, report_format):

@@ -66,15 +66,15 @@ def test_determinants():
 def test_weinhold_is_hessian():
     spec = builtin("vdw")
     point = (0.8, 1.4)
-    w = HessianMetricField(spec, MetricKind.WEINHOLD).values(point)
+    w = metric_at(HessianMetricField(spec, MetricKind.WEINHOLD), point).components
     assert rel_err(w, fundeq.hessian(spec, point)) <= 1e-14
 
 
 def test_ruppeiner_is_weinhold_over_temperature():
     spec = builtin("vdw")
     point = (0.8, 1.4)
-    w = HessianMetricField(spec, MetricKind.WEINHOLD).values(point)
-    r = HessianMetricField(spec, MetricKind.RUPPEINER).values(point)
+    w = metric_at(HessianMetricField(spec, MetricKind.WEINHOLD), point).components
+    r = metric_at(HessianMetricField(spec, MetricKind.RUPPEINER), point).components
     t = fundeq.intensive_variables(spec, point)[0]
     assert rel_err(r, w / t) <= 1e-14
 
@@ -82,7 +82,7 @@ def test_ruppeiner_is_weinhold_over_temperature():
 def test_natural_is_phi_times_hessian():
     spec = builtin("kerr_newman")
     point = (4.0, 0.7, 0.9)
-    nat = HessianMetricField(spec).values(point)
+    nat = metric_at(HessianMetricField(spec), point).components
     phi = fundeq.potential_value(spec, point)
     assert rel_err(nat, phi * fundeq.hessian(spec, point)) <= 1e-13
 
@@ -90,13 +90,73 @@ def test_natural_is_phi_times_hessian():
 def test_direct_metric_rejects_asymmetric():
     f = DirectMetricField(("x", "y"), [["1", "x"], ["2*x", "1"]])
     with pytest.raises(ValueError, match="not symmetric"):
-        f.values((1.0, 1.0))
+        metric_at(f, (1.0, 1.0)).components
 
 
 def test_direct_metric_rejects_asymmetric_batch():
     f = DirectMetricField(("x", "y"), [["1", "x"], ["2*x", "1"]])
     with pytest.raises(ValueError, match="not symmetric"):
         metric_determinant(f, np.array([[1.0, 1.0], [2.0, 0.5]]))
+
+
+def test_direct_metric_symmetry_check_passes_failed_points():
+    # x*y and x^2*y/2 are different expressions, equal where x = 2 and compared
+    # at every point but the one where ln(x) fails
+    f = DirectMetricField(("x", "y"), [["ln(x)", "x*y"], ["x^2*y/2", "2"]])
+    with np.errstate(invalid="ignore"):
+        _, status = metric_determinant(f, np.array([[2.0, 1.0], [-1.0, 1.0], [2.0, 3.0]]))
+        assert status == ["ok", "domain-error", "ok"]
+        with pytest.raises(ValueError, match=r"not symmetric in \(0, 1\)"):
+            metric_determinant(f, np.array([[2.0, 1.0], [-1.0, 1.0], [3.0, 1.0]]))
+
+
+def test_direct_metric_with_parameters_returns_a_new_field():
+    f = closed_form_metric("vdw_closed")
+    g = f.with_parameters(b=0.5)
+    assert g is not f and g.parameters == {"a": 1.0, "b": 0.5, "k": 1.0}
+    assert f.parameters == {"a": 1.0, "b": 0.1, "k": 1.0}
+    assert (g.coordinates, g.name, g.domain) == (f.coordinates, f.name, f.domain)
+    # b is read at evaluation: V = 0.4 is inside the default domain only
+    assert metric_determinant(f, (1.0, 0.4)) > 0.0
+    with pytest.raises(DomainError, match="outside domain"):
+        metric_determinant(g, (1.0, 0.4))
+    assert closed_form_metric("vdw_closed", b=0.5).parameters == g.parameters
+    with pytest.raises(ValueError, match=r"unknown parameters for 'vdw_closed': \['zz'\]"):
+        f.with_parameters(a=2.0, zz=1.0)
+
+
+@pytest.mark.parametrize(
+    "coordinates, parameters, message",
+    [
+        (("x", "x"), {}, "must be distinct"),
+        (("x", "y"), {"x": 5.0}, "must be distinct"),
+        (("pi", "y"), {}, "reserved identifiers"),
+    ],
+)
+def test_direct_metric_follows_the_system_name_rule(coordinates, parameters, message):
+    with pytest.raises(ValueError, match=message):
+        DirectMetricField(coordinates, [["1", "0"], ["0", "2"]], parameters)
+
+
+def test_one_point_messages_print_plain_floats():
+    # a numpy point reads as the floats a list point gives
+    big = HessianMetricField(fundeq.SystemSpec("big", ("S", "V"), fundeq.parse("10^400 + S")))
+    steep = DirectMetricField(
+        ("S", "V"), [["exp(1000*S)", "exp(1000*S)"], ["exp(1000*S)", "1"]], name="steep"
+    )
+    rn = HessianMetricField(builtin("reissner_nordstrom"))
+    p, q, extremal = np.array([1.0, 2.0]), np.array([1.25, 1.0]), np.array([PI, 1.0])
+    cases = [
+        (lambda: metric_at(big, p), "metric big[natural] is not a number at point (1.0, 2.0)"),
+        (lambda: big.component_jets(p), "metric big[natural] is not a number at point (1.0, 2.0)"),
+        (lambda: metric_at(steep, q), "det g of steep is not a number at point (1.25, 1.0)"),
+        (lambda: scalar_curvature(rn, extremal), f"metric degenerate at ({PI!r}, 1.0): "),
+    ]
+    for call, message in cases:
+        with np.errstate(all="ignore"), pytest.raises((DomainError, DegenerateMetricError)) as err:
+            call()
+        assert message in str(err.value)
+        assert "np.float64" not in str(err.value)
 
 
 def test_direct_metric_rejects_callable_component():
@@ -412,6 +472,59 @@ def test_hessian_curvature_matches_brioschi(system, kind):
         assert rel_err(report.scalar, expected) <= _ROUTE_REL
 
 
+def _loop_scalar(g, dg, d2g):
+    """R at one point from g, d_e g and d_e d_f g, contracted by explicit loops.
+
+    R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db -
+    Gamma^a_de Gamma^e_cb, Ricci_bd = R^a_bad and R = g^bd Ricci_bd.
+    """
+    r = range(len(g))
+    gi = np.linalg.inv(g).tolist()
+    dg, d2g = dg.tolist(), d2g.tolist()
+    # d_e g^ad = -g^ax (d_e g_xy) g^yd
+    dgi = [
+        [[-sum(gi[a][x] * dg[e][x][y] * gi[y][d] for x in r for y in r) for d in r] for a in r]
+        for e in r
+    ]
+
+    def gamma(a, b, c):
+        return 0.5 * sum(gi[a][d] * (dg[b][d][c] + dg[c][d][b] - dg[d][b][c]) for d in r)
+
+    def d_gamma(e, a, b, c):  # d_e Gamma^a_bc
+        return 0.5 * sum(
+            dgi[e][a][d] * (dg[b][d][c] + dg[c][d][b] - dg[d][b][c])
+            + gi[a][d] * (d2g[e][b][d][c] + d2g[e][c][d][b] - d2g[e][d][b][c])
+            for d in r
+        )
+
+    gam = [[[gamma(a, b, c) for c in r] for b in r] for a in r]
+
+    def riemann(a, b, c, d):
+        return (
+            d_gamma(c, a, d, b)
+            - d_gamma(d, a, c, b)
+            + sum(gam[a][c][e] * gam[e][d][b] - gam[a][d][e] * gam[e][c][b] for e in r)
+        )
+
+    return sum(gi[b][d] * riemann(a, b, a, d) for a in r for b in r for d in r)
+
+
+@pytest.mark.parametrize("kind", [MetricKind.WEINHOLD, MetricKind.RUPPEINER])
+def test_kerr_newman_curvature_matches_loop_contraction(kind):
+    # the 3-D oracle: the true partials of `_metric_derivatives`, with c Phi_abef,
+    # contracted by loops and no geometry code; at these points the worst
+    # relative difference is 2.5e-14 (Weinhold) and 2.2e-13 (Ruppeiner), and
+    # the smallest |R| is 0.27 and 0.0075
+    spec = builtin("kerr_newman")
+    points = _box_points("kerr_newman", 200)
+    arrays = zip(*_metric_derivatives(spec, kind, points))
+    expected = np.array([_loop_scalar(g, dg, d2g) for g, dg, d2g in arrays])
+    report = scalar_curvature(HessianMetricField(spec, kind), points)
+    assert report.status == ["ok"] * len(points)
+    assert np.min(np.abs(expected)) > 1e4 * _NOISE_FLOOR
+    assert rel_err(report.scalar, expected) <= _ROUTE_REL
+
+
 @pytest.mark.parametrize("kind", _HESSIAN_KINDS)
 @pytest.mark.parametrize(
     "system, axes",
@@ -428,7 +541,7 @@ def test_determinant_matches_component_jets_bit_for_bit(system, axes, kind):
     assert status == ["ok"] * len(points)
     g = geometry._geometry_arrays(f.component_jets(points, gorder=0))[0]
     assert np.linalg.det(g).tobytes() == det.tobytes()
-    assert f.values(points).tobytes() == g.tobytes()
+    assert f.metric_arrays(points, gorder=0)[0].tobytes() == g.tobytes()
     for p in points[::37]:
         expected = np.linalg.det(geometry._geometry_arrays(f.component_jets(p, gorder=0))[0][0])
         assert metric_determinant(f, p) == expected
@@ -445,7 +558,7 @@ def test_degenerate_curvature_error_carries_det():
 
 
 def test_rn_closed_matches_example_matrix():
-    g = closed_form_metric("rn_closed").values((PI, 1.0))
+    g = metric_at(closed_form_metric("rn_closed"), (PI, 1.0)).components
     expected = np.array([[1 / (4 * PI**2), -1 / (2 * PI)], [-1 / (2 * PI), 1.0]])
     assert rel_err(g, expected) <= 1e-14
 
@@ -466,7 +579,7 @@ def test_closed_form_matches_pipeline(system, closed, box):
     rng = np.random.default_rng(11)
     for _ in range(50):
         point = [rng.uniform(*box[v]) for v in spec.variables]
-        assert rel_err(nat.values(point), cf.values(point)) <= 1e-10
+        assert rel_err(metric_at(nat, point).components, metric_at(cf, point).components) <= 1e-10
 
 
 def test_closed_form_unknown_name():
@@ -478,7 +591,7 @@ def test_kerr_closed_spot():
     nat = HessianMetricField(builtin("kerr"))
     cf = closed_form_metric("kerr_closed")
     p = (4 * PI, 1.0)
-    assert rel_err(nat.values(p), cf.values(p)) <= 1e-10
+    assert rel_err(metric_at(nat, p).components, metric_at(cf, p).components) <= 1e-10
 
 
 # -- convexity ---------------------------------------------------------------------------
@@ -522,4 +635,4 @@ def test_ruppeiner_needs_nonzero_temperature():
     spec = builtin("reissner_nordstrom")
     f = HessianMetricField(spec, MetricKind.RUPPEINER)
     with pytest.raises(DomainError):
-        f.values((PI, 1.0))  # extremal: T = 0
+        metric_at(f, (PI, 1.0)).components  # extremal: T = 0
