@@ -128,7 +128,10 @@ def resolve_field(name: str, params: dict[str, float], kind: MetricKind):
     elif name in geometry.CLOSED_FORM_NAMES:
         source = geometry.closed_form_metric(name)
     elif path.exists():
-        if "[metric]" in path.read_text():
+        sections = fundeq._read_sections(path)
+        if sections.has_section("metric") and sections.has_section("system"):
+            raise UsageError(f"{name} has both a [system] and a [metric] section; give one")
+        if sections.has_section("metric"):
             source = geometry.load_metric_file(path)
         else:
             source = fundeq.load_system_file(path)

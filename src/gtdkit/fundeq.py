@@ -3,11 +3,14 @@
 A system is a potential Phi(E^1..E^n) over named extensive variables plus a
 parameter map. Potentials come from a small expression grammar (or from the
 built-in catalogue) and are evaluated over jets, so every derivative the
-geometry needs is exact. `eval_jet` is the one evaluator: a constant
-subexpression runs the same jet operations at order 0, so it obeys the same
-domain and overflow rules. `evaluate_exprs` is the one place expressions
-become jets, at one point or over a batch: `evaluate` calls it on the
-potential and direct metric fields on their components.
+geometry needs is exact. An expression list is compiled once into a `Tape`,
+a postorder list of its distinct nodes, and `run_tape` is the one evaluator:
+a subtree that several expressions share, or that one repeats, runs once per
+evaluation. A constant subexpression runs the same jet operations at order
+0, so it obeys the same domain and overflow rules. `evaluate_exprs` is the
+one place expressions become jets, at one point or over a batch: `evaluate`
+runs a system's potential tape, compiled with its `SystemSpec`, and a direct
+metric field runs the tape of its components; `eval_jet` runs one expression.
 
 Expression grammar (also the format used in system definition files)::
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -237,49 +241,70 @@ def _wrap(node: Expr, parent_prec: int, strict: bool) -> str:
 
 Scalar = Union[float, Jet]
 
-_JET_FUNCS: dict[str, Callable[[Jet], Jet]] = {
-    "exp": jets.exp,
-    "ln": jets.ln,
-    "sqrt": jets.sqrt,
-    "sin": jets.sin,
-    "cos": jets.cos,
-}
+
+@dataclass(frozen=True)
+class Tape:
+    """An expression list compiled into a postorder list of its distinct nodes.
+
+    A step is ("num", value, None), ("name", ident, None), a unary op ("neg"
+    or a function) of step x as (op, x, None), or a binary op (op, x, y).
+    Equal subtrees are one step, and `outputs` holds each expression's step.
+    Steps come in the order a left-to-right walk of the trees first meets
+    them, so the first operation to fail is the one a tree walk fails on.
+    """
+
+    steps: tuple[tuple, ...]
+    outputs: tuple[int, ...]
+
+
+def compile_exprs(exprs: Sequence[Expr]) -> Tape:
+    """The tape of `exprs`. Constants are kept, not folded: they fail when the tape runs."""
+    index: dict[tuple, int] = {}  # step -> its place; a dict keeps insertion order
+
+    def visit(node: Expr) -> int:
+        if isinstance(node, Num):
+            # 0.0 == -0.0 and they hash alike: the sign keeps them apart
+            key = ("num", node.value, None, math.copysign(1.0, node.value))
+        elif isinstance(node, Name):
+            key = ("name", node.ident, None)
+        elif isinstance(node, Neg):
+            key = ("neg", visit(node.operand), None)
+        elif isinstance(node, Call):
+            key = (node.func, visit(node.arg), None)
+        else:
+            key = (node.op, visit(node.left), visit(node.right))
+        return index.setdefault(key, len(index))
+
+    outputs = tuple(visit(e) for e in exprs)
+    return Tape(tuple(key[:3] for key in index), outputs)
+
+
+def run_tape(tape: Tape, env: Mapping[str, Scalar]) -> list[Scalar]:
+    """The value of every step of `tape` over an environment of jets and numbers.
+
+    Steps that touch no jet stay floats, and the caller promotes a result if
+    it needs a jet. Float arithmetic is plain IEEE arithmetic, as in the jets;
+    a function or power of floats is the value of the jet operation on an
+    order-0 constant jet, so `sqrt(0)` is a DomainError as it is over a
+    variable, and `exp(1000)` is inf.
+    """
+    values: list[Scalar] = []
+    for op, x, y in tape.steps:
+        if op == "num":
+            values.append(x)
+        elif op == "name":
+            if x not in env and x not in CONSTANTS:
+                raise DomainError(f"unresolved identifier {x!r}")
+            values.append(env[x] if x in env else CONSTANTS[x])
+        else:
+            values.append(_OPS[op](values[x]) if y is None else _OPS[op](values[x], values[y]))
+    return values
 
 
 def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
-    """Evaluate over an environment of jets and numbers.
-
-    Subtrees that touch no jet stay floats, and the caller promotes the final
-    result if it needs a jet. Float arithmetic is plain IEEE arithmetic, as in
-    the jets; a function or power of floats is the value of the jet operation
-    on an order-0 constant jet, so `sqrt(0)` is a DomainError as it is over a
-    variable, and `exp(1000)` is inf.
-    """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Name):
-        if node.ident in env:
-            return env[node.ident]
-        if node.ident in CONSTANTS:
-            return CONSTANTS[node.ident]
-        raise DomainError(f"unresolved identifier {node.ident!r}")
-    if isinstance(node, Neg):
-        return -eval_jet(node.operand, env)
-    if isinstance(node, Call):
-        return _on_jet(_JET_FUNCS[node.func], eval_jet(node.arg, env))
-    left = eval_jet(node.left, env)
-    right = eval_jet(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if not isinstance(right, Jet) and right == 0.0:
-            raise DomainError("division by zero")
-        return left / right
-    return _eval_pow(left, right)
+    """One expression over an environment of jets and numbers, through its tape (see `run_tape`)."""
+    tape = compile_exprs([node])
+    return run_tape(tape, env)[tape.outputs[0]]
 
 
 def _on_jet(op: Callable[[Jet], Jet], x: Scalar) -> Scalar:
@@ -289,12 +314,29 @@ def _on_jet(op: Callable[[Jet], Jet], x: Scalar) -> Scalar:
     return op(jets.constant(x, 1, 0)).value
 
 
+def _divide(left: Scalar, right: Scalar) -> Scalar:
+    if not isinstance(right, Jet) and right == 0.0:
+        raise DomainError("division by zero")
+    return left / right
+
+
 def _eval_pow(base: Scalar, exponent: Scalar) -> Scalar:
     # the rule follows the expression, never the point or the jet order: an
     # exponent over the variables is a^b = exp(b ln a), which needs a > 0
     if isinstance(exponent, Jet):
         return jets.exp(exponent * _on_jet(jets.ln, base))
     return _on_jet(lambda b: jets.power(b, exponent), base)
+
+
+_OPS: dict[str, Callable[..., Scalar]] = {
+    "neg": operator.neg,
+    **{func: functools.partial(_on_jet, getattr(jets, func)) for func in FUNCTIONS},
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "^": _eval_pow,
+}
 
 
 def free_names(node: Expr) -> set[str]:
@@ -335,9 +377,11 @@ class SystemSpec:
     beta: float | None = None
     domain: DomainPredicate | None = None
     domain_text: str = ""
+    tape: Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_names([*self.variables, *self.parameters], [self.potential], "potential references")
+        object.__setattr__(self, "tape", compile_exprs([self.potential]))
         if self.weights is not None and len(self.weights) != len(self.variables):
             raise ValueError("one weight per variable required")
 
@@ -370,7 +414,7 @@ def override_parameters(name: str, parameters: Mapping, overrides: Mapping) -> d
 
 
 def evaluate_exprs(
-    exprs: Sequence[Expr],
+    tape: Tape,
     variables: Sequence[str],
     parameters: Mapping[str, float],
     point: Point | np.ndarray,
@@ -378,15 +422,17 @@ def evaluate_exprs(
     domain: DomainPredicate | None = None,
     label: str = "",
 ) -> list[Jet]:
-    """Jets of `exprs` around one point or a (B, n) batch, each variable seeded.
+    """Jets of the expressions compiled into `tape`, around one point or a (B, n) batch.
 
-    The expressions see the parameters and the variables, and so does the
-    domain predicate, once per call: as floats for one point, and for a batch
-    with one array of coordinates per variable. A point fails where it is
-    outside the domain, where an operation leaves its domain, or where any
-    result holds a NaN. One failed point raises DomainError naming `label`
-    and the point; in a batch each failed point is a column of NaN in every
-    result (see `Jet.failed`), and a DomainError from a constant
+    Each variable is seeded, and the tape runs once: a subexpression shared
+    by several expressions is evaluated once, and equal expressions return
+    the same jet. The expressions see the parameters and the variables, and
+    so does the domain predicate, once per call: as floats for one point, and
+    for a batch with one array of coordinates per variable. A point fails
+    where it is outside the domain, where an operation leaves its domain, or
+    where any result holds a NaN. One failed point raises DomainError naming
+    `label` and the point; in a batch each failed point is a column of NaN in
+    every result (see `Jet.failed`), and a DomainError from a constant
     subexpression fails every point. A batch runs the same operations as one
     point, so each point's result is that of its single-point call.
     """
@@ -412,25 +458,26 @@ def evaluate_exprs(
     for i, name in enumerate(variables):
         env[name] = jets.seed_variable(i, coords[..., i], nvars, order)
     try:
-        out = []
-        for expr in exprs:
-            result = eval_jet(expr, env)
-            if not isinstance(result, Jet):
-                result = jets.constant(np.full(coords.shape[:-1], float(result)), nvars, order)
-            out.append(result)
+        values = run_tape(tape, env)
     except DomainError:
         if not batched:
             raise
-        return [jets.constant(np.full(len(points), np.nan), nvars, order)] * len(exprs)
+        return [jets.constant(np.full(len(points), np.nan), nvars, order)] * len(tape.outputs)
+    out = {}  # one jet per distinct output
+    for step in tape.outputs:
+        result = values[step]
+        if not isinstance(result, Jet):
+            result = jets.constant(np.full(coords.shape[:-1], float(result)), nvars, order)
+        out[step] = result
     failed = outside
-    for jet in out:
+    for jet in out.values():
         # the max of a column is NaN exactly where the column holds a NaN
         failed = failed | np.isnan(jet.coeffs.max(axis=0))
-    if not failed.any():
-        return out
-    if not batched:
-        raise _point_error(points, f"makes {label} not a number", parameters)
-    return [Jet(nvars, order, np.where(failed, np.nan, jet.coeffs)) for jet in out]
+    if failed.any():
+        if not batched:
+            raise _point_error(points, f"makes {label} not a number", parameters)
+        out = {s: Jet(nvars, order, np.where(failed, np.nan, jet.coeffs)) for s, jet in out.items()}
+    return [out[step] for step in tape.outputs]
 
 
 def _point_error(point: np.ndarray, reason: str, parameters: Mapping[str, float]) -> DomainError:
@@ -449,7 +496,7 @@ def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) ->
     """
     label = spec.name + (f" (requires {spec.domain_text})" if spec.domain_text else "")
     (jet,) = evaluate_exprs(
-        [spec.potential], spec.variables, spec.parameters, point, order, spec.domain, label
+        spec.tape, spec.variables, spec.parameters, point, order, spec.domain, label
     )
     return jet
 
@@ -587,8 +634,10 @@ def builtin(name: str, **parameters: float) -> SystemSpec:
 def _read_sections(path: str | Path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # identifiers are case-sensitive
-    text = Path(path).read_text()
-    cp.read_string(text, source=str(path))
+    try:
+        cp.read_string(Path(path).read_text(), source=str(path))
+    except configparser.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return cp
 
 

@@ -186,10 +186,11 @@ class DirectMetricField:
     """Metric field given componentwise over named coordinates.
 
     Components may be expression strings, parsed Expr trees or numbers;
-    each becomes an Expr over the coordinates and parameters. The evaluated
-    matrix must be symmetric; the upper triangle is mirrored so downstream
-    algebra sees exact symmetry. A lower entry equal to its mirror is the
-    same expression and is evaluated once.
+    each becomes an Expr over the coordinates and parameters. All n x n
+    entries are compiled once into one tape (see `fundeq.Tape`): identical
+    entries share one output, and a subexpression shared by several entries
+    runs once per evaluation. The evaluated matrix must be symmetric; the
+    upper triangle is mirrored so downstream algebra sees exact symmetry.
     """
 
     def __init__(
@@ -205,20 +206,12 @@ class DirectMetricField:
         if len(components) != n or any(len(row) != n for row in components):
             raise ValueError(f"component matrix must be {n}x{n}")
         self.components = [[_as_expr(c) for c in row] for row in components]
-        # slot of each entry in the list of distinct expressions evaluated
-        self._exprs: list[Expr] = []
-        self._slots = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if b < a and self.components[a][b] == self.components[b][a]:
-                    self._slots[a][b] = self._slots[b][a]
-                else:
-                    self._slots[a][b] = len(self._exprs)
-                    self._exprs.append(self.components[a][b])
         self.parameters = dict(parameters or {})
+        entries = [c for row in self.components for c in row]
         fundeq.check_names(
-            [*self.coordinates, *self.parameters], self._exprs, "metric components reference"
+            [*self.coordinates, *self.parameters], entries, "metric components reference"
         )
+        self.tape = fundeq.compile_exprs(entries)
         self.name = name
         self.domain = domain
 
@@ -233,12 +226,13 @@ class DirectMetricField:
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
         flat = fundeq.evaluate_exprs(
-            self._exprs, self.coordinates, self.parameters, point, gorder, self.domain, self.name
+            self.tape, self.coordinates, self.parameters, point, gorder, self.domain, self.name
         )
-        _check_symmetry(flat, self._slots, self.name)
-        out = [[flat[slot] for slot in row] for row in self._slots]
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
+        n = self.dim
+        out = [flat[a * n : (a + 1) * n] for a in range(n)]
+        _check_symmetry(out, self.name)
+        for a in range(n):
+            for b in range(a + 1, n):
                 out[b][a] = out[a][b]
         return out
 
@@ -260,19 +254,19 @@ def _as_expr(c) -> Expr:
     raise TypeError(f"metric component must be an expression string, number or Expr, got {c!r}")
 
 
-def _check_symmetry(flat: list[Jet], slots: list[list[int]], name: str) -> None:
+def _check_symmetry(out: list[list[Jet]], name: str) -> None:
     """Each point's matrix must be symmetric, to a tolerance scaled by that point's entries.
 
-    Compares the jets `flat[slots[a][b]]` and `flat[slots[b][a]]` of mirror
-    entries that are different expressions.
+    Compares the jets of mirror entries that are different expressions: equal
+    expressions are one tape output and share one jet.
     """
-    n = len(slots)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if slots[a][b] != slots[b][a]]
+    n = len(out)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if out[a][b] is not out[b][a]]
     if not pairs:
         return
-    scale = np.maximum(1.0, np.max(np.abs([jet.coeffs[0] for jet in flat]), axis=0))
+    scale = np.maximum(1.0, np.max(np.abs([jet.coeffs[0] for row in out for jet in row]), axis=0))
     for a, b in pairs:
-        x, y = flat[slots[a][b]].coeffs, flat[slots[b][a]].coeffs
+        x, y = out[a][b].coeffs, out[b][a].coeffs
         # not np.isclose(x, y, rtol=1e-9, atol=1e-9 * scale), with one atol per point;
         # a NaN compares false, so a failed point, NaN in every jet, passes
         with np.errstate(invalid="ignore"):

@@ -395,6 +395,60 @@ def test_scan_metric_file(tmp_path, capsys):
     assert code == 0
 
 
+_SYSTEM_FILE = (
+    "[system]\nname = toy\nvariables = S, V\n"
+    "potential = (exp(S/k)/(V-b))^(2/3) - a/V\n\n"
+    "[parameters]\na = 0.0\nb = 0.0\nk = 1.0\n"
+)
+
+
+def test_system_file_that_mentions_metric_in_a_comment(tmp_path, capsys):
+    # the file kind follows its sections, not its text
+    path = tmp_path / "sys.ini"
+    path.write_text("# unlike a [metric] file, this one has a potential\n" + _SYSTEM_FILE)
+    code = run(["eval", "--system", str(path), "--point", "S=0,V=1", "--quantity", "potential"])
+    assert code == 0
+    assert float(capsys.readouterr().out.split("potential = ")[1].splitlines()[0]) == 1.0
+
+
+@pytest.mark.parametrize("command", ["scan", "eval"])
+def test_file_with_system_and_metric_sections_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "both.ini"
+    path.write_text(_SYSTEM_FILE + "\n[metric]\ncoordinates = S, V\ncomponents = 1, 0; 0, 1\n")
+    at = ["--point", "S=0,V=1"] if command == "eval" else ["--range", "S=0:1:3", "--pin", "V=1"]
+    assert run([command, "--system", str(path), *at]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has both a [system] and a [metric] section" in captured.err
+
+
+@pytest.mark.parametrize("text", ["x = 1\n", "[metric]\nname = a\nname = b\n"])
+def test_malformed_file_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert run(["eval", "--system", str(path), "--point", "x=1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_constant_domain_error_in_metric_file(tmp_path, capsys):
+    # sqrt(-1) is kept, not folded, when the components are compiled: the file
+    # loads, one point fails, and a scan fails every point
+    path = tmp_path / "imaginary.ini"
+    path.write_text("[metric]\nname = imaginary\ncoordinates = x\ncomponents = sqrt(-1) + x\n")
+    field = geometry.load_metric_file(path)
+    assert field.dim == 1
+    assert run(["eval", "--system", str(path), "--point", "x=1"]) == 2
+    assert "fractional power of non-positive value" in capsys.readouterr().err
+    report = tmp_path / "scan.json"
+    for quantity in ("detg", "curvature"):
+        code = run(
+            ["scan", "--system", str(path), "--range", "x=0:2:5", "--quantity", quantity,
+             "--output", str(report)]
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["values"]["status"] == ["domain-error"] * 5
+
+
 @pytest.mark.parametrize("command", ["scan", "eval"])
 def test_metric_file_with_undeclared_identifier_exit_2(tmp_path, capsys, command):
     path = tmp_path / "metric.ini"

@@ -158,6 +158,51 @@ def test_unresolved_identifier():
         eval_jet(parse("S + missing"), {"S": 1.0})
 
 
+# -- the tape ---------------------------------------------------------------------
+
+_TAPE_VARIABLES = ("S", "V", "J", "Q", "theta")
+_TAPE_PARAMETERS = {"a": 1.0, "b": 0.1, "c": 0.7, "d": -1.3, "e": 2.2, "f": 0.4, "k": 1.0}
+
+
+def _tape_jets(sources, points):
+    tape = fundeq.compile_exprs([parse(s) for s in sources])
+    with np.errstate(all="ignore"):
+        return fundeq.evaluate_exprs(tape, _TAPE_VARIABLES, _TAPE_PARAMETERS, points, 2)
+
+
+@pytest.mark.parametrize("first", CORPUS)
+def test_tape_sharing_is_invisible(first):
+    # a list compiled together gives each expression the bits it gets alone, save
+    # that a point failed by one expression is failed in every result
+    rng = np.random.default_rng(3)
+    batch = rng.uniform([0.5, 0.5, -1.0, -1.0, 0.1], [2.0, 2.0, 1.0, 1.0, 1.0], (16, 5))
+    for second in CORPUS:
+        alone = [_outcome(lambda s=s: _tape_jets([s], batch[0])) for s in (first, second)]
+        together = _outcome(lambda: _tape_jets([first, second], batch[0]))
+        if any(isinstance(out, str) for out in alone):
+            assert isinstance(together, str), second
+        else:
+            assert [j.coeffs.tobytes() for j in together] == [j[0].coeffs.tobytes() for j in alone]
+        alone = _tape_jets([first], batch) + _tape_jets([second], batch)
+        failed = alone[0].failed | alone[1].failed
+        expected = [np.where(failed, np.nan, jet.coeffs).tobytes() for jet in alone]
+        assert [j.coeffs.tobytes() for j in _tape_jets([first, second], batch)] == expected, second
+
+
+def test_tape_keeps_signed_zeros():
+    tape = fundeq.compile_exprs([Num(0.0), Num(-0.0), Num(0.0)])
+    assert tape.outputs[0] == tape.outputs[2] != tape.outputs[1]
+    values = fundeq.evaluate_exprs(tape, ("x",), {}, (1.0,), 0)
+    assert [math.copysign(1.0, jet.value) for jet in values] == [1.0, -1.0, 1.0]
+
+
+def test_tape_shares_equal_subtrees():
+    tape = fundeq.compile_exprs([parse(VDW_SOURCE), parse("exp(S/k)/(V-b) + a/V")])
+    ops = [op for op, _, _ in tape.steps]
+    assert ops.count("exp") == 1 and ops.count("/") == 4
+    assert len(tape.steps) == len(set(tape.steps))
+
+
 # -- intensive variables ------------------------------------------------------------
 
 

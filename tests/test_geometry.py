@@ -167,25 +167,41 @@ def test_direct_metric_rejects_callable_component():
 @pytest.mark.parametrize("name, count", [("vdw_closed", 3), ("kn_closed", 6)])
 @pytest.mark.parametrize("batched", [False, True])
 def test_direct_metric_evaluates_each_distinct_entry_once(monkeypatch, name, count, batched):
-    calls = []
-    depth = [0]
-    eval_jet = fundeq.eval_jet
+    # the entries are one tape, run once per evaluation; each distinct entry is one output
+    outputs = []
+    run_tape = fundeq.run_tape
 
-    def counting(node, env):
-        # eval_jet recurses through the module attribute: count outermost calls only
-        if depth[0] == 0:
-            calls.append(node)
-        depth[0] += 1
-        try:
-            return eval_jet(node, env)
-        finally:
-            depth[0] -= 1
+    def counting(tape, env):
+        outputs.append(len(set(tape.outputs)))
+        return run_tape(tape, env)
 
-    monkeypatch.setattr(fundeq, "eval_jet", counting)
+    monkeypatch.setattr(fundeq, "run_tape", counting)
     f = closed_form_metric(name)
     point = (0.9, 1.0) if name == "vdw_closed" else (5.0, 0.5, 0.8)
     f.component_jets(np.array([point, point]) if batched else point)
-    assert len(calls) == count
+    assert outputs == [count]
+    if name == "vdw_closed":
+        # exp(S/k), inside the factors every entry repeats, is one step
+        assert [op for op, _, _ in f.tape.steps].count("exp") == 1
+
+
+def test_direct_metric_compiles_its_tape_once(monkeypatch):
+    compiled = []
+    compile_exprs = fundeq.compile_exprs
+
+    def counting(exprs):
+        compiled.append(len(exprs))
+        return compile_exprs(exprs)
+
+    monkeypatch.setattr(fundeq, "compile_exprs", counting)
+    f = closed_form_metric("vdw_closed")
+    assert compiled == [4]
+    for points in ((0.9, 1.0), np.array([(0.9, 1.0), (1.1, 2.0)])):
+        for gorder in (0, 1, 2):
+            f.component_jets(points, gorder)
+        metric_determinant(f, points)
+        scalar_curvature(f, points)
+    assert compiled == [4]
 
 
 # -- christoffel symbols ----------------------------------------------------------------
