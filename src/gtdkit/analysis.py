@@ -8,10 +8,10 @@ changes along coordinate lines and refines each bracket by ITP root refinement
 (interpolate, truncate, project); divergence exponents come from a log-log fit
 of |R| against the distance to an approach point.
 
-Scans and root refinement evaluate points in batches of at most CHUNK_ROWS.
-Reports are deterministic: the grid is enumerated row-major in coordinate
-order, and a point's result is bit-identical whatever batch it is evaluated
-in, so results do not depend on the chunk size.
+Every batch has at most CHUNK_ROWS points: scan, root refinement, root
+classification and fit. Reports are deterministic: the grid is enumerated
+row-major in coordinate order, and a point's result is bit-identical
+whatever batch it is evaluated in, so results do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ from .geometry import (  # the point statuses are re-exported for scan reports
 GRID_CAP = 10**6
 ROOT_TOL_FACTOR = 1e-12
 NOISE_FLOOR = 1e-8
-# Points evaluated together: enough to spread the jet engine's per-operation
-# Python overhead, few enough to bound the memory of one batch.
+# The one bound on a batch: enough points to spread the jet engine's Python
+# overhead, few enough that a product's gathered operands stay on the heap.
+# An order-3 KN product gathers 84 pairs x 128 columns x 8 B = 86 KB, under
+# glibc's 128 KB mmap threshold, above which each one is mapped and faulted in.
 CHUNK_ROWS = 128
 # ITP root refinement: a trial point moves ITP_KAPPA1 / width0 * width^ITP_KAPPA2
 # off regula falsi towards the midpoint, and a bracket takes at most ITP_N0
@@ -63,9 +65,8 @@ class Axis:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.count)
+        # not linspace for one point: start + 0 * (stop - start) is NaN for an infinite stop
+        return np.linspace(self.start, self.stop, self.count) if self.count > 1 else np.array([self.start])
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,7 @@ class GridSpec:
         return tuple(name for name, _ in self.axes)
 
     def axis_values(self) -> list[np.ndarray]:
-        out = []
-        for _, ax in self.axes:
-            out.append(ax.values() if isinstance(ax, Axis) else np.array([float(ax)]))
-        return out
+        return [ax.values() if isinstance(ax, Axis) else np.array([float(ax)]) for _, ax in self.axes]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,24 +108,21 @@ class GridSpec:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def describe(self) -> dict:
-        out = {}
-        for name, ax in self.axes:
-            if isinstance(ax, Axis):
-                out[name] = {"start": ax.start, "stop": ax.stop, "count": ax.count}
-            else:
-                out[name] = {"pin": float(ax)}
-        return out
+        return {
+            name: dict(vars(ax)) if isinstance(ax, Axis) else {"pin": float(ax)}
+            for name, ax in self.axes
+        }
 
 
 @dataclass(frozen=True)
 class SingularPoint:
     """A refined det-g sign change on a scan line.
 
-    `pole` marks a bracket where |det g| does not shrink towards the
-    refined point: det g changes sign through a pole, not a root. For
-    Hessian-based fields a root's category separates zeros of the potential
-    prefactor (det g = Phi^n det Hess for the natural kind) from zeros of
-    the Hessian factor; only the latter mark stability limits.
+    `category` is one of four. `pole`: |det g| does not shrink towards the
+    refined point, so det g changes sign through a pole, not a root. For a
+    Hessian-based field, `potential-zero` or `hessian-zero`: a zero of the
+    potential prefactor (det g = Phi^n det Hess for the natural kind) or of
+    the Hessian factor, which alone marks stability limits. None otherwise.
     """
 
     coords: dict[str, float]
@@ -158,44 +153,28 @@ class ScanReport:
     det_g: np.ndarray | None = None
 
 
-# A batch evaluator: points (B, n) -> values (B, ncols), statuses, det g or None.
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, list[str], Union[np.ndarray, None]]]
-
-
-def _curvature_rows(f: MetricField, points: np.ndarray):
-    report = geometry.scalar_curvature(f, points)
-    return report.scalar[:, None], report.status, report.det_g
-
-
-def _det_rows(f: MetricField, points: np.ndarray):
-    det, status = geometry.metric_determinant(f, points)
-    return det[:, None], status, det
-
-
-def _potential_rows(f: HessianMetricField, points: np.ndarray):
-    jet = fundeq.evaluate(f.spec, points, order=0)
-    return jet.value[:, None], geometry.statuses(jet.failed), None
-
-
-def _intensive_rows(f: HessianMetricField, points: np.ndarray):
-    jet = fundeq.evaluate(f.spec, points, order=1)
-    return jet.gradient.T, geometry.statuses(jet.failed), None
-
-
-def _quantity_evaluator(f: MetricField, quantity: str) -> tuple[tuple[str, ...], Evaluator]:
-    quantity = _QUANTITY_ALIASES.get(quantity, quantity)
-    if quantity == "curvature":
-        return ("R",), lambda p: _curvature_rows(f, p)
-    if quantity == "detg":
-        return ("det_g",), lambda p: _det_rows(f, p)
+def _quantity_columns(f: MetricField, quantity: str) -> tuple[str, ...]:
+    """Report columns of `quantity` (aliases resolved); raises if `f` cannot give it."""
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
     if quantity in ("potential", "intensive") and not isinstance(f, HessianMetricField):
         raise ValueError(f"{quantity!r} needs a fundamental-equation system, not a direct metric")
-    if quantity == "potential":
-        return ("potential",), lambda p: _potential_rows(f, p)
     if quantity == "intensive":
-        names = tuple(f"I_{v}" for v in f.spec.variables)
-        return names, lambda p: _intensive_rows(f, p)
-    raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+        return tuple(f"I_{v}" for v in f.spec.variables)
+    return ({"curvature": "R", "detg": "det_g"}.get(quantity, quantity),)
+
+
+def _quantity_batch(f: MetricField, quantity: str, points: np.ndarray):
+    """Values (B, ncols), statuses and det g (None unless computed) of a checked quantity."""
+    if quantity == "curvature":
+        report = geometry.scalar_curvature(f, points)
+        return report.scalar[:, None], report.status, report.det_g
+    if quantity == "detg":
+        det, status = geometry.metric_determinant(f, points)
+        return det[:, None], status, det
+    jet = fundeq.evaluate(f.spec, points, order=0 if quantity == "potential" else 1)
+    values = jet.value[:, None] if quantity == "potential" else jet.gradient.T
+    return values, geometry.statuses(jet.failed), None
 
 
 def _chunks(points: np.ndarray) -> list[np.ndarray]:
@@ -204,21 +183,16 @@ def _chunks(points: np.ndarray) -> list[np.ndarray]:
 
 def grid_scan(f: MetricField, grid: GridSpec, quantity: str = "curvature") -> ScanReport:
     """Evaluate `quantity` at every grid point, marking bad points."""
-    columns, evaluate = _quantity_evaluator(f, quantity)
-    values, status, dets = [], [], []
-    for chunk in _chunks(grid.points()):
-        chunk_values, chunk_status, chunk_det = evaluate(chunk)
-        values.append(chunk_values)
-        status += chunk_status
-        dets.append(chunk_det)
-    det_g = None if dets[0] is None else np.concatenate(dets)
+    name = _QUANTITY_ALIASES.get(quantity, quantity)
+    columns = _quantity_columns(f, name)
+    values, status, dets = zip(*(_quantity_batch(f, name, c) for c in _chunks(grid.points())))
     return ScanReport(
         grid=grid,
         quantity=quantity,
         columns=columns,
         values=np.concatenate(values),
-        status=status,
-        det_g=det_g,
+        status=[s for batch in status for s in batch],
+        det_g=None if dets[0] is None else np.concatenate(dets),
     )
 
 
@@ -333,11 +307,13 @@ def _classify_roots(f: MetricField, points: np.ndarray) -> list[str | None]:
     if f.kind is not MetricKind.NATURAL:
         # only the natural metric factors as det g = Phi^n det Hess
         return ["hessian-zero"] * len(points)
-    jet = fundeq.evaluate(f.spec, points, order=2)
-    phi = jet.value
-    det_hess = np.linalg.det(jets.partials(jet, 2))
-    potential_zero = np.abs(phi) ** f.dim <= np.abs(det_hess)
-    return ["potential-zero" if z else "hessian-zero" for z in potential_zero]
+    categories = []
+    for chunk in _chunks(points):
+        jet = fundeq.evaluate(f.spec, chunk, order=2)
+        det_hess = np.linalg.det(jets.partials(jet, 2))
+        potential_zero = np.abs(jet.value) ** f.dim <= np.abs(det_hess)
+        categories += ["potential-zero" if z else "hessian-zero" for z in potential_zero]
+    return categories
 
 
 def find_singular_locus(

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analysis, fundeq, geometry, phase_space
 from .analysis import Axis, GridSpec
-from .errors import DegenerateMetricError, DomainError, GtdError, ParseError
+from .errors import DegenerateMetricError, GtdError
 from .geometry import HessianMetricField, MetricKind
 
 SCHEMA_VERSION = 1
@@ -327,19 +327,9 @@ def cmd_scan(args) -> int:
             ],
             "status": report_data.status,
         }
-    report["singular_points"] = [
-        {"coords": r.coords, "det_g": r.det_g, "category": r.category} for r in roots
-    ]
-    report["fits"] = [
-        {
-            "exponent": fit.exponent,
-            "intercept": fit.intercept,
-            "correlation": fit.correlation,
-            "samples": fit.samples,
-            "diverges": fit.diverges,
-        }
-        for fit in fits
-    ]
+    # a record's fields are its report keys, in declaration order
+    report["singular_points"] = [vars(root) for root in roots]
+    report["fits"] = [vars(fit) for fit in fits]
 
     header = list(grid.names) + list(report_data.columns) + ["status"]
     rows = []
@@ -571,10 +561,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegenerateMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (UsageError, ParseError, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GtdError as exc:
+    # every other GtdError (ParseError, DomainError) is the user's input
+    except (UsageError, ValueError, GtdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,11 +27,12 @@ The identifier ``pi`` is a reserved constant.
 from __future__ import annotations
 
 import configparser
+import copy
 import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
@@ -200,7 +201,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def _prec(node: Expr) -> int:
     if isinstance(node, BinOp):
         return _PREC[node.op]
-    if isinstance(node, Neg) or (isinstance(node, Num) and node.value < 0):
+    if isinstance(node, Neg) or (isinstance(node, Num) and math.copysign(1.0, node.value) < 0):
         return _PREC["neg"]
     return 9
 
@@ -208,7 +209,7 @@ def _prec(node: Expr) -> int:
 def to_source(node: Expr) -> str:
     """Print an AST with minimal parentheses; parse(to_source(parse(s))) == parse(s)."""
     if isinstance(node, Num):
-        if node.value < 0:
+        if math.copysign(1.0, node.value) < 0:  # -0.0 too
             return f"-{_wrap(Num(-node.value), _PREC['neg'], True)}"
         v = node.value
         return repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
@@ -390,7 +391,7 @@ class SystemSpec:
         return len(self.variables)
 
     def with_parameters(self, **overrides: float) -> "SystemSpec":
-        return replace(self, parameters=override_parameters(self.name, self.parameters, overrides))
+        return override_parameters(self, overrides)
 
 
 def check_names(declared: Sequence[str], exprs: Sequence[Expr], subject: str) -> None:
@@ -405,12 +406,18 @@ def check_names(declared: Sequence[str], exprs: Sequence[Expr], subject: str) ->
         raise ValueError(f"{subject} undeclared identifiers: {sorted(unknown)}")
 
 
-def override_parameters(name: str, parameters: Mapping, overrides: Mapping) -> dict[str, float]:
-    """A new parameter map with `overrides` applied; each must name a parameter."""
-    unknown = set(overrides) - set(parameters)
+def override_parameters(source, overrides: Mapping):
+    """A copy of a system or direct metric with `overrides` applied; each must name a parameter.
+
+    An override adds no name, so the copy keeps the checked names and the
+    compiled tape: nothing is checked or compiled again.
+    """
+    unknown = set(overrides) - set(source.parameters)
     if unknown:
-        raise ValueError(f"unknown parameters for {name!r}: {sorted(unknown)}")
-    return {**parameters, **overrides}
+        raise ValueError(f"unknown parameters for {source.name!r}: {sorted(unknown)}")
+    copied = copy.copy(source)
+    object.__setattr__(copied, "parameters", {**source.parameters, **overrides})
+    return copied
 
 
 def evaluate_exprs(

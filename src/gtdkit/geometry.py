@@ -221,8 +221,7 @@ class DirectMetricField:
 
     def with_parameters(self, **overrides: float) -> "DirectMetricField":
         """The same metric with some parameters replaced, by the rule of `SystemSpec`."""
-        params = fundeq.override_parameters(self.name, self.parameters, overrides)
-        return DirectMetricField(self.coordinates, self.components, params, self.name, self.domain)
+        return fundeq.override_parameters(self, overrides)
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
         flat = fundeq.evaluate_exprs(
@@ -583,7 +582,8 @@ def sphere_metric(radius: float = 1.0) -> DirectMetricField:
 def load_metric_file(path: str | Path) -> DirectMetricField:
     """Load a direct metric from a sectioned key-value file.
 
-    Expected layout (rows of the component matrix are separated by ';')::
+    Expected layout (rows of the component matrix are separated by a ';'
+    with no space before it)::
 
         [metric]
         name = sphere
@@ -605,7 +605,10 @@ def load_metric_file(path: str | Path) -> DirectMetricField:
     components = [fundeq._split_list(r) for r in rows if r]
     n = len(coords)
     if len(components) != n or any(len(row) != n for row in components):
-        raise ParseError(f"{path}: components must form a {n}x{n} matrix")
+        raise ParseError(
+            f"{path}: components must form a {n}x{n} matrix, rows read: {len(components)} "
+            "(a ';' after a space starts a comment: separate rows as in '1, 0; 0, 1')"
+        )
     params = {k: float(v) for k, v in cp.items("parameters")} if cp.has_section("parameters") else {}
     return DirectMetricField(
         coordinates=coords,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gtdkit import analysis
+from gtdkit import analysis, fundeq, jets
 from gtdkit.analysis import (
     Axis,
     GridSpec,
@@ -52,6 +52,12 @@ def test_single_point_grid():
     report = grid_scan(f, grid, "detg")
     assert report.values.shape == (1, 1)
     assert report.status == [analysis.STATUS_OK]
+
+
+def test_one_point_axis_is_its_start_whatever_its_stop():
+    # linspace computes start + 0 * (stop - start), NaN for these stops
+    for stop in (math.inf, math.nan, -1e308):
+        assert Axis(1e308, stop, 1).values().tolist() == [1e308]
 
 
 def test_grid_points_row_major():
@@ -171,6 +177,27 @@ def test_rn_locus_refines_in_few_determinant_batches(monkeypatch):
     roots = find_singular_locus(f, grid, det_g=det_g)
     assert calls[0] <= 16
     assert len(roots) > 80
+    for root in roots:
+        s, q = root.coords["S"], root.coords["Q"]
+        assert root.category == "hessian-zero"
+        assert s == pytest.approx(PI * q * q, rel=1e-11)
+
+
+def test_every_stage_evaluates_at_most_chunk_rows_points(monkeypatch):
+    # 202 roots: the scan, each refinement step, the residuals and the
+    # classification of the roots all evaluate the potential in chunks
+    f = rn_field()
+    grid = GridSpec.build(f.coordinates, {"S": Axis(0.5, 10.0, 40), "Q": Axis(0.2, 1.6, 200)})
+    sizes, evaluate = [], fundeq.evaluate
+
+    def recording_evaluate(spec, point, order=jets.DEFAULT_ORDER):
+        sizes.append(len(np.atleast_2d(point)))
+        return evaluate(spec, point, order)
+
+    monkeypatch.setattr(fundeq, "evaluate", recording_evaluate)
+    roots = find_singular_locus(f, grid, det_g=grid_scan(f, grid, "detg").det_g)
+    assert len(roots) == 202
+    assert max(sizes) == analysis.CHUNK_ROWS
     for root in roots:
         s, q = root.coords["S"], root.coords["Q"]
         assert root.category == "hessian-zero"

@@ -547,6 +547,34 @@ def test_unknown_params_get_one_message_for_every_source(tmp_path, capsys, sourc
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("system", ["vdw", "vdw_closed"])
+def test_params_run_compiles_once(monkeypatch, capsys, system):
+    calls, compile_exprs = [], fundeq.compile_exprs
+
+    def counting_compile(exprs):
+        calls.append(exprs)
+        return compile_exprs(exprs)
+
+    monkeypatch.setattr(fundeq, "compile_exprs", counting_compile)
+    at = ["eval", "--system", system, "--point", "S=0.9,V=1", "--quantity", "detg"]
+    assert run([*at, "--params", "a=2"]) == 0
+    assert len(calls) == 1
+    overridden = capsys.readouterr().out
+    assert run(at) == 0
+    assert overridden != capsys.readouterr().out
+
+
+def test_metric_file_row_after_a_space_says_it_is_a_comment(tmp_path, capsys):
+    # the inline comment rule of both file formats cuts the second row off
+    path = tmp_path / "sphere.ini"
+    path.write_text("[metric]\nname = s\ncoordinates = theta, phi\ncomponents = 1, 0 ; 0, sin(theta)^2\n")
+    assert run(["eval", "--system", str(path), "--point", "theta=1,phi=0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: components must form a 2x2 matrix, rows read: 1 "
+        "(a ';' after a space starts a comment: separate rows as in '1, 0; 0, 1')\n"
+    )
+
+
 def test_closed_form_params_move_the_domain(tmp_path, capsys):
     # b = 0.5 moves the vdW covolume: V <= 0.5 is outside the domain
     report = tmp_path / "scan.json"

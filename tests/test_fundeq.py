@@ -25,6 +25,13 @@ from gtdkit.fundeq import (
 # -- parsing ---------------------------------------------------------------------
 
 
+def test_negative_zero_prints_with_its_sign():
+    assert to_source(Num(-0.0)) == "-0"
+    value = eval_jet(parse(to_source(Num(-0.0))), {})
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
+    assert to_source(BinOp("^", Name("x"), Num(-0.0))) == "x^(-0)"
+
+
 def test_parse_division_node():
     tree = parse("a/V")
     assert tree == BinOp("/", Name("a"), Name("V"))
@@ -250,6 +257,29 @@ def test_builtin_kerr_variables():
 def test_builtin_unknown():
     with pytest.raises(ValueError, match="unknown built-in"):
         builtin("bogus")
+
+
+@pytest.mark.parametrize("name, params", [("vdw", {"a": 2.0}), ("kerr_newman", {})])
+def test_builtin_compiles_its_potential_once(monkeypatch, name, params):
+    # an override keeps the tape: it depends on no parameter value
+    calls, compile_exprs = [], fundeq.compile_exprs
+
+    def counting_compile(exprs):
+        calls.append(exprs)
+        return compile_exprs(exprs)
+
+    monkeypatch.setattr(fundeq, "compile_exprs", counting_compile)
+    spec = builtin(name, **params)
+    assert len(calls) == 1
+    assert spec.parameters == {**builtin(name).parameters, **params}
+
+
+def test_overridden_parameter_is_the_one_evaluated():
+    spec = builtin("vdw", a=2.0)
+    assert builtin("vdw").parameters["a"] == 1.0
+    expected = potential_value(builtin("vdw"), (1.0, 2.0)) - (2.0 - 1.0) / 2.0
+    assert potential_value(spec, (1.0, 2.0)) == pytest.approx(expected, rel=1e-14)
+    assert spec.with_parameters(a=1.0).tape is spec.tape
 
 
 def test_with_parameters_rejects_unknown():

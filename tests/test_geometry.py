@@ -125,6 +125,27 @@ def test_direct_metric_with_parameters_returns_a_new_field():
         f.with_parameters(a=2.0, zz=1.0)
 
 
+def test_closed_form_override_compiles_its_entries_once(monkeypatch):
+    calls, compile_exprs = [], fundeq.compile_exprs
+
+    def counting_compile(exprs):
+        calls.append(exprs)
+        return compile_exprs(exprs)
+
+    monkeypatch.setattr(fundeq, "compile_exprs", counting_compile)
+    g = closed_form_metric("vdw_closed", a=2.0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the overridden a is the one evaluated: it moves det g
+    f = closed_form_metric("vdw_closed")
+    assert g.parameters["a"] == 2.0 and f.parameters["a"] == 1.0
+    point = (0.9, 1.0)
+    assert metric_determinant(g, point) != metric_determinant(f, point)
+    assert metric_determinant(g, point) == metric_determinant(
+        DirectMetricField(f.coordinates, f.components, g.parameters, f.name, f.domain), point
+    )
+
+
 @pytest.mark.parametrize(
     "coordinates, parameters, message",
     [

@@ -75,8 +75,8 @@ def test_shape_mismatch():
 
 @pytest.mark.parametrize("batch", [1, 7, 58, 59, 128, 300])
 def test_blocked_product_matches_columns(batch):
-    # KN-sized jets: 210 product triplets, so wide batches run in column blocks
-    # (58 columns under MUL_BLOCK_BYTES), which must not change a bit
+    # KN-sized jets: 210 product triplets; a wide batch must give every column
+    # the bits of its point multiplied alone
     size = len(jets._index_table(3, 4)[0])
     rng = np.random.default_rng(batch)
     a = Jet(3, 4, rng.normal(size=(size, batch)))
