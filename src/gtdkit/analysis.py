@@ -63,6 +63,11 @@ class Axis:
             raise ValueError("axis count must be >= 1")
         if self.count > 1 and not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
+        # stop - start is finite only if both ends are, and linspace needs it finite
+        if self.count > 1 and not math.isfinite(self.stop - self.start):
+            raise ValueError(
+                f"axis needs finite ends a finite distance apart, got [{self.start}, {self.stop}]"
+            )
 
     def values(self) -> np.ndarray:
         # not linspace for one point: start + 0 * (stop - start) is NaN for an infinite stop
@@ -439,10 +444,13 @@ def fit_divergence_exponent(
 ) -> DivergenceFit:
     """Divergence exponent of the curvature scalar approaching `center`.
 
-    All offsets are sampled as one batch of points.
+    All offsets are sampled as one batch of points; a zero direction raises
+    ValueError, as every sample would be the center.
     """
     center = np.asarray(center, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    if not direction.any():
+        raise ValueError("the fit direction is zero: every sample would be the fit center")
     points = center + np.asarray(offsets, dtype=float)[:, None] * direction
     values: list[float | None] = []
     for chunk in _chunks(points):

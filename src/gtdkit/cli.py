@@ -369,7 +369,11 @@ def _sample_box(spec, args, rng) -> np.ndarray:
             lo, colon, hi = rest.partition(":")
             if not eq or not colon:
                 raise UsageError(f"--box expects VAR=lo:hi items, got {chunk!r}")
-            box[name.strip()] = (float(lo), float(hi))
+            lo, hi = float(lo), float(hi)
+            # rng.uniform needs hi - lo finite
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise UsageError(f"--box {chunk!r}: needs finite lo < hi a finite distance apart")
+            box[name.strip()] = (lo, hi)
     else:
         box = _CHECK_BOXES.get(spec.name)
         if box is None:

@@ -10,16 +10,18 @@ extensive coordinates. Fields come in two flavours:
 * Direct, a matrix of expressions over named coordinates, used for
   closed-form metrics and curvature oracles such as the sphere.
 
-Everything downstream of g (Christoffel symbols, Riemann and Ricci tensors,
-the curvature scalar) is assembled from g and its derivatives, exact to
-rounding: a direct metric's components are order-2 jets, and a Hessian kind
-needs one order-3 jet of the potential (fourth derivatives cancel from R).
-No finite differences appear anywhere; curvature stays usable arbitrarily
-close to the singular loci the analysis module hunts for.
+Everything downstream of g is exact to rounding, with no finite differences,
+so curvature stays usable arbitrarily close to the singular loci the analysis
+module hunts for. A Hessian kind, g = c Hess Phi with c = Phi, 1 or 1/T, gets
+R from one order-3 jet of the potential by the Hessian-metric identity and one
+conformal change (see `_hessian_scalar`). A direct metric's R, and the
+Christoffel, Riemann and Ricci tensors of either kind (`curvature_tensors`),
+come from the general contraction of g, d_e g and d_e d_f g.
 
-Both kinds are read only through `metric_arrays(point, gorder)`, which returns
+Both kinds are read through `metric_arrays(point, gorder)`, which returns
 (g, dg, d2g, failed) with the batch axis first, also for one point (see
-`_geometry_arrays`). Both take a system's name and parameter rules.
+`_geometry_arrays`); only `_hessian_scalar` reads the potential's partials
+instead. Both take a system's name and parameter rules.
 
 Metric components, determinants, Christoffel symbols and curvature accept
 one point or a (B, n) array of B points. A batch runs the same arithmetic
@@ -41,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -78,24 +80,28 @@ class MetricValue:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Connection and curvature data at a point.
+    """The curvature scalar at a point, with the metric it came from.
 
     `metric` is g itself, (n, n), the same components and det g as
-    `metric_at` gives; christoffel has shape (n, n, n), riemann (n, n, n, n),
-    ricci (n, n); `scalar` is the full contraction g^bd R_bd. For a batch
-    every field gets a leading axis of B points, `point` is the (B, n) array,
-    and `status` gives each point's status; `metric` and `det_g` are kept for
-    degenerate points.
+    `metric_at` gives; `scalar` is R. For a batch every field gets a leading
+    axis of B points, `point` is the (B, n) array, and `status` gives each
+    point's status; `metric` and `det_g` are kept for degenerate points. The
+    connection and curvature tensors come from `curvature_tensors`.
     """
 
     point: tuple[float, ...]
     metric: np.ndarray
-    christoffel: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
     scalar: float
     det_g: float
     status: list[str] | None = None
+
+
+class CurvatureTensors(NamedTuple):
+    """Gamma^a_bc (n, n, n), R^a_bcd (n, n, n, n) and R_bd (n, n), batch axis first for a batch."""
+
+    christoffel: np.ndarray
+    riemann: np.ndarray
+    ricci: np.ndarray
 
 
 class HessianMetricField:
@@ -151,17 +157,26 @@ class HessianMetricField:
         (Ruppeiner), so d_e g_ab = c_e h_ab + c Phi_abe. Fourth derivatives of
         Phi enter d_e d_f g_ab only through c Phi_abef, which is symmetric in
         all four indices and so drops out of R^a_bcd = half - swap_cd(half)
-        exactly (see `scalar_curvature`). d2g leaves it out, so curvature needs
-        Phi to order 3 only; d2g serves curvature and is not d_e d_f g_ab.
+        exactly (see `_contract`). d2g leaves it out, so curvature needs Phi to
+        order 3 only; d2g serves curvature and is not d_e d_f g_ab.
+        """
+        out, failed, _, _ = self._arrays(point, gorder)
+        return (*out, *[None] * (2 - gorder), failed)
+
+    def _arrays(self, point: Point, gorder: int):
+        """[g, dg, d2g][: gorder + 1], the failed points, and the partials d, c they come from.
+
+        d[k][z, a, b, ...] = D^(e_a + e_b + ...) Phi at point z, to order
+        min(gorder + 2, 3); c[k], the k-th derivatives of c, to gorder.
         """
         phi = fundeq.evaluate(self.spec, point, order=min(gorder + 2, 3))
-        # d[k][z, a, b, ...] = D^(e_a + e_b + ...) Phi at point z
         d = [jets.partials(phi, k) for k in range(phi.order + 1)]
         h, batch = d[2], len(d[0])
+        c = d
         if self.kind is MetricKind.WEINHOLD:
+            c = [np.ones(batch), np.zeros(h.shape[:2]), np.zeros(h.shape)]
             out = [h, *d[3:], np.zeros((batch,) + (self.dim,) * 4)][: gorder + 1]
         else:
-            c = d  # c[k]: k-th derivatives of the conformal factor
             if self.kind is MetricKind.RUPPEINER:
                 temp = d[1][:, 0]
                 if not phi.batched and temp[0] == 0.0:
@@ -179,7 +194,7 @@ class HessianMetricField:
         failed = np.isnan(np.concatenate([x.reshape(batch, -1) for x in out], axis=1).max(axis=1))
         if not phi.batched and failed[0]:
             raise DomainError(f"metric {self.name} is not a number at point {_coords(point)}")
-        return (*out, *[None] * (2 - gorder), failed)
+        return out, failed, d, c[: gorder + 1]
 
 
 class DirectMetricField:
@@ -415,20 +430,14 @@ def christoffel(field: MetricField, point: Point) -> np.ndarray:
     return gamma[0] if np.ndim(point) == 1 else gamma
 
 
-def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
-    """Connection, Riemann and Ricci tensors, and the curvature scalar.
-
-    For a (B, n) batch of points the report holds stacked arrays and a
-    status per point; failed and degenerate points get NaN curvature.
-    """
+def _contract(field: MetricField, point: Point):
+    """g, det g, failed and degenerate points, g^-1 and [Gamma, Riemann, Ricci], batched."""
     g, dg, d2g, failed = field.metric_arrays(point, gorder=2)
     g_inv, det, failed, degenerate = _checked_inverse(g, failed, field, point)
     gamma, term = _christoffel_from(g_inv, dg)
     # d_e g^ad = -g^ax (d_e g_xy) g^yd
     dg_inv = -_einsum("zax,zexy,zyd->zead", g_inv, dg, g_inv)
-    dterm = (
-        np.einsum("zebdc->zedbc", d2g) + np.einsum("zecdb->zedbc", d2g) - d2g
-    )
+    dterm = np.einsum("zebdc->zedbc", d2g) + np.einsum("zecdb->zedbc", d2g) - d2g
     dgamma = 0.5 * (
         _einsum("zead,zdbc->zeabc", dg_inv, term) + _einsum("zad,zedbc->zeabc", g_inv, dterm)
     )
@@ -437,30 +446,69 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
     half = np.einsum("zcadb->zabcd", dgamma) + _einsum("zace,zedb->zabcd", gamma, gamma)
     riemann = half - np.swapaxes(half, 3, 4)
     ricci = _einsum("zabad->zbd", riemann)
-    scalar = _einsum("zbd,zbd->z", g_inv, ricci)
+    return g, det, failed, degenerate, g_inv, [gamma, riemann, ricci]
+
+
+def _hessian_scalar(field: HessianMetricField, point: Point):
+    """g, det g, failed and degenerate points and R of g = c h, h = Hess Phi, all batched.
+
+    R_h = 1/4 (Phi_abc Phi_def h^ad h^be h^cf - T_a T_b h^ab), T_a = h^bc Phi_abc
+    (Ruppeiner, Rev. Mod. Phys. 67, 605 (1995); Shima, The Geometry of Hessian
+    Structures, 2007), and R_g = (R_h - 2(n-1) Lap_h w - (n-1)(n-2) |dw|^2_h) / c
+    for w = ln(c) / 2 (Besse, Einstein Manifolds, 1987, 1.J), with Lap_h w =
+    h^ab w_ab - 1/2 h^ab T_a w_b. w is written through u = c_a / c and v =
+    c_ab / c, so a negative c needs no log. A three-operand einsum changes bits
+    with the batch size, so every quadratic form is two two-operand ones.
+    """
+    (g, _, _), failed, d, c = field._arrays(point, 2)
+    g_inv, det, failed, degenerate = _checked_inverse(g, failed, field, point)
+    # failed and degenerate points get h^-1 = g^-1 = the identity
+    factor = np.where(failed | degenerate, 1.0, c[0])
+    h_inv = _times(factor, g_inv)
+    # a[z, a, b, c] = h^ad Phi_dbc, whose trace over (a, b) is T_c
+    a = _einsum("zad,zdbc->zabc", h_inv, d[3])
+    trace = np.einsum("zbbc->zc", a)
+    cubic = _einsum("zcf,zcf->z", h_inv, _einsum("zdbc,zbdf->zcf", a, a))
+    h_trace = _einsum("zab,zb->za", h_inv, trace)
+    r_h = 0.25 * (cubic - _einsum("za,za->z", h_trace, trace))
+    u, v = c[1] / factor[:, None], c[2] / factor[:, None, None]
+    h_u = _einsum("zab,zb->za", h_inv, u)
+    uu = _einsum("za,za->z", h_u, u)
+    # 2 Lap_h w = h^ab v_ab - |u|^2_h - 1/2 h^ab T_a u_b and 4 |dw|^2_h = |u|^2_h
+    laplacian2 = _einsum("zab,zab->z", h_inv, v) - uu - 0.5 * _einsum("za,za->z", h_u, trace)
+    n = field.dim
+    scalar = (r_h - (n - 1) * laplacian2 - 0.25 * (n - 1) * (n - 2) * uu) / factor
+    return g, det, failed, degenerate, scalar
+
+
+def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
+    """The curvature scalar, with g and det g: `_hessian_scalar` or the general contraction.
+
+    For a (B, n) batch of points the report holds stacked arrays and a
+    status per point; failed and degenerate points get NaN curvature.
+    """
+    if isinstance(field, HessianMetricField):
+        g, det, failed, degenerate, scalar = _hessian_scalar(field, point)
+    else:
+        g, det, failed, degenerate, g_inv, (_, _, ricci) = _contract(field, point)
+        scalar = _einsum("zbd,zbd->z", g_inv, ricci)
     if np.ndim(point) == 1:
-        return CurvatureReport(
-            point=_coords(point),
-            metric=g[0],
-            christoffel=gamma[0],
-            riemann=riemann[0],
-            ricci=ricci[0],
-            scalar=float(scalar[0]),
-            det_g=float(det[0]),
-        )
-    bad = failed | degenerate
-    for arr in (gamma, riemann, ricci, scalar):
-        arr[bad] = np.nan
+        return CurvatureReport(_coords(point), g[0], float(scalar[0]), float(det[0]))
+    scalar[failed | degenerate] = np.nan
     return CurvatureReport(
-        point=np.asarray(point, dtype=float),
-        metric=g,
-        christoffel=gamma,
-        riemann=riemann,
-        ricci=ricci,
-        scalar=scalar,
-        det_g=det,
-        status=statuses(failed, degenerate),
+        np.asarray(point, dtype=float), g, scalar, det, statuses(failed, degenerate)
     )
+
+
+def curvature_tensors(field: MetricField, point: Point) -> CurvatureTensors:
+    """Christoffel symbols, Riemann and Ricci tensors of any field by the general contraction.
+
+    NaN at the failed and degenerate points of a batch; one such point raises.
+    """
+    _, _, failed, degenerate, _, tensors = _contract(field, point)
+    for t in tensors:
+        t[failed | degenerate] = np.nan
+    return CurvatureTensors(*(t[0] if np.ndim(point) == 1 else t for t in tensors))
 
 
 def hessian_positive_semidefinite(spec: SystemSpec, point: Point, tol: float = 1e-10) -> bool:

@@ -148,6 +148,7 @@ def _check_field(f, points):
         gjets = f.component_jets(points, gorder=2)
         det, det_status = geometry.metric_determinant(f, points)
         report = geometry.scalar_curvature(f, points)
+        tensors = geometry.curvature_tensors(f, points)
         gamma = geometry.christoffel(f, points)
         assert gamma.shape == (len(points),) + (f.dim,) * 3
         n = f.dim
@@ -173,10 +174,16 @@ def _check_field(f, points):
             if single_report is not None:
                 assert _same(report.scalar[i], single_report.scalar)
                 assert _same(report.det_g[i], single_report.det_g)
-                assert _same(report.riemann[i], single_report.riemann)
-                assert _same(report.christoffel[i], single_report.christoffel)
             else:
                 assert np.isnan(report.scalar[i])
+
+            status, single_tensors = _single(lambda: geometry.curvature_tensors(f, p))
+            assert report.status[i] == status
+            if single_tensors is not None:
+                assert _same(tensors.riemann[i], single_tensors.riemann)
+                assert _same(tensors.christoffel[i], single_tensors.christoffel)
+            else:
+                assert np.all(np.isnan(tensors.riemann[i]))
 
             _, single_gamma = _single(lambda: geometry.christoffel(f, p))
             if single_gamma is not None:
@@ -193,7 +200,7 @@ def test_single_point_types_unchanged():
     assert isinstance(geometry.metric_determinant(f, point), float)
     report = geometry.scalar_curvature(f, point)
     assert isinstance(report.scalar, float) and report.status is None
-    assert report.riemann.shape == (3, 3, 3, 3)
+    assert geometry.curvature_tensors(f, point).riemann.shape == (3, 3, 3, 3)
     with pytest.raises(DomainError):
         geometry.scalar_curvature(f, (-1.0, 0.5, 0.8))
 

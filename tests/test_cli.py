@@ -279,6 +279,29 @@ def test_scan_malformed_range_exit_2(capsys):
     assert run(["scan", "--system", "vdw", "--range", "S=1:0:5", "--pin", "V=1"]) == 2
 
 
+@pytest.mark.parametrize("axis", ["S=1:inf:3", "S=-inf:1:3", "S=-1.7e308:1.7e308:3"])
+def test_scan_range_the_grid_cannot_hold_exit_2(capsys, axis):
+    # linspace would write S = nan or inf rows: an infinite end, or stop - start overflowing
+    code = run(
+        ["scan", "--system", "reissner_nordstrom", "--range", axis, "--pin", "Q=1",
+         "--quantity", "detg"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite ends a finite distance apart" in captured.err
+
+
+def test_scan_zero_fit_direction_exit_2(capsys):
+    code = run(
+        ["scan", "--system", "reissner_nordstrom", "--range", "S=4:10:5", "--pin", "Q=1",
+         "--fit-center", f"S={PI},Q=1", "--fit-direction", "S=0"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "divergence exponent" not in captured.out
+    assert "the fit direction is zero" in captured.err
+
+
 def test_scan_write_failure_exit_4(capsys):
     code = run(
         ["scan", "--system", "ideal_gas", "--range", "S=0:1:3", "--pin", "V=1",
@@ -344,6 +367,14 @@ def test_check_contact(capsys):
 
 def test_check_first_law(capsys):
     assert run(["check", "first-law", "--system", "vdw", "--trials", "20"]) == 0
+
+
+@pytest.mark.parametrize(
+    "box", ["S=nan:1,V=1:2", "S=0.5:inf,V=1:2", "S=1:0.5,V=1:2", "S=-1e308:1e308,V=1:2"]
+)
+def test_check_box_needs_finite_ordered_bounds_exit_2(capsys, box):
+    assert run(["check", "euler", "--system", "vdw", "--beta", "1", "--box", box]) == 2
+    assert "needs finite lo < hi" in capsys.readouterr().err
 
 
 def test_check_bad_transform_exit_2(capsys):

@@ -14,6 +14,7 @@ from gtdkit.geometry import (
     MetricKind,
     christoffel,
     closed_form_metric,
+    curvature_tensors,
     hessian_positive_semidefinite,
     load_metric_file,
     metric_at,
@@ -292,7 +293,8 @@ def _flat_grid_curvature(system, kind, axes):
 
 def test_rn_ruppeiner_flat_away_from_extremal_locus():
     # flat (Aman, Bengtsson & Pidokrajt 2003); at the T = 0 locus S = pi Q^2
-    # the Ruppeiner metric is singular and rounding reaches |R| ~ 2e-8
+    # the Ruppeiner metric is singular, and there the general contraction's
+    # rounding reaches |R| ~ 4e-8
     points, scalar = _flat_grid_curvature(
         "reissner_nordstrom", MetricKind.RUPPEINER, [(0.5, 10.0, 30), (0.2, 1.6, 30)]
     )
@@ -300,6 +302,10 @@ def test_rn_ruppeiner_flat_away_from_extremal_locus():
     away = np.abs(s - PI * q * q) > 0.05 * s
     assert away.sum() > 800
     assert np.max(np.abs(scalar[away])) <= 1e-10
+    # the Hessian-metric route stays flat up to the locus: |R| <= 2.2e-11 on the
+    # whole grid, whose closest points are 0.1% of S from it
+    assert np.min(np.abs(s - PI * q * q) / s) < 1e-3
+    assert np.max(np.abs(scalar)) <= 1e-9
 
 
 def test_kerr_weinhold_flat():
@@ -319,12 +325,12 @@ def test_constant_metric_zero_curvature():
 
 
 def test_riemann_antisymmetry_exact():
-    rep = scalar_curvature(HessianMetricField(builtin("kerr_newman")), (4.0, 0.7, 0.9))
+    rep = curvature_tensors(HessianMetricField(builtin("kerr_newman")), (4.0, 0.7, 0.9))
     assert np.array_equal(rep.riemann, -np.swapaxes(rep.riemann, 2, 3))
 
 
 def test_ricci_symmetry():
-    rep = scalar_curvature(HessianMetricField(builtin("kerr_newman")), (4.0, 0.7, 0.9))
+    rep = curvature_tensors(HessianMetricField(builtin("kerr_newman")), (4.0, 0.7, 0.9))
     assert rel_err(rep.ricci, rep.ricci.T) <= 1e-10
 
 
@@ -377,9 +383,10 @@ _FLAT = {("ideal_gas", k) for k in _HESSIAN_KINDS} | {
     ("kerr", MetricKind.WEINHOLD),
     ("reissner_nordstrom", MetricKind.RUPPEINER),
 }
-# measured at these points: flat pairs reach |R| = 3.1e-10 (RN Ruppeiner; the
-# rest stay below 1e-13), the smallest |R| elsewhere is 0.064, and there the
-# routes differ by at most 2.3e-13 relative (RN natural; KN at most 1.3e-13)
+# measured at these points: flat pairs reach |R| = 9.2e-12 (RN Ruppeiner, 4.0e-11
+# by the jet contraction; the rest stay below 1e-13), the smallest |R|
+# elsewhere is 0.064, and there the routes differ by at most 8.3e-13 relative
+# (RN natural; KN at most 4.7e-13)
 _NOISE_FLOOR = 1e-9
 _ROUTE_REL = 1e-12
 
@@ -393,7 +400,7 @@ def _box_points(system, count, seed=23):
 @pytest.mark.parametrize("kind", _HESSIAN_KINDS)
 @pytest.mark.parametrize("system", sorted(cli._CHECK_BOXES))
 def test_hessian_curvature_matches_jet_contraction(system, kind):
-    # the order-3 gathers of HessianMetricField.metric_arrays against the
+    # R from the Hessian-metric identity and the conformal factor against the
     # general contraction of the order-2 metric jets
     f = HessianMetricField(builtin(system), kind)
     points = _box_points(system, 64)
@@ -405,18 +412,23 @@ def test_hessian_curvature_matches_jet_contraction(system, kind):
     else:
         assert np.min(np.abs(old.scalar)) > 1e4 * _NOISE_FLOOR
         assert rel_err(new.scalar, old.scalar) <= _ROUTE_REL
-        # each point's tensor against its largest entry: at most 5.1e-14 (RN natural)
-        axes = tuple(range(1, old.riemann.ndim))
-        scale = np.max(np.abs(old.riemann), axis=axes)
-        assert np.all(np.max(np.abs(new.riemann - old.riemann), axis=axes) <= _ROUTE_REL * scale)
-    # g and d_e g are the same products as in the jets, summed in the same order
-    assert np.array_equal(new.christoffel, old.christoffel)
+    # g is the same product as in the jets
     assert np.array_equal(new.det_g, old.det_g)
     single = scalar_curvature(f, points[0])
     assert single.scalar == new.scalar[0]
     assert abs(single.scalar - scalar_curvature(_JetRoute(f), points[0]).scalar) <= max(
         _NOISE_FLOOR, _ROUTE_REL * abs(single.scalar)
     )
+    # the order-3 gathers of HessianMetricField.metric_arrays against the
+    # metric jets, both through the general contraction
+    new, old = curvature_tensors(f, points), curvature_tensors(_JetRoute(f), points)
+    if (system, kind) not in _FLAT:
+        # each point's tensor against its largest entry: at most 5.1e-14 (RN natural)
+        axes = tuple(range(1, old.riemann.ndim))
+        scale = np.max(np.abs(old.riemann), axis=axes)
+        assert np.all(np.max(np.abs(new.riemann - old.riemann), axis=axes) <= _ROUTE_REL * scale)
+    # g and d_e g are the same products as in the jets, summed in the same order
+    assert np.array_equal(new.christoffel, old.christoffel)
 
 
 def test_hessian_route_asks_for_low_orders(monkeypatch):
@@ -493,9 +505,9 @@ def _brioschi_scalar(g, dg, d2g):
 @pytest.mark.parametrize("system", ["ideal_gas", "kerr", "reissner_nordstrom", "vdw"])
 def test_hessian_curvature_matches_brioschi(system, kind):
     # an oracle for every Hessian kind that shares no code with the geometry:
-    # at these points the worst relative difference is 6.2e-13 (RN natural;
-    # vdW 6.5e-14), and on the flat pairs |R| stays below 6.6e-10 (RN
-    # Ruppeiner, 1.3e-10 by Brioschi) and 3.2e-14 elsewhere
+    # at these points the worst relative difference is 4.6e-13 (RN natural;
+    # vdW 7.8e-14), and on the flat pairs |R| stays below 2.6e-11 (RN
+    # Ruppeiner, 1.3e-10 by Brioschi) and 2.7e-14 elsewhere
     spec = builtin(system)
     points = _box_points(system, 200)
     expected = _brioschi_scalar(*_metric_derivatives(spec, kind, points))
@@ -550,7 +562,7 @@ def _loop_scalar(g, dg, d2g):
 def test_kerr_newman_curvature_matches_loop_contraction(kind):
     # the 3-D oracle: the true partials of `_metric_derivatives`, with c Phi_abef,
     # contracted by loops and no geometry code; at these points the worst
-    # relative difference is 2.5e-14 (Weinhold) and 2.2e-13 (Ruppeiner), and
+    # relative difference is 1.1e-13 (Weinhold) and 2.1e-13 (Ruppeiner), and
     # the smallest |R| is 0.27 and 0.0075
     spec = builtin("kerr_newman")
     points = _box_points("kerr_newman", 200)
