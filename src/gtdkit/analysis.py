@@ -137,7 +137,12 @@ class SingularPoint:
 
 @dataclass(frozen=True)
 class DivergenceFit:
-    """Result of a log-log fit of |value| against approach distance."""
+    """Result of a log-log fit of |value| against approach distance.
+
+    `diverges` is False, with exponent, intercept and correlation 0, when no
+    sample is above the noise floor (`samples` is 0) or when every kept
+    sample has the same value, which has no slope to fit.
+    """
 
     exponent: float
     intercept: float
@@ -417,12 +422,12 @@ def _fit(
             continue
         logs_x.append(math.log(t))
         logs_y.append(math.log(value))
-    if len(logs_x) < 4:
-        if all(v is None or abs(v) <= noise_floor for v in values):
-            return DivergenceFit(
-                exponent=0.0, intercept=0.0, correlation=0.0, samples=len(logs_x), diverges=False
-            )
+    if len(logs_x) < 4 and not all(v is None or abs(v) <= noise_floor for v in values):
         raise ValueError(f"only {len(logs_x)} valid samples; need at least 4")
+    if len(logs_x) < 4 or len(set(logs_y)) == 1:
+        return DivergenceFit(
+            exponent=0.0, intercept=0.0, correlation=0.0, samples=len(logs_x), diverges=False
+        )
     x = np.array(logs_x)
     y = np.array(logs_y)
     slope, intercept = np.polyfit(x, y, 1)
@@ -444,14 +449,20 @@ def fit_divergence_exponent(
 ) -> DivergenceFit:
     """Divergence exponent of the curvature scalar approaching `center`.
 
-    All offsets are sampled as one batch of points; a zero direction raises
-    ValueError, as every sample would be the center.
+    All offsets are sampled as one batch of points; a zero direction, or
+    offsets so small against the center that two samples round to the same
+    point, raise ValueError.
     """
     center = np.asarray(center, dtype=float)
     direction = np.asarray(direction, dtype=float)
     if not direction.any():
         raise ValueError("the fit direction is zero: every sample would be the fit center")
     points = center + np.asarray(offsets, dtype=float)[:, None] * direction
+    if len(np.unique(points, axis=0)) < len(points):
+        raise ValueError(
+            "fit samples are not distinct: center + offset * direction rounds to the same "
+            "point for two offsets"
+        )
     values: list[float | None] = []
     for chunk in _chunks(points):
         report = geometry.scalar_curvature(f, chunk)

@@ -15,14 +15,19 @@ VAR=value`, `--point VAR=value,...`, `--params name=value,...`.
 Exit codes: 0 success / check within tolerance, 1 check failed, 2 user input
 error, 3 degenerate geometry, 4 output write failure.
 
-Reports are deterministic: CSV uses fixed column order (coordinates in
+Reports are deterministic. CSV uses fixed column order (coordinates in
 declaration order, then values, then status), LF line endings, and floats
-with 17 significant digits; JSON carries a `schema_version` field.
+with 17 significant digits. JSON is strict RFC 8259 JSON with a
+`schema_version` field: NaN is written `null`, +inf and -inf the strings
+"inf" and "-inf", the tokens CSV writes. Each report is built by C-level
+formatting: a CSV body is one `%` template applied to the whole table, and a
+JSON report a few C-encoder calls, with a scan's rows one per line.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -36,7 +41,7 @@ from .analysis import Axis, GridSpec
 from .errors import DegenerateMetricError, GtdError
 from .geometry import HessianMetricField, MetricKind
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,6 +77,17 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _number(text: str, what: str) -> float:
+    """`text` as a finite float; NaN and +-inf give no meaningful scan or fit."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"{what}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{what}: {text!r} is not a finite number")
+    return value
+
+
 def _parse_assignments(text: str, flag: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for chunk in text.split(","):
@@ -81,10 +97,7 @@ def _parse_assignments(text: str, flag: str) -> dict[str, float]:
         if "=" not in chunk:
             raise UsageError(f"{flag} expects NAME=VALUE items, got {chunk!r}")
         name, _, value = chunk.partition("=")
-        try:
-            out[name.strip()] = float(value)
-        except ValueError:
-            raise UsageError(f"{flag}: {value!r} is not a number") from None
+        out[name.strip()] = _number(value, flag)
     if not out:
         raise UsageError(f"{flag} is empty")
     return out
@@ -165,17 +178,76 @@ def _report_skeleton(args, command: str) -> dict:
     }
 
 
-def _emit(args, report: dict, csv_header: Sequence[str], csv_rows) -> None:
+def _strict(value):
+    """`value` as strict JSON data: a NaN is null, +-inf the CSV tokens "inf" and "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _rows_text(table: np.ndarray) -> str:
+    """The rows of `table` as a strict JSON list, one row a line.
+
+    Only the rows `np.isfinite` flags are rewritten, so a finite table costs
+    one `tolist()`. Line breaks go only between rows, whose elements are
+    numbers, null and "inf"/"-inf", never into text that can hold a user string.
+    """
+    rows = table.tolist()
+    for i in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
+        rows[i] = _strict(rows[i])
+    text = json.dumps(rows, allow_nan=False)
+    return "[\n" + text[1:-1].replace("], [", "],\n[") + "\n]"
+
+
+def _json_text(report: dict) -> str:
+    """`report` as strict JSON, one top-level key a line; every part is one C-encoder call.
+
+    A scan's `values` holds its rows as an array, written by `_rows_text`.
+    """
+    lines = []
+    for key, value in report.items():
+        if isinstance(value, dict) and isinstance(value.get("rows"), np.ndarray):
+            text = "{%s}" % ", ".join(
+                f"{json.dumps(k)}: {_rows_text(v) if k == 'rows' else json.dumps(v)}"
+                for k, v in value.items()
+            )
+        else:
+            text = json.dumps(_strict(value), allow_nan=False)
+        lines.append(f"{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _csv_text(header: Sequence[str], table, status: Sequence[str] | None = None) -> str:
+    """`header`, then each row of numbers in `table` at 17 significant digits and its `status`.
+
+    The body is one `%` template over the whole table; `%.17g` writes the
+    bytes `fmt` writes, nan and +-inf included.
+    """
+    rows = np.asarray(table, dtype=float).tolist()
+    cells = ["%.17g"] * len(rows[0])
+    if status is not None:
+        cells.append("%s")
+        for row, s in zip(rows, status):
+            row.append(s)
+    body = ((",".join(cells) + "\n") * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    return ",".join(header) + "\n" + body
+
+
+def _emit(args, report: dict, csv_header: Sequence[str], csv_table, csv_status=None) -> None:
+    """Write the report file, if asked for: `report` as JSON, or the CSV table."""
     if args.output is None:
         return
+    if args.format == "csv":
+        text = _csv_text(csv_header, csv_table, csv_status)
+    else:
+        text = _json_text(report)
     try:
         with open(args.output, "w", newline="\n") as stream:
-            if args.format == "csv":
-                for row in (csv_header, *csv_rows):
-                    stream.write(",".join(row) + "\n")
-            else:
-                json.dump(report, stream, indent=2)
-                stream.write("\n")
+            stream.write(text)
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
 
@@ -262,8 +334,7 @@ def cmd_eval(args) -> int:
     report = _report_skeleton(args, "eval")
     report["values"] = values
     header = [*coords, *("R" if name == "curvature" else name for name, _ in flat), "status"]
-    row = [*map(fmt, point), *(fmt(x) for _, x in flat), analysis.STATUS_OK]
-    _emit(args, report, header, [row])
+    _emit(args, report, header, [[*point, *(x for _, x in flat)]], [analysis.STATUS_OK])
     return EXIT_OK
 
 
@@ -312,34 +383,26 @@ def cmd_scan(args) -> int:
     for fit in fits:
         if fit.diverges:
             print(f"divergence exponent: {fit.exponent:.4f} (correlation {fit.correlation:.6f})")
+        elif fit.samples:
+            print("no divergence detected (the value is the same at every kept sample)")
         else:
             print("no divergence detected (values below noise floor)")
 
-    # build the rows of the requested report only
-    report_format = args.format if args.output is not None else None
     report = _report_skeleton(args, "scan")
     report["grid"] = grid.describe()
-    if report_format == "json":
-        report["values"] = {
-            "columns": list(report_data.columns),
-            "rows": [
-                [None if math.isnan(x) else x for x in row] for row in report_data.values.tolist()
-            ],
-            "status": report_data.status,
-        }
+    # rows stay an array until a JSON report is encoded
+    report["values"] = {
+        "columns": list(report_data.columns),
+        "rows": report_data.values,
+        "status": report_data.status,
+    }
     # a record's fields are its report keys, in declaration order
     report["singular_points"] = [vars(root) for root in roots]
     report["fits"] = [vars(fit) for fit in fits]
 
     header = list(grid.names) + list(report_data.columns) + ["status"]
-    rows = []
-    if report_format == "csv":
-        points, values = grid.points().tolist(), report_data.values.tolist()
-        rows = [
-            [fmt(x) for x in point + row] + [status]
-            for point, row, status in zip(points, values, report_data.status)
-        ]
-    _emit(args, report, header, rows)
+    table = np.hstack([grid.points(), report_data.values]) if args.format == "csv" else None
+    _emit(args, report, header, table, report_data.status)
     return EXIT_OK
 
 
@@ -348,11 +411,11 @@ def _parse_offsets(text: str) -> tuple[float, int, float]:
     if len(parts) not in (2, 3):
         raise UsageError("--fit-offsets expects BASE:COUNT[:FACTOR]")
     try:
-        base = float(parts[0])
         count = int(parts[1])
-        factor = float(parts[2]) if len(parts) == 3 else 0.5
     except ValueError:
         raise UsageError(f"--fit-offsets {text!r}: malformed numbers") from None
+    base = _number(parts[0], "--fit-offsets BASE")
+    factor = _number(parts[2], "--fit-offsets FACTOR") if len(parts) == 3 else 0.5
     if base <= 0 or count < 4 or not 0 < factor < 1:
         raise UsageError("--fit-offsets needs BASE > 0, COUNT >= 4, 0 < FACTOR < 1")
     return base, count, factor
@@ -462,9 +525,7 @@ def cmd_check(args) -> int:
         "pass": passed,
         "values": residuals,
     }
-    header = ["trial", "residual"]
-    rows = [[str(i), fmt(r)] for i, r in enumerate(residuals)]
-    _emit(args, report, header, rows)
+    _emit(args, report, ["trial", "residual"], list(enumerate(residuals)))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

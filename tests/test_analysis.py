@@ -326,6 +326,21 @@ def test_fit_rejects_flat_field():
     assert not fit.diverges
 
 
+def test_fit_of_equal_samples_does_not_diverge():
+    # one value at every offset has no slope and no correlation to report
+    fit = fit_power_law(lambda p: 5.0, center=(0.0,), direction=(1.0,), offsets=geometric_offsets(0.1, 8))
+    assert fit == analysis.DivergenceFit(
+        exponent=0.0, intercept=0.0, correlation=0.0, samples=8, diverges=False
+    )
+
+
+def test_fit_samples_must_be_distinct_points():
+    # 1e-300 * 0.5^m is lost against S = pi: every sample is the center
+    offsets = geometric_offsets(1e-300, 12)
+    with pytest.raises(ValueError, match="fit samples are not distinct"):
+        fit_divergence_exponent(rn_field(), (PI, 1.0), (-1.0, 0.0), offsets)
+
+
 def test_fit_needs_four_samples():
     with pytest.raises(ValueError, match="at least 4"):
         fit_power_law(lambda p: 1.0 / p[0], (0.0,), (1.0,), [0.1, 0.2])

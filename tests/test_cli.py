@@ -80,7 +80,7 @@ def test_eval_json_report(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     for key in ("system", "parameters", "command", "grid", "values",
                 "singular_points", "fits", "residuals"):
         assert key in report
@@ -263,6 +263,28 @@ def test_scan_csv_format(tmp_path, capsys):
     assert float(f"{float(cells[2]):.17g}") == float(cells[2])
 
 
+_CSV_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308, 1e308, -1e308]
+_csv_cell = st.one_of(st.floats(), st.sampled_from(_CSV_EDGES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=st.integers(min_value=1, max_value=4).flatmap(
+        lambda ncols: st.lists(st.lists(_csv_cell, min_size=ncols, max_size=ncols), min_size=1, max_size=12)
+    ),
+    with_status=st.booleans(),
+)
+def test_csv_text_matches_the_per_cell_format(table, with_status):
+    # the one-template body writes the bytes of formatting each cell on its own
+    header = [f"c{i}" for i in range(len(table[0]))] + (["status"] if with_status else [])
+    status = [f"s{i}" for i in range(len(table))] if with_status else None
+    rows = [[f"{float(x):.17g}" for x in row] for row in table]
+    if with_status:
+        rows = [row + [s] for row, s in zip(rows, status)]
+    expected = "".join(",".join(row) + "\n" for row in [header, *rows])
+    assert cli._csv_text(header, table, status) == expected
+
+
 def test_scan_empty_domain_all_markers(tmp_path, capsys):
     out = tmp_path / "scan.json"
     code = run(
@@ -300,6 +322,63 @@ def test_scan_zero_fit_direction_exit_2(capsys):
     captured = capsys.readouterr()
     assert "divergence exponent" not in captured.out
     assert "the fit direction is zero" in captured.err
+
+
+_RN_SCAN = ["scan", "--system", "reissner_nordstrom", "--range", "S=4:10:5"]
+_RN_FIT = [*_RN_SCAN, "--pin", "Q=1", "--fit-direction", "S=-1"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--pin", [*_RN_SCAN, "--pin", "Q={}"]),
+        ("--point", ["eval", "--system", "reissner_nordstrom", "--point", "S=6,Q={}"]),
+        ("--params", ["eval", "--system", "vdw", "--params", "a={}", "--point", "S=1,V=2"]),
+        ("--fit-center", [*_RN_FIT, "--fit-center", "S={},Q=1"]),
+        ("--fit-direction", [*_RN_SCAN, "--pin", "Q=1", "--fit-center", "S=3,Q=1", "--fit-direction", "S={}"]),
+        ("--fit-offsets", [*_RN_FIT, "--fit-center", "S=3,Q=1", "--fit-offsets={}:12"]),
+    ],
+    ids=lambda param: param if isinstance(param, str) else "",
+)
+def test_flag_number_that_is_not_finite_exit_2(capsys, flag, argv, value):
+    # NaN or an infinity gives no verdict: a NaN pin marked every point, a NaN fit found "no divergence"
+    assert run([arg.format(value) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag}" in captured.err and f"{value!r} is not a finite number" in captured.err
+
+
+def test_scan_fit_samples_that_round_to_one_point_exit_2(capsys):
+    # S = 3.14159 + 1e-300 * 0.5^m rounds to 3.14159 for every m
+    code = run([*_RN_FIT, "--fit-center", "S=3.14159,Q=1", "--fit-offsets", "1e-300:12:0.5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "divergence exponent" not in captured.out
+    assert "fit samples are not distinct" in captured.err
+
+
+def test_scan_fit_of_constant_curvature_does_not_diverge(tmp_path, capsys):
+    # along phi the unit sphere's metric does not change, so R = 2 at every sample, bit for bit
+    path = tmp_path / "metric.ini"
+    path.write_text(
+        "[metric]\nname = sphere\ncoordinates = theta, phi\n"
+        "components = 1, 0; 0, sin(theta)^2\n"
+    )
+    report = tmp_path / "scan.json"
+    code = run(
+        ["scan", "--system", str(path), "--range", "theta=0.5:2.5:5", "--pin", "phi=0",
+         "--fit-center", "theta=1,phi=0", "--fit-direction", "phi=1", "--fit-offsets", "0.1:8",
+         "--output", str(report)]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "no divergence detected (the value is the same at every kept sample)" in out
+    assert "noise floor" not in out and "divergence exponent" not in out
+    fits = json.loads(report.read_text())["fits"]
+    assert fits == [
+        {"exponent": 0.0, "intercept": 0.0, "correlation": 0.0, "samples": 8, "diverges": False}
+    ]
 
 
 def test_scan_write_failure_exit_4(capsys):
@@ -658,6 +737,8 @@ _fuzz_width = st.floats(min_value=0.0, max_value=3.0).map(lambda v: round(v, 3))
 _fuzz_axis = st.tuples(_fuzz_coordinate, _fuzz_width, st.integers(min_value=0, max_value=4))
 _FUZZ_MAX_POINTS = 64
 _OVERFLOW_AXES = [(0.5, 1.5, 4)] * 6
+_fuzz_kind = st.sampled_from([k.value for k in cli.MetricKind if k is not cli.MetricKind.DIRECT])
+_fuzz_axes = st.lists(_fuzz_axis, min_size=6, max_size=6)
 
 
 @settings(
@@ -665,15 +746,43 @@ _OVERFLOW_AXES = [(0.5, 1.5, 4)] * 6
 )
 @given(
     source=st.sampled_from(CORPUS),
-    kind=st.sampled_from([k.value for k in cli.MetricKind if k is not cli.MetricKind.DIRECT]),
+    kind=_fuzz_kind,
     report_format=st.sampled_from(["json", "csv"]),
-    axes=st.lists(_fuzz_axis, min_size=6, max_size=6),
+    axes=_fuzz_axes,
 )
 @example(source="S*exp(1000)", kind="natural", report_format="json", axes=_OVERFLOW_AXES)
 @example(source="10^400 + S", kind="ruppeiner", report_format="csv", axes=_OVERFLOW_AXES)
 def test_cli_exit_codes_over_corpus(tmp_path, source, kind, report_format, axes):
     # every grammar-accepted potential, and every direct metric with it on the
     # diagonal, ends in a documented exit code, never a traceback
+    for code, report in _corpus_runs(tmp_path, source, kind, report_format, axes):
+        assert code in (0, 2, 3)
+        if code == 0:
+            _assert_no_nan_reported_ok(report, report_format)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(source=st.sampled_from(CORPUS), kind=_fuzz_kind, axes=_fuzz_axes)
+@example(source="S*exp(1000)", kind="natural", axes=_OVERFLOW_AXES)
+@example(source="-10^400 + S", kind="ruppeiner", axes=_OVERFLOW_AXES)
+def test_cli_json_reports_are_strict_over_corpus(tmp_path, source, kind, axes):
+    # every JSON report of the fuzz above parses without NaN or Infinity
+    for code, report in _corpus_runs(tmp_path, source, kind, "json", axes):
+        if code == 0:
+            json.loads(report.read_text(), parse_constant=_reject_constant)
+
+
+def _corpus_runs(tmp_path, source, kind, report_format, axes):
+    """Every scan quantity and one eval of `source`, as a system and as a direct metric.
+
+    Yields each run's exit code and the report path it writes to.
+    """
     names = sorted(fundeq.free_names(fundeq.parse(source))) or ["x"]
     system = tmp_path / "corpus.ini"
     system.write_text(
@@ -702,18 +811,20 @@ def test_cli_exit_codes_over_corpus(tmp_path, source, kind, report_format, axes)
             assert run(["eval", *common, "--point", point]) == 2
             continue
         for quantity in analysis.QUANTITIES:
-            code = run(["scan", *common, *where, "--quantity", quantity, *output])
-            assert code in (0, 2, 3)
-            if code == 0:
-                _assert_no_nan_reported_ok(report, report_format)
-        code = run(["eval", *common, "--point", point, *output])
-        assert code in (0, 2, 3)
-        if code == 0:
-            _assert_no_nan_reported_ok(report, report_format)
+            yield run(["scan", *common, *where, "--quantity", quantity, *output]), report
+        yield run(["eval", *common, "--point", point, *output]), report
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
 
 
 def _assert_no_nan_reported_ok(report, report_format):
-    # a NaN is written as nan in CSV, as null in a JSON scan and as NaN in a JSON eval
+    # a NaN is written as nan in CSV and as null in JSON
     text = report.read_text()
     if report_format == "csv":
         for row in text.splitlines()[1:]:
@@ -722,7 +833,7 @@ def _assert_no_nan_reported_ok(report, report_format):
         return
     data = json.loads(text)
     if data["command"] == "eval":
-        assert "NaN" not in text
+        assert None not in _leaves(data["values"]), data["values"]
         return
     for row, status in zip(data["values"]["rows"], data["values"]["status"]):
         assert status != "ok" or None not in row, row
@@ -745,7 +856,7 @@ def test_overflowing_constant_gives_inf(tmp_path, capsys, source):
     )
     assert code == 0
     rows = json.loads(report.read_text())["values"]["rows"]
-    assert [row[0] for row in rows] == [math.inf] * 4
+    assert [row[0] for row in rows] == ["inf"] * 4
 
 
 @pytest.mark.parametrize("source", ["S*exp(1000)", "10^400 + S"])
@@ -794,7 +905,7 @@ def test_nan_determinant_is_domain_error(tmp_path):
     assert code == 0
     values = json.loads(report.read_text())["values"]
     assert values["status"] == ["ok", "domain-error", "domain-error"]
-    assert [row[-1] for row in values["rows"]] == [-math.inf, None, None]
+    assert [row[-1] for row in values["rows"]] == ["-inf", None, None]
 
 
 def test_eval_nan_determinant_is_domain_error(tmp_path, capsys):
@@ -822,6 +933,7 @@ def test_degenerate_message_names_infinite_entry(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "metric degenerate at (0.5, 1.0): g has an infinite entry" in err
     assert "nan" not in err
-    with pytest.raises(DegenerateMetricError) as raised:
+    # exp(1000*S) overflows on purpose
+    with pytest.raises(DegenerateMetricError) as raised, np.errstate(over="ignore", invalid="ignore"):
         geometry.scalar_curvature(geometry.HessianMetricField(fundeq.load_system_file(system)), (0.5, 1.0))
     assert raised.value.det == 0.0 and math.isnan(raised.value.threshold)
