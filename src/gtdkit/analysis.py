@@ -8,10 +8,10 @@ changes along coordinate lines and refines each bracket by ITP root refinement
 (interpolate, truncate, project); divergence exponents come from a log-log fit
 of |R| against the distance to an approach point.
 
-Every batch has at most CHUNK_ROWS points: scan, root refinement, root
-classification and fit. Reports are deterministic: the grid is enumerated
-row-major in coordinate order, and a point's result is bit-identical
-whatever batch it is evaluated in, so results do not depend on the chunk size.
+A batch of the scan, root refinement, root classification or fit holds at most
+as many points as fit CHUNK_BYTES in its widest array (`_batch_rows`). Reports are
+deterministic: the grid is enumerated row-major in coordinate order, and a point's
+result is bit-identical whatever batch it is in, so it does not depend on the bound.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ from .geometry import (  # the point statuses are re-exported for scan reports
 GRID_CAP = 10**6
 ROOT_TOL_FACTOR = 1e-12
 NOISE_FLOOR = 1e-8
-# The one bound on a batch: enough points to spread the jet engine's Python
-# overhead, few enough that a product's gathered operands stay on the heap.
-# An order-3 KN product gathers 84 pairs x 128 columns x 8 B = 86 KB, under
-# glibc's 128 KB mmap threshold, above which each one is mapped and faulted in.
-CHUNK_ROWS = 128
+# The one bound on a batch, in bytes of its widest array: wide batches spread the
+# jet engine's Python overhead, and under glibc's 128 KiB mmap threshold that array
+# is not mapped and faulted in afresh. An order-3 KN product gathers 84 pairs a
+# point, so at most 146 points a batch; an order-2 RN product 15, so 819.
+CHUNK_BYTES = 96 * 1024
+# the jet order each quantity is evaluated at: (Hessian field, direct field)
+_JET_ORDERS = {"curvature": (3, 2), "detg": (2, 0), "potential": (0, 0), "intensive": (1, 1)}
 # ITP root refinement: a trial point moves ITP_KAPPA1 / width0 * width^ITP_KAPPA2
 # off regula falsi towards the midpoint, and a bracket takes at most ITP_N0
 # steps more than bisection.
@@ -187,15 +189,28 @@ def _quantity_batch(f: MetricField, quantity: str, points: np.ndarray):
     return values, geometry.statuses(jet.failed), None
 
 
-def _chunks(points: np.ndarray) -> list[np.ndarray]:
-    return [points[i : i + CHUNK_ROWS] for i in range(0, len(points), CHUNK_ROWS)]
+def _batch_rows(f: MetricField, quantity: str) -> int:
+    """Most points a batch of `quantity` on `f`: CHUNK_BYTES over its widest array per point,
+    the jet product's gather or a direct field's (ncoef, n, n) stack or (n, n, n, n) tensors."""
+    direct = isinstance(f, geometry.DirectMetricField)
+    order, n = _JET_ORDERS[quantity][direct], f.dim
+    width = len(jets._mul_table(n, order)[0])
+    if direct:
+        width = max(width, jets._size(n, order) * n * n, n**4 if quantity == "curvature" else 0)
+    return max(1, CHUNK_BYTES // (8 * width))
+
+
+def _chunks(f: MetricField, points: np.ndarray, quantity: str) -> list[np.ndarray]:
+    # as few batches as the bound allows, all of one size to a point
+    count = -(-len(points) // _batch_rows(f, quantity))
+    return np.array_split(points, count) if count else []
 
 
 def grid_scan(f: MetricField, grid: GridSpec, quantity: str = "curvature") -> ScanReport:
     """Evaluate `quantity` at every grid point, marking bad points."""
     name = _QUANTITY_ALIASES.get(quantity, quantity)
     columns = _quantity_columns(f, name)
-    values, status, dets = zip(*(_quantity_batch(f, name, c) for c in _chunks(grid.points())))
+    values, status, dets = zip(*(_quantity_batch(f, name, c) for c in _chunks(f, grid.points(), name)))
     return ScanReport(
         grid=grid,
         quantity=quantity,
@@ -211,7 +226,7 @@ def grid_scan(f: MetricField, grid: GridSpec, quantity: str = "curvature") -> Sc
 
 def _determinants(f: MetricField, points: np.ndarray) -> np.ndarray:
     """det g at every point, chunked; NaN outside the domain."""
-    return np.concatenate([geometry.metric_determinant(f, c)[0] for c in _chunks(points)])
+    return np.concatenate([geometry.metric_determinant(f, c)[0] for c in _chunks(f, points, "detg")])
 
 
 def _itp_points(
@@ -318,7 +333,8 @@ def _classify_roots(f: MetricField, points: np.ndarray) -> list[str | None]:
         # only the natural metric factors as det g = Phi^n det Hess
         return ["hessian-zero"] * len(points)
     categories = []
-    for chunk in _chunks(points):
+    # the order-2 potential jet of a Hessian det g
+    for chunk in _chunks(f, points, "detg"):
         jet = fundeq.evaluate(f.spec, chunk, order=2)
         det_hess = np.linalg.det(jets.partials(jet, 2))
         potential_zero = np.abs(jet.value) ** f.dim <= np.abs(det_hess)
@@ -464,7 +480,7 @@ def fit_divergence_exponent(
             "point for two offsets"
         )
     values: list[float | None] = []
-    for chunk in _chunks(points):
+    for chunk in _chunks(f, points, "curvature"):
         report = geometry.scalar_curvature(f, chunk)
         for r, status in zip(report.scalar, report.status):
             values.append(float(r) if status == STATUS_OK else None)

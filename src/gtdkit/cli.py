@@ -123,6 +123,8 @@ def _parse_ranges(items: Sequence[str]) -> dict[str, Axis]:
                 out[name.strip()] = Axis(start, stop, count)
             except ValueError as exc:
                 raise UsageError(f"--range {chunk!r}: {exc}") from None
+            # Axis checks both ends where count > 1; a one-point axis is its start alone
+            _number(parts[0], f"--range {chunk!r} start")
     return out
 
 
@@ -221,28 +223,24 @@ def _json_text(report: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def _csv_text(header: Sequence[str], table, status: Sequence[str] | None = None) -> str:
-    """`header`, then each row of numbers in `table` at 17 significant digits and its `status`.
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """`header`, then `rows`: a text cell as it is, a number at 17 significant digits.
 
-    The body is one `%` template over the whole table; `%.17g` writes the
-    bytes `fmt` writes, nan and +-inf included.
+    The body is one `%` template over the whole table, with each column's
+    format read off the first row; `%.17g` writes the bytes `fmt` writes, nan
+    and +-inf included.
     """
-    rows = np.asarray(table, dtype=float).tolist()
-    cells = ["%.17g"] * len(rows[0])
-    if status is not None:
-        cells.append("%s")
-        for row, s in zip(rows, status):
-            row.append(s)
+    cells = ["%s" if isinstance(x, str) else "%.17g" for x in rows[0]]
     body = ((",".join(cells) + "\n") * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     return ",".join(header) + "\n" + body
 
 
-def _emit(args, report: dict, csv_header: Sequence[str], csv_table, csv_status=None) -> None:
-    """Write the report file, if asked for: `report` as JSON, or the CSV table."""
+def _emit(args, report: dict, csv_header: Sequence[str], csv_rows) -> None:
+    """Write the report file, if asked for: `report` as JSON, or the CSV rows."""
     if args.output is None:
         return
     if args.format == "csv":
-        text = _csv_text(csv_header, csv_table, csv_status)
+        text = _csv_text(csv_header, csv_rows)
     else:
         text = _json_text(report)
     try:
@@ -334,7 +332,7 @@ def cmd_eval(args) -> int:
     report = _report_skeleton(args, "eval")
     report["values"] = values
     header = [*coords, *("R" if name == "curvature" else name for name, _ in flat), "status"]
-    _emit(args, report, header, [[*point, *(x for _, x in flat)]], [analysis.STATUS_OK])
+    _emit(args, report, header, [[*point, *(x for _, x in flat), analysis.STATUS_OK]])
     return EXIT_OK
 
 
@@ -401,8 +399,13 @@ def cmd_scan(args) -> int:
     report["fits"] = [vars(fit) for fit in fits]
 
     header = list(grid.names) + list(report_data.columns) + ["status"]
-    table = np.hstack([grid.points(), report_data.values]) if args.format == "csv" else None
-    _emit(args, report, header, table, report_data.status)
+    rows = None
+    if args.format == "csv":
+        # each axis value is formatted once, not once for every row it is on
+        axes = ([fmt(x) for x in v.tolist()] for v in grid.axis_values())
+        keys, values = itertools.product(*axes), report_data.values.tolist()
+        rows = [(*k, *v, s) for k, v, s in zip(keys, values, report_data.status)]
+    _emit(args, report, header, rows)
     return EXIT_OK
 
 
@@ -476,7 +479,7 @@ def cmd_check(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
+    tol = _number(args.tol, "--tol") if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
     residuals: list[float] = []
 
     if args.identity == "legendre":
@@ -498,14 +501,15 @@ def cmd_check(args) -> int:
             residuals.append(abs(phase_space.theta_residual(spec, point, direction)))
     elif args.identity in ("euler", "gibbs-duhem"):
         spec = _require_system(args)
-        weights = tuple(float(w) for w in args.weights.split(",")) if args.weights else None
+        weights = tuple(_number(w, "--weights") for w in args.weights.split(",")) if args.weights else None
+        beta = _number(args.beta, "--beta") if args.beta is not None else None
         for _ in range(args.trials):
             point = _sample_box(spec, args, rng)
             if args.identity == "euler":
-                raw = phase_space.euler_residual(spec, point, weights, args.beta)
+                raw = phase_space.euler_residual(spec, point, weights, beta)
             else:
                 direction = _unit_direction(rng, spec.dim)
-                raw = phase_space.gibbs_duhem_residual(spec, point, direction, weights, args.beta)
+                raw = phase_space.gibbs_duhem_residual(spec, point, direction, weights, beta)
             residuals.append(abs(raw))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown check {args.identity!r}")
@@ -600,11 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=20260810)
     tol_text = ", ".join(f"{k} {v:g}" for k, v in sorted(DEFAULT_TOLERANCES.items()))
-    p_check.add_argument(
-        "--tol", type=float, default=None, help=f"tolerance override (defaults: {tol_text})"
-    )
+    p_check.add_argument("--tol", default=None, help=f"tolerance override (defaults: {tol_text})")
     p_check.add_argument("--weights", default=None, help="comma-separated weights")
-    p_check.add_argument("--beta", type=float, default=None, help="homogeneity degree")
+    p_check.add_argument("--beta", default=None, help="homogeneity degree")
     p_check.add_argument("--box", default=None, help="sampling box, VAR=lo:hi,...")
     p_check.add_argument("--output", default=None)
     p_check.add_argument("--format", default="json", choices=["csv", "json"])

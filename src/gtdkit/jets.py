@@ -102,9 +102,12 @@ def _columns(coeffs: np.ndarray) -> np.ndarray:
 
 def _mul(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
     # np.add.reduceat sums each output slot of each column on its own, in the
-    # fixed triplet order, so a column's result does not depend on B
+    # fixed triplet order, so a column's result does not depend on B; the
+    # product is taken in place, so a batch holds two gathers at once, not three
     ii, jj, starts = _mul_table(nvars, order)
-    return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+    pairs = a[ii]
+    pairs *= b[jj]
+    return np.add.reduceat(pairs, starts, axis=0)
 
 
 class Jet:

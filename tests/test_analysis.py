@@ -117,11 +117,15 @@ def test_scan_deterministic_across_chunk_sizes(monkeypatch):
     f = rn_field()
     # S <= 0 is outside the domain and S = pi Q^2 is degenerate
     grid = GridSpec.build(f.coordinates, {"S": Axis(-1.0, 10.0, 60), "Q": Axis(0.5, 1.5, 3)})
+    budgets = (1, 1000, analysis.CHUNK_BYTES)
     for quantity in analysis.QUANTITIES:
-        reports = []
-        for rows in (1, 7, analysis.CHUNK_ROWS):
-            monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+        reports, rows = [], []
+        for budget in budgets:
+            monkeypatch.setattr(analysis, "CHUNK_BYTES", budget)
+            rows.append(analysis._batch_rows(f, quantity))
             reports.append(grid_scan(f, grid, quantity))
+        # one point a batch, then several points a batch that still split the grid
+        assert rows[0] == 1 < rows[1] < grid.size
         first = reports[0]
         assert analysis.STATUS_DOMAIN_ERROR in first.status
         for other in reports[1:]:
@@ -130,11 +134,46 @@ def test_scan_deterministic_across_chunk_sizes(monkeypatch):
             if first.det_g is not None:
                 assert np.array_equal(other.det_g, first.det_g, equal_nan=True)
     loci = []
-    for rows in (1, 7, analysis.CHUNK_ROWS):
-        monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+    for budget in budgets:
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", budget)
         loci.append(find_singular_locus(f, grid))
     assert loci[0]
     assert loci[0] == loci[1] == loci[2]
+
+
+@pytest.mark.parametrize("source", ["reissner_nordstrom", "rn_closed"])
+def test_benchmark_grid_is_bit_identical_in_any_batch_size(monkeypatch, source):
+    # the 1,500-point RN grid, with its roots, in one batch, then batches of 1 and of 7 points
+    if source == "rn_closed":
+        f, quantities = closed_form_metric(source), ("detg", "curvature")
+    else:
+        f, quantities = rn_field(), analysis.QUANTITIES
+    grid = GridSpec.build(f.coordinates, {"S": Axis(0.5, 10.0, 100), "Q": Axis(0.2, 1.6, 15)})
+    runs = []
+    for rows in (grid.size, 1, 7):
+        monkeypatch.setattr(analysis, "_batch_rows", lambda f, quantity: rows)
+        scans = [grid_scan(f, grid, quantity) for quantity in quantities]
+        runs.append((scans, find_singular_locus(f, grid)))
+    (scans, locus), others = runs[0], runs[1:]
+    assert len(locus) > 80
+    for other_scans, other_locus in others:
+        assert other_locus == locus
+        for scan, other in zip(scans, other_scans):
+            assert other.status == scan.status
+            assert np.array_equal(other.values, scan.values, equal_nan=True)
+            if scan.det_g is not None:
+                assert np.array_equal(other.det_g, scan.det_g, equal_nan=True)
+
+
+def test_batch_rows_keep_the_widest_array_under_the_bound():
+    # the widest per-point array: the jet product's gather (84 pairs for KN at
+    # order 3, 15 for RN at order 2) or a direct field's (ncoef, n, n) stack
+    kn = HessianMetricField(builtin("kerr_newman"))
+    assert analysis._batch_rows(kn, "curvature") == analysis.CHUNK_BYTES // (8 * 84) == 146
+    assert analysis._batch_rows(rn_field(), "detg") == analysis.CHUNK_BYTES // (8 * 15)
+    vdw = closed_form_metric("vdw_closed")
+    assert analysis._batch_rows(vdw, "curvature") == analysis.CHUNK_BYTES // (8 * 6 * 2 * 2)
+    assert analysis._batch_rows(vdw, "detg") == analysis.CHUNK_BYTES // (8 * 2 * 2)
 
 
 def test_scan_accepts_spec_quantity_aliases():
@@ -185,7 +224,7 @@ def test_rn_locus_refines_in_few_determinant_batches(monkeypatch):
 
 def test_every_stage_evaluates_at_most_chunk_rows_points(monkeypatch):
     # 202 roots: the scan, each refinement step, the residuals and the
-    # classification of the roots all evaluate the potential in chunks
+    # classification of the roots all evaluate the potential in batches
     f = rn_field()
     grid = GridSpec.build(f.coordinates, {"S": Axis(0.5, 10.0, 40), "Q": Axis(0.2, 1.6, 200)})
     sizes, evaluate = [], fundeq.evaluate
@@ -197,7 +236,10 @@ def test_every_stage_evaluates_at_most_chunk_rows_points(monkeypatch):
     monkeypatch.setattr(fundeq, "evaluate", recording_evaluate)
     roots = find_singular_locus(f, grid, det_g=grid_scan(f, grid, "detg").det_g)
     assert len(roots) == 202
-    assert max(sizes) == analysis.CHUNK_ROWS
+    rows = analysis._batch_rows(f, "detg")
+    assert rows == 819
+    # the scan's 8,000 points go in ceil(8000 / 819) = 10 batches of one size
+    assert sizes[:10] == [800] * 10 and max(sizes) <= rows
     for root in roots:
         s, q = root.coords["S"], root.coords["Q"]
         assert root.category == "hessian-zero"

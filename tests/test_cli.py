@@ -273,16 +273,40 @@ _csv_cell = st.one_of(st.floats(), st.sampled_from(_CSV_EDGES))
         lambda ncols: st.lists(st.lists(_csv_cell, min_size=ncols, max_size=ncols), min_size=1, max_size=12)
     ),
     with_status=st.booleans(),
+    with_keys=st.booleans(),
 )
-def test_csv_text_matches_the_per_cell_format(table, with_status):
-    # the one-template body writes the bytes of formatting each cell on its own
+def test_csv_text_matches_the_per_cell_format(table, with_status, with_keys):
+    # the one-template body writes the bytes of formatting each cell on its own;
+    # a text cell, as a scan's preformatted coordinate or a status, is written as it is
     header = [f"c{i}" for i in range(len(table[0]))] + (["status"] if with_status else [])
     status = [f"s{i}" for i in range(len(table))] if with_status else None
     rows = [[f"{float(x):.17g}" for x in row] for row in table]
+    cells = [[f"{float(row[0]):.17g}", *row[1:]] if with_keys else list(row) for row in table]
     if with_status:
         rows = [row + [s] for row, s in zip(rows, status)]
+        cells = [row + [s] for row, s in zip(cells, status)]
     expected = "".join(",".join(row) + "\n" for row in [header, *rows])
-    assert cli._csv_text(header, table, status) == expected
+    assert cli._csv_text(header, cells) == expected
+
+
+def test_scan_csv_matches_the_per_cell_format_of_the_grid(tmp_path):
+    # each axis value is formatted once: the rows are still one format per cell of each point
+    out = tmp_path / "scan.csv"
+    code = run(
+        ["scan", "--system", "kerr_newman", "--range", "S=-1:10:7", "--range", "J=0.1:1.5:5",
+         "--pin", "Q=0.8", "--quantity", "detg", "--format", "csv", "--output", str(out)]
+    )
+    assert code == 0
+    f = geometry.HessianMetricField(fundeq.builtin("kerr_newman"))
+    axes = {"S": analysis.Axis(-1.0, 10.0, 7), "J": analysis.Axis(0.1, 1.5, 5), "Q": 0.8}
+    grid = analysis.GridSpec.build(f.coordinates, axes)
+    scan = analysis.grid_scan(f, grid, "detg")
+    assert "domain-error" in scan.status and "ok" in scan.status
+    rows = [
+        ",".join([*(f"{float(x):.17g}" for x in (*point, *values)), status])
+        for point, values, status in zip(grid.points(), scan.values, scan.status)
+    ]
+    assert out.read_text() == "".join(line + "\n" for line in ["S,J,Q,det_g,status", *rows])
 
 
 def test_scan_empty_domain_all_markers(tmp_path, capsys):
@@ -326,6 +350,7 @@ def test_scan_zero_fit_direction_exit_2(capsys):
 
 _RN_SCAN = ["scan", "--system", "reissner_nordstrom", "--range", "S=4:10:5"]
 _RN_FIT = [*_RN_SCAN, "--pin", "Q=1", "--fit-direction", "S=-1"]
+_KN_EULER = ["check", "euler", "--system", "kerr_newman", "--trials", "5"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -338,6 +363,12 @@ _RN_FIT = [*_RN_SCAN, "--pin", "Q=1", "--fit-direction", "S=-1"]
         ("--fit-center", [*_RN_FIT, "--fit-center", "S={},Q=1"]),
         ("--fit-direction", [*_RN_SCAN, "--pin", "Q=1", "--fit-center", "S=3,Q=1", "--fit-direction", "S={}"]),
         ("--fit-offsets", [*_RN_FIT, "--fit-center", "S=3,Q=1", "--fit-offsets={}:12"]),
+        # a one-point axis is its start, so a start that is not finite scanned S = nan
+        ("--range", ["scan", "--system", "reissner_nordstrom", "--range", "S={}:1:1", "--pin", "Q=1"]),
+        # check numbers that are not finite printed FAIL and exited 1, "check failed"
+        ("--tol", [*_KN_EULER, "--tol={}"]),
+        ("--beta", [*_KN_EULER, "--beta={}"]),
+        ("--weights", [*_KN_EULER, "--weights={},1,0.5"]),
     ],
     ids=lambda param: param if isinstance(param, str) else "",
 )
@@ -392,12 +423,15 @@ def test_scan_write_failure_exit_4(capsys):
 def test_scan_deterministic_output(tmp_path, monkeypatch):
     args = ["scan", "--system", "rn_closed", "--range", "S=1:8:40", "--pin", "Q=1",
             "--quantity", "curvature", "--format", "csv"]
-    outputs = []
-    for rows in (1, 7, analysis.CHUNK_ROWS):
-        monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
-        out = tmp_path / f"scan-{rows}.csv"
+    outputs, rows = [], []
+    for budget in (1, 1000, analysis.CHUNK_BYTES):
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", budget)
+        rows.append(analysis._batch_rows(geometry.closed_form_metric("rn_closed"), "curvature"))
+        out = tmp_path / f"scan-{budget}.csv"
         assert run(args + ["--output", str(out)]) == 0
         outputs.append(out.read_bytes())
+    # one point a batch, then several points a batch that still split the 40 points
+    assert rows[0] == 1 < rows[1] < 40
     assert outputs[0] == outputs[1] == outputs[2]
 
 
