@@ -326,20 +326,27 @@ def _refine_roots(
     return 0.5 * (lo + hi), kept
 
 
-def _classify_roots(f: MetricField, points: np.ndarray) -> list[str | None]:
+def _residuals(f: MetricField, points: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """det g at the refined roots, chunked, and each root's category.
+
+    For the natural kind, det g = Phi^n det Hess, and both factors come from
+    the same order-2 potential jet as det g, one evaluation per chunk.
+    """
     if not isinstance(f, HessianMetricField):
-        return [None] * len(points)
+        return _determinants(f, points), [None] * len(points)
     if f.kind is not MetricKind.NATURAL:
         # only the natural metric factors as det g = Phi^n det Hess
-        return ["hessian-zero"] * len(points)
-    categories = []
-    # the order-2 potential jet of a Hessian det g
+        return _determinants(f, points), ["hessian-zero"] * len(points)
+    dets, categories = [], []
     for chunk in _chunks(f, points, "detg"):
-        jet = fundeq.evaluate(f.spec, chunk, order=2)
-        det_hess = np.linalg.det(jets.partials(jet, 2))
-        potential_zero = np.abs(jet.value) ** f.dim <= np.abs(det_hess)
+        (g,), failed, d, _ = f._arrays(chunk, 0)
+        det, failed = geometry._checked_det(g, failed, f, chunk)
+        # a failed point's Hessian is replaced, as in det g: its root is dropped
+        det_hess = np.linalg.det(geometry._replace(d[2], failed))
+        potential_zero = np.abs(d[0]) ** f.dim <= np.abs(det_hess)
+        dets.append(det)
         categories += ["potential-zero" if z else "hessian-zero" for z in potential_zero]
-    return categories
+    return np.concatenate(dets), categories
 
 
 def find_singular_locus(
@@ -379,12 +386,12 @@ def find_singular_locus(
     roots, kept = _refine_roots(f, base, axes, lo, hi, flo, fhi)
     points = base.copy()
     points[np.arange(len(roots)), axes] = roots
-    residual = _determinants(f, points)
+    residual, categories = _residuals(f, points)
     kept &= ~np.isnan(residual)
     points, residual = points[kept], residual[kept]
+    categories = np.array(categories, dtype=object)[kept]
     # a pole: |det g| at the refined point is no smaller than at the bracket ends
     pole = ~(np.abs(residual) < np.minimum(np.abs(flo[kept]), np.abs(fhi[kept])))
-    categories = np.array(_classify_roots(f, points), dtype=object)
     categories[pole] = "pole"
     names = grid.names
     return [

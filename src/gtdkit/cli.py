@@ -480,6 +480,8 @@ def cmd_check(args) -> int:
         raise UsageError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
     tol = _number(args.tol, "--tol") if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
+    if tol < 0:
+        raise UsageError(f"--tol: {args.tol!r} is negative, so no check could pass")
     residuals: list[float] = []
 
     if args.identity == "legendre":

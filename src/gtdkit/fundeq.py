@@ -4,13 +4,20 @@ A system is a potential Phi(E^1..E^n) over named extensive variables plus a
 parameter map. Potentials come from a small expression grammar (or from the
 built-in catalogue) and are evaluated over jets, so every derivative the
 geometry needs is exact. An expression list is compiled once into a `Tape`,
-a postorder list of its distinct nodes, and `run_tape` is the one evaluator:
-a subtree that several expressions share, or that one repeats, runs once per
-evaluation. A constant subexpression runs the same jet operations at order
-0, so it obeys the same domain and overflow rules. `evaluate_exprs` is the
-one place expressions become jets, at one point or over a batch: `evaluate`
-runs a system's potential tape, compiled with its `SystemSpec`, and a direct
-metric field runs the tape of its components; `eval_jet` runs one expression.
+a postorder list of its distinct nodes, so a subtree that several
+expressions share, or that one repeats, runs once per evaluation. For each
+variable list, nvars and order a tape is compiled once more into a `Plan`,
+which marks every step a number (it touches no variable) or an array step,
+and `run_tape` is the one runner of a plan, at every order: a number step is
+float arithmetic, and a function or power of a number runs the jet kernel at
+order 0, so it obeys the same domain and overflow rules as over a variable;
+an array step runs a kernel of `jets` on plain coefficient arrays, and at
+order 0 that is numpy on the values. `evaluate_exprs` is the one place
+expressions become jets, at one point or over a batch: it seeds coefficient
+arrays, runs the plan and wraps only the distinct outputs in `Jet`s.
+`evaluate` runs a system's potential tape, compiled with its `SystemSpec`,
+and a direct metric field runs the tape of its components; `eval_jet` runs
+one expression over jets and numbers.
 
 Expression grammar (also the format used in system definition files)::
 
@@ -30,11 +37,10 @@ import configparser
 import copy
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from . import jets
 from .errors import DomainError, ParseError
 from .jets import Jet
 
-FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos")
+FUNCTIONS = tuple(jets.FUNCTION_KERNELS)  # the functions of the grammar
 CONSTANTS = {"pi": math.pi}
 
 
@@ -243,8 +249,7 @@ def _wrap(node: Expr, parent_prec: int, strict: bool) -> str:
 Scalar = Union[float, Jet]
 
 
-@dataclass(frozen=True)
-class Tape:
+class Tape(NamedTuple):
     """An expression list compiled into a postorder list of its distinct nodes.
 
     A step is ("num", value, None), ("name", ident, None), a unary op ("neg"
@@ -252,10 +257,13 @@ class Tape:
     Equal subtrees are one step, and `outputs` holds each expression's step.
     Steps come in the order a left-to-right walk of the trees first meets
     them, so the first operation to fail is the one a tree walk fails on.
+    `plans` keeps the tape's `Plan` for each variable list, nvars and order
+    (see `compile_plan`).
     """
 
     steps: tuple[tuple, ...]
     outputs: tuple[int, ...]
+    plans: dict
 
 
 def compile_exprs(exprs: Sequence[Expr]) -> Tape:
@@ -277,67 +285,155 @@ def compile_exprs(exprs: Sequence[Expr]) -> Tape:
         return index.setdefault(key, len(index))
 
     outputs = tuple(visit(e) for e in exprs)
-    return Tape(tuple(key[:3] for key in index), outputs)
+    return Tape(tuple(key[:3] for key in index), outputs, {})
 
 
-def run_tape(tape: Tape, env: Mapping[str, Scalar]) -> list[Scalar]:
-    """The value of every step of `tape` over an environment of jets and numbers.
+class Plan(NamedTuple):
+    """A tape compiled for jets of (nvars, order) bound to its variables.
 
-    Steps that touch no jet stay floats, and the caller promotes a result if
-    it needs a jet. Float arithmetic is plain IEEE arithmetic, as in the jets;
-    a function or power of floats is the value of the jet operation on an
-    order-0 constant jet, so `sqrt(0)` is a DomainError as it is over a
-    variable, and `exp(1000)` is inf.
+    Every step is a number or an array step. A step that touches no variable
+    is a number: a float, computed by plain float arithmetic, while a
+    function or power of a number is the value of its jet kernel on the
+    order-0 constant, so `sqrt(0)` is a DomainError as it is over a variable,
+    and `exp(1000)` is inf. Every other step is an array step: the
+    coefficient array of its jet, computed by the kernels of `jets` as
+    `Jet`'s operators compute it. `arrays[i]` tells the two apart. Step i is
+    (f, x, y), computed as f(env) for a name or a number (x is None) and as
+    f(value x, value y, nvars, order) for an operation, where a unary one
+    has y = x.
     """
-    values: list[Scalar] = []
+
+    steps: tuple[tuple[Callable, int | None, int | None], ...]
+    arrays: tuple[bool, ...]
+    outputs: tuple[int, ...]
+    nvars: int
+    order: int
+
+
+def compile_plan(tape: Tape, variables: Sequence[str], nvars: int, order: int) -> Plan:
+    """The plan of `tape` over jets of (nvars, order) bound to `variables`, compiled once."""
+    key = (tuple(variables), nvars, order)
+    found = tape.plans.get(key)
+    if found is None:
+        found = tape.plans.setdefault(key, _new_plan(tape, key[0], nvars, order))
+    return found
+
+
+def _new_plan(tape: Tape, variables: tuple[str, ...], nvars: int, order: int) -> Plan:
+    steps, arrays = [], []
     for op, x, y in tape.steps:
         if op == "num":
-            values.append(x)
+            steps.append((functools.partial(_number, x), None, None))
+            arrays.append(False)
         elif op == "name":
-            if x not in env and x not in CONSTANTS:
-                raise DomainError(f"unresolved identifier {x!r}")
-            values.append(env[x] if x in env else CONSTANTS[x])
+            steps.append((functools.partial(_lookup, x), None, None))
+            arrays.append(x in variables)
         else:
-            values.append(_OPS[op](values[x]) if y is None else _OPS[op](values[x], values[y]))
+            y = x if y is None else y
+            kind = (arrays[x], arrays[y])
+            steps.append((_ARRAY_OPS[(op, *kind)] if any(kind) else _NUMBER_OPS[op], x, y))
+            arrays.append(any(kind))
+    return Plan(tuple(steps), tuple(arrays), tape.outputs, nvars, order)
+
+
+def _number(value: float, env: Mapping) -> float:
+    return value
+
+
+def _lookup(name: str, env: Mapping):
+    if name in env:
+        return env[name]
+    if name in CONSTANTS:
+        return CONSTANTS[name]
+    raise DomainError(f"unresolved identifier {name!r}")
+
+
+def _on_number(kernel: Callable[..., np.ndarray], x: float, *args) -> float:
+    """kernel on the order-0 constant x, one point: a domain error raises."""
+    return float(kernel(np.array([x], dtype=float), *args, 1, 0)[0])
+
+
+def _divisor(y: float) -> float:
+    if y == 0.0:
+        raise DomainError("division by zero")
+    return y
+
+
+# Number steps, f(x, y, nvars, order) on floats; a unary op's y is x. In a^b
+# the rule follows the expression, never the point or the jet order: an
+# exponent over the variables is exp(b ln a), which needs a > 0.
+_NUMBER_OPS: dict[str, Callable] = {
+    "neg": lambda x, _, n, k: -x,
+    "+": lambda x, y, n, k: x + y,
+    "-": lambda x, y, n, k: x - y,
+    "*": lambda x, y, n, k: x * y,
+    "/": lambda x, y, n, k: x / _divisor(y),
+    "^": lambda x, y, n, k: _on_number(jets.power_coeffs, x, y),
+    **{
+        func: lambda x, _, n, k, kernel=kernel: _on_number(kernel, x)
+        for func, kernel in jets.FUNCTION_KERNELS.items()
+    },
+}
+
+# Array steps by (op, left is an array, right is an array): a and b are
+# coefficient arrays, c a number.
+_ARRAY_OPS: dict[tuple[str, bool, bool], Callable] = {
+    ("neg", True, True): lambda a, _, n, k: -a,
+    ("+", True, True): lambda a, b, n, k: a + b,
+    ("+", True, False): lambda a, c, n, k: jets.offset_coeffs(a, float(c)),
+    ("+", False, True): lambda c, b, n, k: jets.offset_coeffs(b, float(c)),
+    ("-", True, True): lambda a, b, n, k: a - b,
+    ("-", True, False): lambda a, c, n, k: jets.offset_coeffs(a, -float(c)),
+    ("-", False, True): lambda c, b, n, k: jets.offset_coeffs(b, float(c), negate=True),
+    ("*", True, True): jets.mul_coeffs,
+    ("*", True, False): lambda a, c, n, k: a * float(c),
+    ("*", False, True): lambda c, b, n, k: b * float(c),
+    ("/", True, True): lambda a, b, n, k: jets.mul_coeffs(a, jets.reciprocal_coeffs(b, n, k), n, k),
+    ("/", True, False): lambda a, c, n, k: a / float(_divisor(c)),
+    ("/", False, True): lambda c, b, n, k: jets.reciprocal_coeffs(b, n, k) * float(c),
+    ("^", True, True): lambda a, b, n, k: jets.exp_coeffs(
+        jets.mul_coeffs(b, jets.ln_coeffs(a, n, k), n, k), n, k
+    ),
+    ("^", True, False): jets.power_coeffs,
+    ("^", False, True): lambda c, b, n, k: jets.exp_coeffs(b * _on_number(jets.ln_coeffs, c), n, k),
+    **{
+        (func, True, True): lambda a, _, n, k, kernel=kernel: kernel(a, n, k)
+        for func, kernel in jets.FUNCTION_KERNELS.items()
+    },
+}
+
+
+def run_tape(plan: Plan, env: Mapping[str, Union[float, np.ndarray]]) -> list:
+    """The value of every step of `plan` over an environment of numbers and coefficient arrays.
+
+    Each variable of the plan is bound to its jet's coefficient array, each
+    other name to a number. A number step's value is a float, an array
+    step's a coefficient array of the plan's jets. Steps run in tape order,
+    so the first to fail raises.
+    """
+    nvars, order = plan.nvars, plan.order
+    values: list = []
+    for f, x, y in plan.steps:
+        values.append(f(env) if x is None else f(values[x], values[y], nvars, order))
     return values
 
 
 def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
-    """One expression over an environment of jets and numbers, through its tape (see `run_tape`)."""
+    """One expression over an environment of jets and numbers, through its plan (see `Plan`).
+
+    A float where the expression touches no jet, else a jet like those of the
+    environment, which must all have one shape.
+    """
     tape = compile_exprs([node])
-    return run_tape(tape, env)[tape.outputs[0]]
-
-
-def _on_jet(op: Callable[[Jet], Jet], x: Scalar) -> Scalar:
-    """op on a jet; on a float, the value of op on its order-0 constant jet."""
-    if isinstance(x, Jet):
-        return op(x)
-    return op(jets.constant(x, 1, 0)).value
-
-
-def _divide(left: Scalar, right: Scalar) -> Scalar:
-    if not isinstance(right, Jet) and right == 0.0:
-        raise DomainError("division by zero")
-    return left / right
-
-
-def _eval_pow(base: Scalar, exponent: Scalar) -> Scalar:
-    # the rule follows the expression, never the point or the jet order: an
-    # exponent over the variables is a^b = exp(b ln a), which needs a > 0
-    if isinstance(exponent, Jet):
-        return jets.exp(exponent * _on_jet(jets.ln, base))
-    return _on_jet(lambda b: jets.power(b, exponent), base)
-
-
-_OPS: dict[str, Callable[..., Scalar]] = {
-    "neg": operator.neg,
-    **{func: functools.partial(_on_jet, getattr(jets, func)) for func in FUNCTIONS},
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-    "^": _eval_pow,
-}
+    variables = tuple(name for name, value in env.items() if isinstance(value, Jet))
+    shapes = {(env[name].nvars, env[name].order, env[name].coeffs.shape) for name in variables}
+    if len(shapes) > 1:
+        raise ValueError(f"jet shape mismatch: {sorted(shapes)}")
+    nvars, order, _ = shapes.pop() if shapes else (1, 0, None)
+    plan = compile_plan(tape, variables, nvars, order)
+    values = run_tape(plan, {**env, **{name: env[name].coeffs for name in variables}})
+    (step,) = tape.outputs
+    return Jet(nvars, order, values[step]) if plan.arrays[step] else values[step]
 
 
 def free_names(node: Expr) -> set[str]:
@@ -449,41 +545,44 @@ def evaluate_exprs(
         raise ValueError(
             f"expected {nvars} coordinates or a (B, {nvars}) batch, got shape {points.shape}"
         )
-    env: dict[str, Scalar] = dict(parameters)
+    env = dict(parameters)
     inside = True
     if domain is not None:
         env.update(zip(variables, points.T))
         inside = domain(env)
     batched = points.ndim == 2
     if batched:
-        outside = ~np.broadcast_to(np.asarray(inside, dtype=bool), len(points))
+        outside = np.zeros(len(points), dtype=bool)
+        outside |= np.logical_not(inside)  # one bool, or one per point
         coords = np.where(outside[:, None], np.nan, points)
     elif inside:
         outside, coords = False, points
     else:
         raise _point_error(points, f"outside domain of {label}", parameters)
     for i, name in enumerate(variables):
-        env[name] = jets.seed_variable(i, coords[..., i], nvars, order)
+        env[name] = jets.seed_coeffs(i, coords[..., i], nvars, order)
+    plan = compile_plan(tape, variables, nvars, order)
     try:
-        values = run_tape(tape, env)
+        values = run_tape(plan, env)
     except DomainError:
         if not batched:
             raise
         return [jets.constant(np.full(len(points), np.nan), nvars, order)] * len(tape.outputs)
-    out = {}  # one jet per distinct output
+    out = {}  # the coefficients of each distinct output
     for step in tape.outputs:
-        result = values[step]
-        if not isinstance(result, Jet):
-            result = jets.constant(np.full(coords.shape[:-1], float(result)), nvars, order)
-        out[step] = result
+        value = values[step]
+        if not plan.arrays[step]:
+            value = jets.constant_coeffs(np.full(coords.shape[:-1], float(value)), nvars, order)
+        out[step] = value
     failed = outside
-    for jet in out.values():
+    for coeffs in out.values():
         # the max of a column is NaN exactly where the column holds a NaN
-        failed = failed | np.isnan(jet.coeffs.max(axis=0))
+        failed = failed | np.isnan(coeffs.max(axis=0))
     if failed.any():
         if not batched:
             raise _point_error(points, f"makes {label} not a number", parameters)
-        out = {s: Jet(nvars, order, np.where(failed, np.nan, jet.coeffs)) for s, jet in out.items()}
+        out = {step: np.where(failed, np.nan, coeffs) for step, coeffs in out.items()}
+    out = {step: Jet(nvars, order, coeffs) for step, coeffs in out.items()}
     return [out[step] for step in tape.outputs]
 
 

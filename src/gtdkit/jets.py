@@ -13,6 +13,15 @@ column per point. Both shapes run the same arithmetic, and every column is
 computed independently of the others in a fixed order, so a point's
 coefficients are bit-identical whatever batch it is evaluated in.
 
+The arithmetic is a set of kernels on plain coefficient arrays (`mul_coeffs`,
+`reciprocal_coeffs`, `power_coeffs`, `offset_coeffs` and one kernel per
+function of `FUNCTION_KERNELS`), given the jets' nvars and order. `Jet`'s
+operators and the functions `exp`, `ln`, `power`, `sqrt`, `sin` and `cos`
+wrap them, and `fundeq` runs its compiled tapes through them directly, so a
+tape builds no `Jet` per step. At order 0 a jet is its value alone, and each
+kernel is the constant term of its series: a product is `a * b`, a function
+the first term of its Taylor series.
+
 Leaving the domain of an elementary function (ln or a fractional power of a
 non-positive value, a reciprocal of zero) raises `DomainError` for one
 point. In a batch the point's column becomes NaN instead and the other points
@@ -20,8 +29,9 @@ carry on. Arithmetic and the elementary functions keep a NaN in its column
 (x^0 included), so a column that holds a NaN is the only record of a failed
 point, and `Jet.failed` reads it back.
 
-Jets are immutable; every operation returns a new jet. Mixing jets with
-plain numbers promotes the number to a constant jet.
+Jets are immutable; every operation returns a new jet, and no kernel writes
+into its operands. Mixing jets with plain numbers promotes the number to a
+constant jet.
 """
 
 from __future__ import annotations
@@ -100,7 +110,10 @@ def _columns(coeffs: np.ndarray) -> np.ndarray:
     return coeffs.reshape(coeffs.shape[0], -1)
 
 
-def _mul(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
+def mul_coeffs(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    """Coefficients of the truncated product of two jets of (nvars, order)."""
+    if not order:
+        return a * b
     # np.add.reduceat sums each output slot of each column on its own, in the
     # fixed triplet order, so a column's result does not depend on B; the
     # product is taken in place, so a batch holds two gathers at once, not three
@@ -108,6 +121,13 @@ def _mul(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
     pairs = a[ii]
     pairs *= b[jj]
     return np.add.reduceat(pairs, starts, axis=0)
+
+
+def offset_coeffs(a: np.ndarray, value: float, negate: bool = False) -> np.ndarray:
+    """Coefficients of a + value, or of value - a when `negate`: only the constant terms move."""
+    out = -a if negate else a.copy()
+    out[0] += value
+    return out
 
 
 class Jet:
@@ -181,17 +201,12 @@ class Jet:
                 f"jet batch mismatch: {self.coeffs.shape} vs {other.coeffs.shape}"
             )
 
-    def _offset(self, value: float, negate: bool = False) -> "Jet":
-        out = -self.coeffs if negate else self.coeffs.copy()
-        out[0] += value
-        return self._like(out)
-
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
             return self._like(self.coeffs + other.coeffs)
         if isinstance(other, (int, float)):
-            return self._offset(float(other))
+            return self._like(offset_coeffs(self.coeffs, float(other)))
         return NotImplemented
 
     __radd__ = __add__
@@ -201,12 +216,12 @@ class Jet:
             self._check(other)
             return self._like(self.coeffs - other.coeffs)
         if isinstance(other, (int, float)):
-            return self._offset(-float(other))
+            return self._like(offset_coeffs(self.coeffs, -float(other)))
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            return self._offset(float(other), negate=True)
+            return self._like(offset_coeffs(self.coeffs, float(other), negate=True))
         return NotImplemented
 
     def __neg__(self):
@@ -217,7 +232,7 @@ class Jet:
             return self._like(self.coeffs * float(other))
         if isinstance(other, Jet):
             self._check(other)
-            return self._like(_mul(self.coeffs, other.coeffs, self.nvars, self.order))
+            return self._like(mul_coeffs(self.coeffs, other.coeffs, self.nvars, self.order))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -228,12 +243,14 @@ class Jet:
                 raise DomainError("division by zero")
             return self._like(self.coeffs / float(other))
         if isinstance(other, Jet):
-            return self * _reciprocal(other)
+            self._check(other)
+            inverse = reciprocal_coeffs(other.coeffs, self.nvars, self.order)
+            return self._like(mul_coeffs(self.coeffs, inverse, self.nvars, self.order))
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            return _reciprocal(self) * other
+            return self._like(reciprocal_coeffs(self.coeffs, self.nvars, self.order) * float(other))
         return NotImplemented
 
     def __pow__(self, exponent):
@@ -242,28 +259,35 @@ class Jet:
         return NotImplemented
 
 
-def constant(value, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Embed a number (or a row of B numbers, one per point) as a constant jet."""
+def constant_coeffs(value, nvars: int, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Coefficients of a number (or of a row of B numbers, one per point) as a constant jet."""
     value = np.asarray(value, dtype=float)
     coeffs = np.zeros((_size(nvars, order),) + value.shape)
     coeffs[0] = value
-    return Jet(nvars, order, coeffs)
+    return coeffs
 
 
-def seed_variable(index: int, value, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
-    """Jet of the coordinate function x_index around x_index = value.
+def constant(value, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
+    """Embed a number (or a row of B numbers, one per point) as a constant jet."""
+    return Jet(nvars, order, constant_coeffs(value, nvars, order))
+
+
+def seed_coeffs(index: int, value, nvars: int, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Coefficients of the coordinate function x_index around x_index = value.
 
     `value` is a number, or a row of B numbers for a batch of points.
     """
-    size = _size(nvars, order)
+    coeffs = constant_coeffs(value, nvars, order)
     if not 0 <= index < nvars:
         raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-    value = np.asarray(value, dtype=float)
-    coeffs = np.zeros((size,) + value.shape)
-    coeffs[0] = value
     if order >= 1:
         coeffs[unit_slots(nvars, order)[index]] = 1.0
-    return Jet(nvars, order, coeffs)
+    return coeffs
+
+
+def seed_variable(index: int, value, nvars: int, order: int = DEFAULT_ORDER) -> Jet:
+    """Jet of the coordinate function x_index around x_index = value (see `seed_coeffs`)."""
+    return Jet(nvars, order, seed_coeffs(index, value, nvars, order))
 
 
 def seed_point(values: Sequence[float], order: int = DEFAULT_ORDER) -> list[Jet]:
@@ -373,14 +397,11 @@ def derive(jet: Jet, alpha: MultiIndex) -> Jet:
 # Each is a composition f(a) = sum_m c_m (a - a0)^m with c_m the univariate
 # Taylor coefficients of f at the constant term a0. Since (a - a0) has zero
 # constant term, the Horner evaluation truncates itself. The series are
-# computed with numpy on the row of constant terms, one value per point.
+# computed with numpy on the row of constant terms, one value per point, and
+# at order 0 the first term is the whole result.
 
 
-def _constant_terms(jet: Jet) -> np.ndarray:
-    return _columns(jet.coeffs)[0]
-
-
-def _domain(jet: Jet, a0: np.ndarray, bad: np.ndarray, message: Callable[[float], str]):
+def _domain(a: np.ndarray, a0: np.ndarray, bad: np.ndarray, message: Callable[[float], str]):
     """Points where an operation is undefined: raise for one point, NaN in a batch.
 
     Returns the constant terms with the bad points replaced by NaN, so their
@@ -388,50 +409,53 @@ def _domain(jet: Jet, a0: np.ndarray, bad: np.ndarray, message: Callable[[float]
     """
     if not bad.any():
         return a0
-    if not jet.batched:
+    if a.ndim == 1:
         raise DomainError(message(float(a0[0])))
     return np.where(bad, np.nan, a0)
 
 
-def _compose(jet: Jet, series: Sequence[np.ndarray]) -> Jet:
-    # series[m] holds one value per point; `[:1]` addresses the constant
-    # terms of one point and of a batch alike. h has a zero constant term,
-    # so each Horner step's constant term is series[m] alone: assigning it
-    # keeps 0 * inf = NaN out of the value and the value the same at every order.
-    h = jet.coeffs.copy()
+def _compose(a: np.ndarray, series: Sequence[np.ndarray], nvars: int, order: int) -> np.ndarray:
+    # series[m] holds one value per point
+    if not order:
+        return series[0].reshape(a.shape)
+    # h has a zero constant term, so each Horner step's constant term is
+    # series[m] alone: assigning it keeps 0 * inf = NaN out of the value and
+    # the value the same at every order; `[:1]` addresses the constant terms
+    # of one point and of a batch alike
+    h = a.copy()
     h[:1] = 0.0
     # the first Horner step multiplies a constant: a per-point scaling of h
-    out = h * series[jet.order]
-    out[:1] = series[jet.order - 1] if jet.order else series[0]
-    for m in range(jet.order - 2, -1, -1):
-        out = _mul(out, h, jet.nvars, jet.order)
+    out = h * series[order]
+    out[:1] = series[order - 1]
+    for m in range(order - 2, -1, -1):
+        out = mul_coeffs(out, h, nvars, order)
         out[:1] = series[m]
-    return Jet(jet.nvars, jet.order, out)
+    return out
 
 
-def _reciprocal(jet: Jet) -> Jet:
-    a0 = _constant_terms(jet)
-    a0 = _domain(jet, a0, a0 == 0.0, lambda v: "division by a jet with zero constant term")
-    series = [(-1.0) ** m / a0 ** (m + 1) for m in range(jet.order + 1)]
-    return _compose(jet, series)
+def reciprocal_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    a0 = _columns(a)[0]
+    a0 = _domain(a, a0, a0 == 0.0, lambda v: "division by a jet with zero constant term")
+    series = [1.0 / a0] + [(-1.0) ** m / a0 ** (m + 1) for m in range(1, order + 1)]
+    return _compose(a, series, nvars, order)
 
 
-def exp(jet: Jet) -> Jet:
-    e0 = np.exp(_constant_terms(jet))
-    series = [e0 / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series)
+def exp_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    e0 = np.exp(_columns(a)[0])
+    series = [e0 / math.factorial(m) for m in range(order + 1)]
+    return _compose(a, series, nvars, order)
 
 
-def ln(jet: Jet) -> Jet:
-    a0 = _constant_terms(jet)
-    a0 = _domain(jet, a0, a0 <= 0.0, lambda v: f"ln of non-positive value {v}")
+def ln_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    a0 = _columns(a)[0]
+    a0 = _domain(a, a0, a0 <= 0.0, lambda v: f"ln of non-positive value {v}")
     series = [np.log(a0)]
-    series += [(-1.0) ** (m + 1) / (m * a0**m) for m in range(1, jet.order + 1)]
-    return _compose(jet, series)
+    series += [(-1.0) ** (m + 1) / (m * a0**m) for m in range(1, order + 1)]
+    return _compose(a, series, nvars, order)
 
 
-def power(jet: Jet, r: float) -> Jet:
-    """jet**r; consistent with exp(r * ln(jet)) on the shared domain.
+def power_coeffs(a: np.ndarray, r: float, nvars: int, order: int) -> np.ndarray:
+    """Coefficients of a**r; consistent with exp(r * ln(a)) on the shared domain.
 
     Integer exponents work for any nonzero constant term (any value when
     r >= 0); fractional exponents require a positive constant term.
@@ -440,46 +464,81 @@ def power(jet: Jet, r: float) -> Jet:
         r = int(r)
     if isinstance(r, int):
         if r < 0:
-            return _int_power(_reciprocal(jet), -r)
-        return _int_power(jet, r)
-    a0 = _constant_terms(jet)
-    a0 = _domain(jet, a0, a0 <= 0.0, lambda v: f"fractional power of non-positive value {v}")
+            return _int_power(reciprocal_coeffs(a, nvars, order), -r, nvars, order)
+        return _int_power(a, r, nvars, order)
+    a0 = _columns(a)[0]
+    a0 = _domain(a, a0, a0 <= 0.0, lambda v: f"fractional power of non-positive value {v}")
     series = []
     binom = 1.0
-    for m in range(jet.order + 1):
+    for m in range(order + 1):
         series.append(binom * a0 ** (r - m))
         binom *= (r - m) / (m + 1)
-    return _compose(jet, series)
+    return _compose(a, series, nvars, order)
 
 
-def _int_power(jet: Jet, r: int) -> Jet:
+def _int_power(a: np.ndarray, r: int, nvars: int, order: int) -> np.ndarray:
     if r == 0:
-        out = np.zeros_like(jet.coeffs)
+        out = np.zeros_like(a)
         # x^0 = 1, except that a column holding a NaN stays NaN: its point has failed
-        out[:1] = np.where(np.isnan(jet.coeffs.max(axis=0)), np.nan, 1.0)
-        return Jet(jet.nvars, jet.order, out)
+        out[:1] = np.where(np.isnan(a.max(axis=0)), np.nan, 1.0)
+        return out
     out = None
-    base = jet.coeffs
+    base = a
     while r:
         if r & 1:
-            out = base if out is None else _mul(out, base, jet.nvars, jet.order)
+            out = base if out is None else mul_coeffs(out, base, nvars, order)
         r >>= 1
         if r:
-            base = _mul(base, base, jet.nvars, jet.order)
-    return Jet(jet.nvars, jet.order, out)
+            base = mul_coeffs(base, base, nvars, order)
+    return out
+
+
+def sqrt_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    return power_coeffs(a, 0.5, nvars, order)
+
+
+def sin_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    a0 = _columns(a)[0]
+    series = [np.sin(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(order + 1)]
+    return _compose(a, series, nvars, order)
+
+
+def cos_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    a0 = _columns(a)[0]
+    series = [np.cos(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(order + 1)]
+    return _compose(a, series, nvars, order)
+
+
+# the kernel of each function of the expression language
+FUNCTION_KERNELS: dict[str, Callable[[np.ndarray, int, int], np.ndarray]] = {
+    "exp": exp_coeffs,
+    "ln": ln_coeffs,
+    "sqrt": sqrt_coeffs,
+    "sin": sin_coeffs,
+    "cos": cos_coeffs,
+}
+
+
+def exp(jet: Jet) -> Jet:
+    return jet._like(exp_coeffs(jet.coeffs, jet.nvars, jet.order))
+
+
+def ln(jet: Jet) -> Jet:
+    return jet._like(ln_coeffs(jet.coeffs, jet.nvars, jet.order))
+
+
+def power(jet: Jet, r: float) -> Jet:
+    """jet**r (see `power_coeffs`)."""
+    return jet._like(power_coeffs(jet.coeffs, r, jet.nvars, jet.order))
 
 
 def sqrt(jet: Jet) -> Jet:
-    return power(jet, 0.5)
+    return jet._like(sqrt_coeffs(jet.coeffs, jet.nvars, jet.order))
 
 
 def sin(jet: Jet) -> Jet:
-    a0 = _constant_terms(jet)
-    series = [np.sin(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series)
+    return jet._like(sin_coeffs(jet.coeffs, jet.nvars, jet.order))
 
 
 def cos(jet: Jet) -> Jet:
-    a0 = _constant_terms(jet)
-    series = [np.cos(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(jet.order + 1)]
-    return _compose(jet, series)
+    return jet._like(cos_coeffs(jet.coeffs, jet.nvars, jet.order))

@@ -29,6 +29,10 @@ CORPUS = [
     "pi*Q^2/S",
     "S^(1/2)",
     "S^V",
+    # a power of two jets that both carry derivatives, and a number's power,
+    # difference and quotient with a jet: every operand kind of every operation
+    "(S*V + J^2)^(Q*theta - S/V)",
+    "2^(1 - S) - ln(k)/V",
     # x^0 of a failed x fails too, alone and in a batch
     "ln(S)^0",
     "V^(-2)",

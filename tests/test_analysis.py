@@ -338,7 +338,7 @@ def test_classify_potential_zero():
     spec = builtin("vdw", a=1.0, b=0.1)
     f = HessianMetricField(spec)
     v_zero = _vdw_potential_zero(spec)
-    assert analysis._classify_roots(f, np.array([0.0, v_zero])[None])[0] == "potential-zero"
+    assert analysis._residuals(f, np.array([0.0, v_zero])[None])[1][0] == "potential-zero"
 
 
 @pytest.mark.parametrize("kind", [MetricKind.WEINHOLD, MetricKind.RUPPEINER])
@@ -347,7 +347,7 @@ def test_classify_other_kinds_have_no_potential_factor(kind):
     spec = builtin("vdw", a=1.0, b=0.1)
     f = HessianMetricField(spec, kind)
     v_zero = _vdw_potential_zero(spec)
-    assert analysis._classify_roots(f, np.array([0.0, v_zero])[None])[0] == "hessian-zero"
+    assert analysis._residuals(f, np.array([0.0, v_zero])[None])[1][0] == "hessian-zero"
 
 
 # -- exponent fitting ------------------------------------------------------------------

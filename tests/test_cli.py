@@ -380,6 +380,14 @@ def test_flag_number_that_is_not_finite_exit_2(capsys, flag, argv, value):
     assert f"error: {flag}" in captured.err and f"{value!r} is not a finite number" in captured.err
 
 
+def test_check_negative_tolerance_exit_2(capsys):
+    # no residual is below a negative tolerance: it printed FAIL and exited 1, "check failed"
+    assert run([*_KN_EULER, "--tol=-1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --tol: '-1e-9' is negative" in captured.err
+
+
 def test_scan_fit_samples_that_round_to_one_point_exit_2(capsys):
     # S = 3.14159 + 1e-300 * 0.5^m rounds to 3.14159 for every m
     code = run([*_RN_FIT, "--fit-center", "S=3.14159,Q=1", "--fit-offsets", "1e-300:12:0.5"])
@@ -847,6 +855,78 @@ def _corpus_runs(tmp_path, source, kind, report_format, axes):
         for quantity in analysis.QUANTITIES:
             yield run(["scan", *common, *where, "--quantity", quantity, *output]), report
         yield run(["eval", *common, "--point", point, *output]), report
+
+
+# the numbers a flag can be given: finite, +-inf, nan, +-1e308 and subnormals
+_flag_number = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308]),
+).map(repr)
+_RN = ["--system", "reissner_nordstrom"]
+# each number flag of the grammar, {0}-{7} the drawn numbers and {n} a count
+_FLAG_RUNS = [
+    ["scan", *_RN, "--range", "S={0}:{1}:{n}", "--pin", "Q={2}", "--quantity", "detg"],
+    ["scan", "--system", "vdw_closed", "--range", "S={0}:{1}:{n},V={2}:{3}:{n}"],
+    ["scan", *_RN, "--range", "S=1:6:{n}", "--pin", "Q={0}", "--fit-center", "S={1},Q={2}",
+     "--fit-direction", "S={3},Q={4}"],
+    ["scan", *_RN, "--range", "S=1:6:{n}", "--pin", "Q=1", "--fit-center", "S=3.2,Q=1",
+     "--fit-direction", "S={0}", "--fit-offsets={1}:{m}:{2}"],
+    ["eval", *_RN, "--point", "S={0},Q={1}"],
+    ["check", "euler", *_RN, "--trials", "3", "--box", "S={0}:{1},Q={2}:{3}"],
+    ["check", "euler", *_RN, "--trials", "3", "--box", "S=1:{0},Q={1}:2", "--tol={2}"],
+]
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    argv=st.sampled_from(_FLAG_RUNS),
+    numbers=st.lists(_flag_number, min_size=7, max_size=7),
+    count=st.integers(min_value=1, max_value=4),
+    report_format=st.sampled_from(["json", "csv"]),
+)
+@example(argv=_FLAG_RUNS[0], numbers=["1.0", "inf", "1.0"] + ["1.0"] * 4, count=1, report_format="json")
+def test_flag_grammar_fuzz(tmp_path, capsys, argv, numbers, count, report_format):
+    # any number a flag accepts ends in a documented exit code, never a
+    # traceback, and a report row never has a coordinate that is not finite
+    report = tmp_path / f"report.{report_format}"
+    report.unlink(missing_ok=True)
+    argv = [arg.format(*numbers, n=count, m=count + 3) for arg in argv]
+    try:
+        code = run([*argv, "--format", report_format, "--output", str(report)])
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    out = capsys.readouterr().out
+    if argv[0] == "check":
+        # 1 is a check that fails against a tolerance it could pass, and only that
+        assert code in (0, 1, 2, 3) and (code == 1) == ("FAIL" in out), (argv, code, out)
+    else:
+        assert code in (0, 2, 3), (argv, code)
+    if code in (0, 1):
+        for coords in _report_coordinates(report, report_format, argv[0]):
+            assert all(map(math.isfinite, coords)), (argv, coords)
+
+
+def _report_coordinates(report, report_format, command):
+    """The coordinates of every row and singular point of a scan or eval report."""
+    if command == "check":
+        return []
+    if report_format == "csv":
+        header, *rows = [line.split(",") for line in report.read_text().splitlines()]
+        n = sum(1 for name in header if name in ("S", "Q", "V"))
+        return [[float(x) for x in row[:n]] for row in rows]
+    data = json.loads(report.read_text())
+    if command == "eval":
+        return [list(data["values"]["point"].values())]
+    # an axis's stop is a coordinate only where it has more than one point
+    grid = [
+        [ax["pin"]] if "pin" in ax else [ax["start"], ax["stop"]][: min(ax["count"], 2)]
+        for ax in data["grid"].values()
+    ]
+    roots = [list(point["coords"].values()) for point in data["singular_points"]]
+    return [[float(x) for x in axis] for axis in grid] + roots
 
 
 def _leaves(value):

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from gtdkit import fundeq, jets
 from gtdkit.errors import DomainError, ParseError
 from gtdkit.fundeq import (
     BinOp,
+    Call,
     Name,
+    Neg,
     Num,
     builtin,
     eval_jet,
@@ -196,6 +199,96 @@ def test_tape_sharing_is_invisible(first):
         failed = alone[0].failed | alone[1].failed
         expected = [np.where(failed, np.nan, jet.coeffs).tobytes() for jet in alone]
         assert [j.coeffs.tobytes() for j in _tape_jets([first, second], batch)] == expected, second
+
+
+# (S, V, J, Q, theta) with b = 0.1: points that fail (V <= b, S <= 0), overflow
+# (S = 1000 in exp(S/k)), or sit at a signed zero
+_WALK_POINTS = np.array(
+    [
+        (0.8, 1.7, 0.4, 0.9, 0.6),
+        (1.5, 0.3, -0.7, -0.2, 2.0),
+        (2.0, 0.1, 0.0, 0.0, -0.0),
+        (0.5, 0.05, 1.0, -0.0, 0.0),
+        (0.0, 1.0, 0.3, 0.5, 1.0),
+        (-0.0, 2.0, 0.3, 0.5, -1.0),
+        (-0.5, 1.0, -1.0, 1.0, 3.0),
+        (1000.0, 3.0, 2.0, 1.5, 5e-324),
+    ]
+)
+
+
+def _walk(node, env):
+    """The tree evaluated by `Jet`'s operators over jets and by float arithmetic over numbers.
+
+    A function or power of a number is the value of the jet function on its
+    order-0 constant jet, and an exponent over the variables is exp(b ln a).
+    """
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Name):
+        return env[node.ident] if node.ident in env else fundeq.CONSTANTS[node.ident]
+    if isinstance(node, Neg):
+        return -_walk(node.operand, env)
+    if isinstance(node, Call):
+        return _on_jet(getattr(jets, node.func), _walk(node.arg, env))
+    x, y = _walk(node.left, env), _walk(node.right, env)
+    if node.op == "/" and not isinstance(y, jets.Jet) and y == 0.0:
+        raise DomainError("division by zero")
+    if node.op == "^":
+        if isinstance(y, jets.Jet):
+            return jets.exp(y * _on_jet(jets.ln, x))
+        return _on_jet(lambda base: jets.power(base, y), x)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[
+        node.op
+    ](x, y)
+
+
+def _on_jet(function, x):
+    return function(x) if isinstance(x, jets.Jet) else function(jets.constant(x, 1, 0)).value
+
+
+def _walk_env(points, order):
+    env = dict(_TAPE_PARAMETERS)
+    for i, name in enumerate(_TAPE_VARIABLES):
+        env[name] = jets.seed_variable(i, points[..., i], len(_TAPE_VARIABLES), order)
+    return env
+
+
+def _bits(value):
+    if isinstance(value, jets.Jet):
+        return value.nvars, value.order, value.coeffs.shape, value.coeffs.tobytes()
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("source", CORPUS)
+def test_plan_matches_a_walk_with_jet_operators(source):
+    # the plan's number and array steps give the bits, signed zeros and NaN
+    # columns of Jet's operators, at one point and in a batch, and one failed
+    # point raises the same DomainError
+    tree = parse(source)
+    with np.errstate(all="ignore"):
+        for order in range(4):
+            for points in (_WALK_POINTS, *_WALK_POINTS):
+                env = _walk_env(points, order)
+                via_plan = _outcome(lambda: _bits(fundeq.eval_jet(tree, env)))
+                assert via_plan == _outcome(lambda: _bits(_walk(tree, env))), (order, points)
+
+
+@pytest.mark.parametrize("source", CORPUS)
+def test_order_zero_is_the_constant_term_at_every_order(source):
+    # each order-0 kernel is the constant term of its series, bit for bit, as
+    # sin(a0 + 0.0) is at theta = -0.0; a column with a NaN at a higher order
+    # (as x^0 of a column whose derivatives failed) is left out
+    tree = parse(source)
+    with np.errstate(all="ignore"):
+        value = fundeq.eval_jet(tree, _walk_env(_WALK_POINTS, 0))
+        for order in range(1, 4):
+            walked = _walk(tree, _walk_env(_WALK_POINTS, order))
+            if not isinstance(walked, jets.Jet):
+                assert _bits(walked) == _bits(value)
+                continue
+            kept = ~walked.failed
+            assert walked.value[kept].tobytes() == value.value[kept].tobytes(), order
 
 
 def test_tape_keeps_signed_zeros():
