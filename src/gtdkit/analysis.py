@@ -5,8 +5,10 @@ one of: curvature scalar, metric determinant, potential value, or the
 intensive variables. Points where the metric degenerates or the field leaves
 its domain are marked, never fatal. Root finding watches det g for sign
 changes along coordinate lines and refines each bracket by ITP root refinement
-(interpolate, truncate, project); divergence exponents come from a log-log fit
-of |R| against the distance to an approach point.
+(interpolate, truncate, project): every active bracket takes its step in one det-g
+batch, and a bracket that stops leaves the batch. Divergence exponents come from a
+log-log fit of |R| against the distance to an approach point; a fit none of whose
+samples could be evaluated is an error, not a missing divergence.
 
 A batch of the scan, root refinement, root classification or fit holds at most
 as many points as fit CHUNK_BYTES in its widest array (`_batch_rows`). Reports are
@@ -203,7 +205,7 @@ def _batch_rows(f: MetricField, quantity: str) -> int:
 def _chunks(f: MetricField, points: np.ndarray, quantity: str) -> list[np.ndarray]:
     # as few batches as the bound allows, all of one size to a point
     count = -(-len(points) // _batch_rows(f, quantity))
-    return np.array_split(points, count) if count else []
+    return [points[i * len(points) // count : (i + 1) * len(points) // count] for i in range(count)]
 
 
 def grid_scan(f: MetricField, grid: GridSpec, quantity: str = "curvature") -> ScanReport:
@@ -244,21 +246,17 @@ def _itp_points(
     ITP_KAPPA1 / width0 * width^ITP_KAPPA2) and project into the window of
     radius target / 2 * 2^steps_left - width / 2 around the midpoint, which
     keeps every bracket narrower than target after the steps left to it.
+    The caller ignores invalid and overflow warnings: a failed trial is NaN or inf.
     """
     width = hi - lo
     mid = 0.5 * (lo + hi)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # flo / (flo - fhi) lies in [0, 1]: the signs at the ends differ
-        interpolated = lo + width * (flo / (flo - fhi))
-        toward_mid = np.sign(mid - interpolated)
-        delta = ITP_KAPPA1 / width0 * width**ITP_KAPPA2
-        truncated = np.where(
-            delta <= np.abs(mid - interpolated), interpolated + toward_mid * delta, mid
-        )
-        radius = 0.5 * (np.ldexp(target, steps_left) - width)
-        trial = np.where(
-            np.abs(truncated - mid) <= radius, truncated, mid - toward_mid * radius
-        )
+    # flo / (flo - fhi) lies in [0, 1]: the signs at the ends differ
+    interpolated = lo + width * (flo / (flo - fhi))
+    toward_mid = np.sign(mid - interpolated)
+    delta = ITP_KAPPA1 / width0 * width**ITP_KAPPA2
+    truncated = np.where(delta <= np.abs(mid - interpolated), interpolated + toward_mid * delta, mid)
+    radius = 0.5 * (np.ldexp(target, steps_left) - width)
+    trial = np.where(np.abs(truncated - mid) <= radius, truncated, mid - toward_mid * radius)
     inside = np.isfinite(trial) & (trial > lo) & (trial < hi)
     return np.where(inside, trial, mid)
 
@@ -284,45 +282,47 @@ def _refine_roots(
     0 exactly, which becomes both ends; the root is then 0.5 * (lo + hi). A
     bracket whose trial point leaves the domain is dropped. Every bracket starts at step 0 and
     its arithmetic is elementwise, so its root does not depend on the others
-    in the batch. Returns the roots and the mask of brackets that kept them.
+    in the batch. A step works on the brackets still active alone, compacted
+    as others stop. Returns the roots and the mask of brackets that kept them.
     """
-    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    lo, hi = lo.copy(), hi.copy()
     scale = np.maximum(np.abs(lo), np.abs(hi))
     tol = ROOT_TOL_FACTOR * np.maximum(1.0, scale)
     # the projection aims a few ulps inside tol: the rounded midpoints of the
     # last steps could otherwise leave a bracket one ulp wider than tol
     target = tol - 4.0 * np.spacing(scale)
     width0 = hi - lo
-    active = width0 > tol
     kept = np.ones(len(lo), dtype=bool)
     # ceil(log2(width0 / tol)) from the exact binary exponent, plus ITP_N0
     mantissa, exponent = np.frexp(width0 / tol)
     max_steps = exponent - (mantissa == 0.5) + ITP_N0
+    # the active brackets: their places idx, and their fields compacted, one entry each
+    idx = np.flatnonzero(width0 > tol)
+    state = [v[idx] for v in (lo, hi, flo, fhi, tol, target, max_steps, width0, base, axis)]
     step = 0
-    while active.any():
-        idx = np.flatnonzero(active)
-        mid = 0.5 * (lo[idx] + hi[idx])
-        split = (mid > lo[idx]) & (mid < hi[idx])
-        active[idx[~split]] = False
-        idx = idx[split]
-        x = _itp_points(
-            lo[idx], hi[idx], flo[idx], fhi[idx], target[idx], max_steps[idx] - step, width0[idx]
-        )
-        points = base[idx].copy()
-        points[np.arange(len(idx)), axis[idx]] = x
-        fx = _determinants(f, points)
-        left = np.isnan(fx)
-        kept[idx[left]] = False
-        zero = fx == 0.0
-        lo[idx[zero]] = hi[idx[zero]] = x[zero]
-        active[idx[left | zero]] = False
-        move = ~(left | zero)
-        idx, x, fx = idx[move], x[move], fx[move]
-        flip = (flo[idx] < 0.0) != (fx < 0.0)
-        hi[idx[flip]], fhi[idx[flip]] = x[flip], fx[flip]
-        lo[idx[~flip]], flo[idx[~flip]] = x[~flip], fx[~flip]
-        active[idx] = hi[idx] - lo[idx] > tol[idx]
-        step += 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        while len(idx):
+            a, b, fa, fb, t, aim, steps, w0, points, ax = state
+            mid = 0.5 * (a + b)
+            # a bracket the midpoint no longer splits stops before the step
+            stay = (mid > a) & (mid < b)
+            if stay.all():
+                x = _itp_points(a, b, fa, fb, aim, steps - step, w0)
+                points[np.arange(len(x)), ax] = x
+                fx = _determinants(f, points)
+                left, zero = np.isnan(fx), fx == 0.0
+                kept[idx[left]] = False
+                move = ~(left | zero)
+                flip = (fa < 0.0) != (fx < 0.0)
+                np.copyto(b, x, where=zero | (move & flip))
+                np.copyto(fb, fx, where=move & flip)
+                np.copyto(a, x, where=zero | (move & ~flip))
+                np.copyto(fa, fx, where=move & ~flip)
+                stay = move & (b - a > t)
+                step += 1
+            if not stay.all():
+                lo[idx[~stay]], hi[idx[~stay]] = a[~stay], b[~stay]
+                idx, state = idx[stay], [v[stay] for v in state]
     return 0.5 * (lo + hi), kept
 
 
@@ -418,8 +418,9 @@ def fit_power_law(
     """Least-squares slope of log|sample| against log(offset).
 
     Samples at center + t * direction for each offset t; values below the
-    noise floor (and failed evaluations) are dropped. The reported exponent
-    is the negated slope, so 1/x**2 fits to 2.0.
+    noise floor (and failed evaluations) are dropped, and ValueError is
+    raised when every evaluation failed. The reported exponent is the
+    negated slope, so 1/x**2 fits to 2.0.
     """
     center = np.asarray(center, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -435,7 +436,15 @@ def fit_power_law(
 def _fit(
     offsets: Sequence[float], values: Sequence[float | None], noise_floor: float
 ) -> DivergenceFit:
-    """The log-log fit of `fit_power_law` on sampled values (None for a failed sample)."""
+    """The log-log fit of `fit_power_law` on sampled values (None for a failed sample).
+
+    A fit whose every sample failed raises ValueError naming their offsets.
+    """
+    if values and all(v is None for v in values):
+        raise ValueError(
+            "every fit sample failed (outside the domain or a degenerate metric), at offsets "
+            + ", ".join(f"{t:g}" for t in offsets)
+        )
     logs_x, logs_y = [], []
     for t, v in zip(offsets, values):
         if v is None:

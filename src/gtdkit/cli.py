@@ -369,15 +369,17 @@ def cmd_scan(args) -> int:
             )
         )
 
-    n_ok = sum(1 for s in report_data.status if s == analysis.STATUS_OK)
+    n_ok = report_data.status.count(analysis.STATUS_OK)
     print(f"scanned {grid.size} points ({n_ok} ok, {grid.size - n_ok} marked)")
+    # one template for every root's numbers; %.17g writes the bytes fmt writes
+    line = ", ".join(f"{name.replace('%', '%%')}=%.17g" for name in grid.names) + "  det_g = %.17g"
     for root in roots:
-        coords = ", ".join(f"{k}={fmt(v)}" for k, v in root.coords.items())
+        numbers = (*root.coords.values(), root.det_g)
         if root.category == "pole":
-            print(f"pole: {coords}  det_g = {fmt(root.det_g)}")
+            print("pole: " + line % numbers)
             continue
         cat = f" [{root.category}]" if root.category else ""
-        print(f"root: {coords}  det_g = {fmt(root.det_g)}{cat}")
+        print("root: " + line % numbers + cat)
     for fit in fits:
         if fit.diverges:
             print(f"divergence exponent: {fit.exponent:.4f} (correlation {fit.correlation:.6f})")
@@ -401,10 +403,11 @@ def cmd_scan(args) -> int:
     header = list(grid.names) + list(report_data.columns) + ["status"]
     rows = None
     if args.format == "csv":
-        # each axis value is formatted once, not once for every row it is on
+        # each axis value is formatted once, and each row's coordinates are one
+        # text cell, joined once; the values go column by column
         axes = ([fmt(x) for x in v.tolist()] for v in grid.axis_values())
-        keys, values = itertools.product(*axes), report_data.values.tolist()
-        rows = [(*k, *v, s) for k, v, s in zip(keys, values, report_data.status)]
+        keys = map(",".join, itertools.product(*axes))
+        rows = list(zip(keys, *report_data.values.T.tolist(), report_data.status))
     _emit(args, report, header, rows)
     return EXIT_OK
 

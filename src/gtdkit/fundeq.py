@@ -300,7 +300,9 @@ class Plan(NamedTuple):
     `Jet`'s operators compute it. `arrays[i]` tells the two apart. Step i is
     (f, x, y), computed as f(env) for a name or a number (x is None) and as
     f(value x, value y, nvars, order) for an operation, where a unary one
-    has y = x.
+    has y = x. A division by an array y is a product with 1/y, one
+    reciprocal step per distinct y at its first use, so a plan can have more
+    steps than its tape; `outputs` holds the plan step of each tape output.
     """
 
     steps: tuple[tuple[Callable, int | None, int | None], ...]
@@ -321,6 +323,8 @@ def compile_plan(tape: Tape, variables: Sequence[str], nvars: int, order: int) -
 
 def _new_plan(tape: Tape, variables: tuple[str, ...], nvars: int, order: int) -> Plan:
     steps, arrays = [], []
+    where = []  # the plan step of each tape step
+    reciprocals: dict[int, int] = {}  # the plan step of 1/y for each array denominator y
     for op, x, y in tape.steps:
         if op == "num":
             steps.append((functools.partial(_number, x), None, None))
@@ -329,11 +333,19 @@ def _new_plan(tape: Tape, variables: tuple[str, ...], nvars: int, order: int) ->
             steps.append((functools.partial(_lookup, x), None, None))
             arrays.append(x in variables)
         else:
-            y = x if y is None else y
+            x, y = where[x], where[x if y is None else y]
+            if op == "/" and arrays[y]:
+                # x / y is x * (1/y), with 1/y computed at its first use and shared after
+                if y not in reciprocals:
+                    reciprocals[y] = len(steps)
+                    steps.append((_reciprocal, y, y))
+                    arrays.append(True)
+                op, y = "*", reciprocals[y]
             kind = (arrays[x], arrays[y])
             steps.append((_ARRAY_OPS[(op, *kind)] if any(kind) else _NUMBER_OPS[op], x, y))
             arrays.append(any(kind))
-    return Plan(tuple(steps), tuple(arrays), tape.outputs, nvars, order)
+        where.append(len(steps) - 1)
+    return Plan(tuple(steps), tuple(arrays), tuple(where[i] for i in tape.outputs), nvars, order)
 
 
 def _number(value: float, env: Mapping) -> float:
@@ -351,6 +363,10 @@ def _lookup(name: str, env: Mapping):
 def _on_number(kernel: Callable[..., np.ndarray], x: float, *args) -> float:
     """kernel on the order-0 constant x, one point: a domain error raises."""
     return float(kernel(np.array([x], dtype=float), *args, 1, 0)[0])
+
+
+def _reciprocal(a: np.ndarray, _, nvars: int, order: int) -> np.ndarray:
+    return jets.reciprocal_coeffs(a, nvars, order)
 
 
 def _divisor(y: float) -> float:
@@ -388,9 +404,7 @@ _ARRAY_OPS: dict[tuple[str, bool, bool], Callable] = {
     ("*", True, True): jets.mul_coeffs,
     ("*", True, False): lambda a, c, n, k: a * float(c),
     ("*", False, True): lambda c, b, n, k: b * float(c),
-    ("/", True, True): lambda a, b, n, k: jets.mul_coeffs(a, jets.reciprocal_coeffs(b, n, k), n, k),
     ("/", True, False): lambda a, c, n, k: a / float(_divisor(c)),
-    ("/", False, True): lambda c, b, n, k: jets.reciprocal_coeffs(b, n, k) * float(c),
     ("^", True, True): lambda a, b, n, k: jets.exp_coeffs(
         jets.mul_coeffs(b, jets.ln_coeffs(a, n, k), n, k), n, k
     ),
@@ -432,7 +446,7 @@ def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
     nvars, order, _ = shapes.pop() if shapes else (1, 0, None)
     plan = compile_plan(tape, variables, nvars, order)
     values = run_tape(plan, {**env, **{name: env[name].coeffs for name in variables}})
-    (step,) = tape.outputs
+    (step,) = plan.outputs
     return Jet(nvars, order, values[step]) if plan.arrays[step] else values[step]
 
 
@@ -569,7 +583,7 @@ def evaluate_exprs(
             raise
         return [jets.constant(np.full(len(points), np.nan), nvars, order)] * len(tape.outputs)
     out = {}  # the coefficients of each distinct output
-    for step in tape.outputs:
+    for step in plan.outputs:
         value = values[step]
         if not plan.arrays[step]:
             value = jets.constant_coeffs(np.full(coords.shape[:-1], float(value)), nvars, order)
@@ -583,7 +597,7 @@ def evaluate_exprs(
             raise _point_error(points, f"makes {label} not a number", parameters)
         out = {step: np.where(failed, np.nan, coeffs) for step, coeffs in out.items()}
     out = {step: Jet(nvars, order, coeffs) for step, coeffs in out.items()}
-    return [out[step] for step in tape.outputs]
+    return [out[step] for step in plan.outputs]
 
 
 def _point_error(point: np.ndarray, reason: str, parameters: Mapping[str, float]) -> DomainError:

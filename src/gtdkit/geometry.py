@@ -167,11 +167,14 @@ class HessianMetricField:
         """[g, dg, d2g][: gorder + 1], the failed points, and the partials d, c they come from.
 
         d[k][z, a, b, ...] = D^(e_a + e_b + ...) Phi at point z, to order
-        min(gorder + 2, 3); c[k], the k-th derivatives of c, to gorder.
+        min(gorder + 2, 3), except that d[1] is None where g does not read
+        it; c[k], the k-th derivatives of c, to gorder.
         """
         phi = fundeq.evaluate(self.spec, point, order=min(gorder + 2, 3))
-        d = [jets.partials(phi, k) for k in range(phi.order + 1)]
-        h, batch = d[2], len(d[0])
+        # g reads Phi_a only through c: as T = Phi_1, or as c_a when gorder > 0
+        unread = 1 if gorder == 0 and self.kind is not MetricKind.RUPPEINER else None
+        d = [None if k == unread else jets.partials(phi, k) for k in range(phi.order + 1)]
+        h, batch = d[2], len(d[2])
         c = d
         if self.kind is MetricKind.WEINHOLD:
             c = [np.ones(batch), np.zeros(h.shape[:2]), np.zeros(h.shape)]
@@ -325,6 +328,9 @@ def degeneracy_threshold(g: np.ndarray):
 
 def statuses(failed: np.ndarray, degenerate: np.ndarray | None = None) -> list[str]:
     """Status of each point of a batch from its failed and degenerate masks."""
+    marked = failed if degenerate is None else failed | degenerate
+    if not marked.any():
+        return [STATUS_OK] * len(failed)
     out = np.where(failed, STATUS_DOMAIN_ERROR, STATUS_OK).astype(object)
     if degenerate is not None:
         out[degenerate] = STATUS_DEGENERATE
@@ -332,8 +338,11 @@ def statuses(failed: np.ndarray, degenerate: np.ndarray | None = None) -> list[s
 
 
 def _replace(g: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """The (B, n, n) stack with the matrices of bad points replaced by the identity."""
-    return np.where(bad[:, None, None], np.eye(g.shape[-1]), g)
+    """The (B, n, n) stack with the matrices of bad points replaced by the identity.
+
+    `g` itself where no point is bad: callers only read the result.
+    """
+    return np.where(bad[:, None, None], np.eye(g.shape[-1]), g) if bad.any() else g
 
 
 def _geometry_arrays(gjets: list[list[Jet]]):
@@ -344,10 +353,12 @@ def _geometry_arrays(gjets: list[list[Jet]]):
     """
     n = len(gjets)
     order = gjets[0][0].order
-    # one C-contiguous (B, N, n, n) stack of the coefficients (B = 1 for one point)
-    coeffs = np.array([[g.coeffs.reshape(len(g.coeffs), -1) for g in row] for row in gjets])
-    coeffs = np.ascontiguousarray(coeffs.transpose(3, 2, 0, 1))
-    g = np.ascontiguousarray(coeffs[:, 0])
+    # one C-contiguous (B, N, n, n) stack of the coefficients (B = 1 for one point):
+    # numpy stacks a flat list of arrays in one block copy, and the transpose is
+    # one more; np.stack straight into this layout is slower
+    flat = np.array([jets._columns(g.coeffs) for row in gjets for g in row])
+    coeffs = flat.T.reshape(flat.shape[:0:-1] + (n, n))
+    g = coeffs[:, 0]
     dg = coeffs[:, jets.unit_slots(n, order)] if order >= 1 else None
     d2g = None
     if order >= 2:

@@ -45,6 +45,8 @@ CORPUS = [
     "S^2^3",
     "3*pi^2*J^4/S^4 + 3*J^2/(2*S^2) - 1/(16*pi^2)",
     "sqrt(pi)*Q/sqrt(S)",
+    # one array denominator under a jet and under a number: one shared reciprocal
+    "S/(V+k) - 2/(V+k)",
     # constants that overflow: inf, as over a variable, and never a traceback
     "S*exp(1000)",
     "10^400 + S",

@@ -302,6 +302,38 @@ def test_refinement_worst_case_and_batch_independence(monkeypatch, name):
         assert alone[0] == roots[k]
 
 
+def test_refinement_drops_brackets_that_leave_the_domain(monkeypatch):
+    # brackets 3, 10, 17, ... get NaN at their second trial point: they come back
+    # not kept, and every root, dropped or kept, is its lone refinement's, bit for bit
+    g = _HARD_CROSSINGS["cubic"]
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-5.0, 5.0, 40)
+    hi = lo + rng.uniform(0.01, 2.0, 40)
+    c = lo + rng.uniform(0.01, 0.99, 40) * (hi - lo)
+    dropped = np.arange(40) % 7 == 3
+    steps = np.zeros(40, dtype=int)
+
+    def determinants(f, points):
+        k = points[:, 1].astype(int)
+        np.add.at(steps, k, 1)
+        return np.where(dropped[k] & (steps[k] == 2), np.nan, g(points[:, 0], c[k]))
+
+    monkeypatch.setattr(analysis, "_determinants", determinants)
+    base = np.stack([lo, np.arange(40.0)], axis=1)
+    axis = np.zeros(40, dtype=int)
+    roots, kept = analysis._refine_roots(None, base, axis, lo, hi, g(lo, c), g(hi, c))
+    assert np.array_equal(kept, ~dropped)
+    assert np.all(steps[dropped] == 2) and np.all(steps[~dropped] > 2)
+    assert np.all((lo < roots) & (roots < hi))
+    for k in range(40):
+        steps[:] = 0
+        one = slice(k, k + 1)
+        alone, kept_alone = analysis._refine_roots(
+            None, base[one], axis[one], lo[one], hi[one], g(lo[one], c[one]), g(hi[one], c[one])
+        )
+        assert alone[0] == roots[k] and kept_alone[0] == kept[k]
+
+
 def test_ideal_gas_has_no_roots():
     f = HessianMetricField(builtin("ideal_gas"))
     grid = GridSpec.build(f.coordinates, {"S": Axis(0.1, 2, 30), "V": Axis(0.5, 3, 30)})

@@ -397,6 +397,19 @@ def test_scan_fit_samples_that_round_to_one_point_exit_2(capsys):
     assert "fit samples are not distinct" in captured.err
 
 
+def test_scan_fit_whose_every_sample_fails_exit_2(capsys):
+    # every sample S = -5 + t lies outside S > 0: no sample was below the noise floor
+    code = run(
+        ["scan", "--system", "reissner_nordstrom", "--range", "S=1:6:3", "--pin", "Q=1",
+         "--fit-center", "S=-5,Q=1", "--fit-direction", "S=1"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "no divergence detected" not in captured.out
+    assert "error: every fit sample failed" in captured.err
+    assert "at offsets 0.1, 0.05, 0.025," in captured.err
+
+
 def test_scan_fit_of_constant_curvature_does_not_diverge(tmp_path, capsys):
     # along phi the unit sphere's metric does not change, so R = 2 at every sample, bit for bit
     path = tmp_path / "metric.ini"
@@ -769,6 +782,26 @@ def test_scan_ruppeiner_pole_is_not_a_root(tmp_path, capsys):
     (point,) = json.loads(out.read_text())["singular_points"]
     assert point["category"] == "pole"
     assert point["coords"]["S"] == pytest.approx(PI, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, head", [("ruppeiner", "pole"), ("natural", "root")])
+def test_scan_root_and_pole_lines_format_each_number_alone(capsys, kind, head):
+    # one template writes every line: each number keeps the bytes of its own fmt call
+    code = run(
+        ["scan", "--system", "reissner_nordstrom", "--metric-kind", kind,
+         "--range", "S=0.5:10:50", "--range", "Q=0.5:1.5:4", "--quantity", "detg"]
+    )
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()[1:]
+    f = geometry.HessianMetricField(fundeq.builtin("reissner_nordstrom"), geometry.MetricKind(kind))
+    axes = {"S": analysis.Axis(0.5, 10.0, 50), "Q": analysis.Axis(0.5, 1.5, 4)}
+    expected = []
+    for root in analysis.find_singular_locus(f, analysis.GridSpec.build(f.coordinates, axes)):
+        coords = ", ".join(f"{k}={cli.fmt(v)}" for k, v in root.coords.items())
+        line = f"{coords}  det_g = {cli.fmt(root.det_g)}"
+        expected.append(f"pole: {line}" if root.category == "pole" else f"root: {line} [{root.category}]")
+    assert len(expected) > 4 and all(line.startswith(head) for line in expected)
+    assert printed == expected
 
 
 # -- CLI contract over the expression corpus ----------------------------------------

@@ -305,6 +305,22 @@ def test_tape_shares_equal_subtrees():
     assert len(tape.steps) == len(set(tape.steps))
 
 
+@pytest.mark.parametrize("name, order", [("kerr_newman", 3), ("reissner_nordstrom", 2)])
+def test_plan_shares_one_reciprocal_per_denominator(monkeypatch, name, order):
+    # the potential divides by S twice, as pi*J^2/S and pi*Q^2/S: one reciprocal
+    spec = builtin(name)
+    calls, reciprocal = [0], jets.reciprocal_coeffs
+
+    def counted(*args):
+        calls[0] += 1
+        return reciprocal(*args)
+
+    monkeypatch.setattr(jets, "reciprocal_coeffs", counted)
+    points = np.array([(3.0, 0.5, 0.8), (5.0, 1.0, 0.3)])[:, : spec.dim]
+    evaluate(spec, points, order)
+    assert calls[0] == 1
+
+
 # -- intensive variables ------------------------------------------------------------
 
 
