@@ -26,7 +26,8 @@ import numpy as np
 
 from . import fundeq, geometry, jets
 from .errors import DegenerateMetricError, DomainError
-from .geometry import (  # the point statuses are re-exported for scan reports
+from .geometry import (  # the point statuses and quantities are re-exported for scan reports
+    QUANTITIES,
     STATUS_DEGENERATE,
     STATUS_DOMAIN_ERROR,
     STATUS_OK,
@@ -52,7 +53,6 @@ ITP_KAPPA1 = 0.2
 ITP_KAPPA2 = 2
 ITP_N0 = 1
 
-QUANTITIES = ("curvature", "detg", "potential", "intensive")
 _QUANTITY_ALIASES = {"scalar_curvature": "curvature", "det_g": "detg"}
 
 

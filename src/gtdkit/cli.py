@@ -28,18 +28,21 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import analysis, fundeq, geometry, phase_space
-from .analysis import Axis, GridSpec
+# each command imports what only it needs: `scan` analysis, `check` phase_space,
+# a JSON report json, so an eval loads none of them
+from . import fundeq, geometry
 from .errors import DegenerateMetricError, GtdError
 from .geometry import HessianMetricField, MetricKind
+
+if TYPE_CHECKING:
+    from . import analysis, phase_space
 
 SCHEMA_VERSION = 2
 
@@ -103,8 +106,10 @@ def _parse_assignments(text: str, flag: str) -> dict[str, float]:
     return out
 
 
-def _parse_ranges(items: Sequence[str]) -> dict[str, Axis]:
-    out: dict[str, Axis] = {}
+def _parse_ranges(items: Sequence[str]) -> dict[str, analysis.Axis]:
+    from . import analysis
+
+    out: dict[str, analysis.Axis] = {}
     for item in items:
         for chunk in item.split(","):
             chunk = chunk.strip()
@@ -120,7 +125,7 @@ def _parse_ranges(items: Sequence[str]) -> dict[str, Axis]:
             except ValueError:
                 raise UsageError(f"--range {chunk!r}: malformed numbers") from None
             try:
-                out[name.strip()] = Axis(start, stop, count)
+                out[name.strip()] = analysis.Axis(start, stop, count)
             except ValueError as exc:
                 raise UsageError(f"--range {chunk!r}: {exc}") from None
             # Axis checks both ends where count > 1; a one-point axis is its start alone
@@ -198,6 +203,8 @@ def _rows_text(table: np.ndarray) -> str:
     one `tolist()`. Line breaks go only between rows, whose elements are
     numbers, null and "inf"/"-inf", never into text that can hold a user string.
     """
+    import json
+
     rows = table.tolist()
     for i in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
         rows[i] = _strict(rows[i])
@@ -210,6 +217,8 @@ def _json_text(report: dict) -> str:
 
     A scan's `values` holds its rows as an array, written by `_rows_text`.
     """
+    import json
+
     lines = []
     for key, value in report.items():
         if isinstance(value, dict) and isinstance(value.get("rows"), np.ndarray):
@@ -332,7 +341,7 @@ def cmd_eval(args) -> int:
     report = _report_skeleton(args, "eval")
     report["values"] = values
     header = [*coords, *("R" if name == "curvature" else name for name, _ in flat), "status"]
-    _emit(args, report, header, [[*point, *(x for _, x in flat), analysis.STATUS_OK]])
+    _emit(args, report, header, [[*point, *(x for _, x in flat), geometry.STATUS_OK]])
     return EXIT_OK
 
 
@@ -340,6 +349,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import analysis
+
     f = resolve_field(args.system, args._params, MetricKind(args.metric_kind))
     ranges = _parse_ranges(args.range or [])
     pins = _parse_pins(args.pin or [])
@@ -347,7 +358,7 @@ def cmd_scan(args) -> int:
     if overlap:
         raise UsageError(f"coordinates both ranged and pinned: {sorted(overlap)}")
     try:
-        grid = GridSpec.build(f.coordinates, {**ranges, **pins})
+        grid = analysis.GridSpec.build(f.coordinates, {**ranges, **pins})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -463,6 +474,8 @@ def _require_system(args) -> "fundeq.SystemSpec":
 
 
 def _parse_transform(text: str, n: int) -> phase_space.LegendreMap:
+    from . import phase_space
+
     if text == "identity":
         return phase_space.LegendreMap.identity(n)
     if text == "total":
@@ -479,6 +492,8 @@ def _parse_transform(text: str, n: int) -> phase_space.LegendreMap:
 
 
 def cmd_check(args) -> int:
+    from . import phase_space
+
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
@@ -591,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--range", action="append", help="VAR=start:stop:count (repeatable, comma-separable)"
     )
     p_scan.add_argument("--pin", action="append", help="VAR=value (repeatable)")
-    p_scan.add_argument("--quantity", default="curvature", choices=list(analysis.QUANTITIES))
+    p_scan.add_argument("--quantity", default="curvature", choices=list(geometry.QUANTITIES))
     p_scan.add_argument("--fit-center", default=None, help="divergence fit center, VAR=value,...")
     p_scan.add_argument("--fit-direction", default=None, help="approach direction, VAR=value,...")
     p_scan.add_argument("--fit-offsets", default="0.1:10", help="BASE:COUNT[:FACTOR]")

@@ -33,14 +33,11 @@ The identifier ``pi`` is a reserved constant.
 
 from __future__ import annotations
 
-import configparser
-import copy
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -48,37 +45,37 @@ from . import jets
 from .errors import DomainError, ParseError
 from .jets import Jet
 
+if TYPE_CHECKING:
+    import configparser
+
 FUNCTIONS = tuple(jets.FUNCTION_KERNELS)  # the functions of the grammar
 CONSTANTS = {"pi": math.pi}
 
 
 # -- abstract syntax tree ------------------------------------------------------
+#
+# A node is a named tuple: it compares and hashes as the tuple of its fields.
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     ident: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: "Expr"
 
@@ -471,30 +468,61 @@ Point = Sequence[float]
 DomainPredicate = Callable[[Mapping[str, Union[float, np.ndarray]]], Union[bool, np.ndarray]]
 
 
-@dataclass(frozen=True)
 class SystemSpec:
     """A thermodynamic system: named variables, parameters, and a potential.
 
     `weights`/`beta` are the quasi-homogeneity data Phi(l^w_a E^a) = l^beta Phi,
     when the system has them. `domain` narrows the admissible points beyond
-    what expression evaluation itself enforces.
+    what expression evaluation itself enforces. `tape` is the compiled
+    potential. A spec is immutable, and two specs are equal when every field
+    but the tape is.
     """
 
-    name: str
-    variables: tuple[str, ...]
-    potential: Expr
-    parameters: dict[str, float] = field(default_factory=dict)
-    weights: tuple[float, ...] | None = None
-    beta: float | None = None
-    domain: DomainPredicate | None = None
-    domain_text: str = ""
-    tape: Tape = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "name", "variables", "potential", "parameters", "weights", "beta", "domain", "domain_text",
+        "tape",
+    )
 
-    def __post_init__(self):
-        check_names([*self.variables, *self.parameters], [self.potential], "potential references")
-        object.__setattr__(self, "tape", compile_exprs([self.potential]))
-        if self.weights is not None and len(self.weights) != len(self.variables):
+    def __init__(
+        self,
+        name: str,
+        variables: tuple[str, ...],
+        potential: Expr,
+        parameters: dict[str, float] | None = None,
+        weights: tuple[float, ...] | None = None,
+        beta: float | None = None,
+        domain: DomainPredicate | None = None,
+        domain_text: str = "",
+    ):
+        parameters = {} if parameters is None else parameters
+        check_names([*variables, *parameters], [potential], "potential references")
+        tape = compile_exprs([potential])
+        if weights is not None and len(weights) != len(variables):
             raise ValueError("one weight per variable required")
+        fields = (name, variables, potential, parameters, weights, beta, domain, domain_text, tape)
+        for slot, value in zip(self.__slots__, fields):
+            object.__setattr__(self, slot, value)
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        """Set the slots from the state `copy.copy` and pickle take of a slotted object."""
+        for slot, value in state[1].items():
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        """Every field but the tape, which equality and repr leave out."""
+        return tuple(getattr(self, slot) for slot in self.__slots__[:-1])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def dim(self) -> int:
@@ -522,6 +550,8 @@ def override_parameters(source, overrides: Mapping):
     An override adds no name, so the copy keeps the checked names and the
     compiled tape: nothing is checked or compiled again.
     """
+    import copy  # only overrides need it
+
     unknown = set(overrides) - set(source.parameters)
     if unknown:
         raise ValueError(f"unknown parameters for {source.name!r}: {sorted(unknown)}")
@@ -752,10 +782,17 @@ def builtin(name: str, **parameters: float) -> SystemSpec:
 
 
 def _read_sections(path: str | Path) -> configparser.ConfigParser:
+    """The sections of a definition file; a file that cannot be read or parsed is a ParseError."""
+    import configparser  # only definition files need it
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {str(path)!r}: {exc}") from None
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # identifiers are case-sensitive
     try:
-        cp.read_string(Path(path).read_text(), source=str(path))
+        cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
     return cp

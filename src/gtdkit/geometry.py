@@ -41,7 +41,6 @@ each of the two off-diagonal slots.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -57,6 +56,8 @@ DEGENERACY_FACTOR = 1e-12
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
 STATUS_DOMAIN_ERROR = "domain-error"
+# what a scan can tabulate (`analysis.grid_scan`), here so the CLI reads it without analysis
+QUANTITIES = ("curvature", "detg", "potential", "intensive")
 
 Point = Sequence[float]
 
@@ -68,8 +69,7 @@ class MetricKind(enum.Enum):
     DIRECT = "direct"
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(NamedTuple):
     """Metric components and det g at a single equilibrium point."""
 
     point: tuple[float, ...]
@@ -78,8 +78,7 @@ class MetricValue:
     det_g: float
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """The curvature scalar at a point, with the metric it came from.
 
     `metric` is g itself, (n, n), the same components and det g as

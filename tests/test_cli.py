@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ def test_eval_degenerate_exit_3(capsys):
 
 def test_eval_unknown_system_exit_2(capsys):
     assert run(["eval", "--system", "unobtainium", "--point", "S=1"]) == 2
+
+
+@pytest.mark.parametrize("where", [".", "", "{tmp}/folder", "{tmp}/not-utf8.ini"])
+def test_system_path_that_cannot_be_read_exit_2(tmp_path, monkeypatch, capsys, where):
+    # a directory or a file that is not UTF-8 text is a user error naming the path, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "not-utf8.ini").write_bytes(b"[system]\nname = \xff\xfe\n")
+    where = where.format(tmp=tmp_path)
+    assert run(["eval", "--system", where, "--point", "S=1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {str(Path(where))!r}")
 
 
 def test_eval_json_report(tmp_path, capsys):
