@@ -8,9 +8,10 @@ Subcommands::
     gtdkit check legendre --n 2 --transform total --trials 100
 
 `--system` accepts a built-in system name, a closed-form metric name, or a
-path to a definition file ([system] or [metric] sections). Flags follow the
-pattern `--range VAR=start:stop:count` (inclusive endpoints), `--pin
-VAR=value`, `--point VAR=value,...`, `--params name=value,...`.
+path to a definition file ([system] or [metric] sections). Every NAME=VALUE
+flag reads comma-separated items (`--range VAR=start:stop:count`, inclusive;
+`--box VAR=lo:hi`; a number elsewhere), each NAME a coordinate (a parameter
+for `--params`), and every number of a flag or a definition file is finite.
 
 Exit codes: 0 success / check within tolerance, 1 check failed, 2 user input
 error, 3 degenerate geometry, 4 output write failure.
@@ -31,7 +32,7 @@ import itertools
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ import numpy as np
 # a JSON report json, so an eval loads none of them
 from . import fundeq, geometry
 from .errors import DegenerateMetricError, GtdError
+from .fundeq import finite_number
 from .geometry import HessianMetricField, MetricKind
 
 if TYPE_CHECKING:
@@ -80,64 +82,66 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _number(text: str, what: str) -> float:
-    """`text` as a finite float; NaN and +-inf give no meaningful scan or fit."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"{what}: {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise UsageError(f"{what}: {text!r} is not a finite number")
-    return value
+def _items(texts: str | Sequence[str] | None, flag: str, parse: Callable[[str, str], object]) -> dict:
+    """The NAME=VALUE items of a flag's value, or of a repeatable flag's values, comma-separated.
 
-
-def _parse_assignments(text: str, flag: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise UsageError(f"{flag} expects NAME=VALUE items, got {chunk!r}")
-        name, _, value = chunk.partition("=")
-        out[name.strip()] = _number(value, flag)
+    Each VALUE is read by `parse(VALUE, flag)`, and a later NAME replaces an
+    earlier one. A flag not given (None) has no items, a given one at least one.
+    """
+    if texts is None:
+        return {}
+    out = {}
+    for text in [texts] if isinstance(texts, str) else texts:
+        for chunk in text.split(","):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            name, eq, value = chunk.partition("=")
+            if not eq:
+                raise UsageError(f"{flag} expects NAME=VALUE items, got {chunk!r}")
+            out[name.strip()] = parse(value, flag)
     if not out:
         raise UsageError(f"{flag} is empty")
     return out
 
 
-def _parse_ranges(items: Sequence[str]) -> dict[str, analysis.Axis]:
+def _vector(values: dict, coords: Sequence[str], flag: str, default=None) -> list:
+    """`values` in the order of `coords`: each name a coordinate, each coordinate named or `default`."""
+    missing = [c for c in coords if c not in values]
+    if missing and default is None:
+        raise UsageError(f"{flag} is missing coordinates {missing}")
+    unknown = set(values) - set(coords)
+    if unknown:
+        raise UsageError(f"{flag} names unknown coordinates {sorted(unknown)}")
+    return [values.get(c, default) for c in coords]
+
+
+def _axis(text: str, flag: str) -> analysis.Axis:
+    """`start:stop:count` as an Axis."""
     from . import analysis
 
-    out: dict[str, analysis.Axis] = {}
-    for item in items:
-        for chunk in item.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            name, eq, rest = chunk.partition("=")
-            parts = rest.split(":")
-            if not eq or len(parts) != 3:
-                raise UsageError(f"--range expects VAR=start:stop:count, got {chunk!r}")
-            try:
-                start, stop = float(parts[0]), float(parts[1])
-                count = int(parts[2])
-            except ValueError:
-                raise UsageError(f"--range {chunk!r}: malformed numbers") from None
-            try:
-                out[name.strip()] = analysis.Axis(start, stop, count)
-            except ValueError as exc:
-                raise UsageError(f"--range {chunk!r}: {exc}") from None
-            # Axis checks both ends where count > 1; a one-point axis is its start alone
-            _number(parts[0], f"--range {chunk!r} start")
-    return out
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"{flag} expects VAR=start:stop:count, got {text!r}")
+    try:
+        axis = analysis.Axis(float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise UsageError(f"{flag} {text!r}: {exc}") from None
+    # Axis checks both ends where count > 1; a one-point axis is its start alone
+    finite_number(parts[0], f"{flag} start")
+    return axis
 
 
-def _parse_pins(items: Sequence[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in items:
-        out.update(_parse_assignments(item, "--pin"))
-    return out
+def _interval(text: str, flag: str) -> tuple[float, float]:
+    """`lo:hi` as the bounds of a uniform draw, which needs hi - lo finite."""
+    lo, _, hi = text.partition(":")
+    try:
+        lo, hi = float(lo), float(hi)
+    except ValueError:
+        raise UsageError(f"{flag} expects VAR=lo:hi items, got {text!r}") from None
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise UsageError(f"{flag} {text!r}: needs finite lo < hi a finite distance apart")
+    return lo, hi
 
 
 def resolve_field(name: str, params: dict[str, float], kind: MetricKind):
@@ -151,10 +155,8 @@ def resolve_field(name: str, params: dict[str, float], kind: MetricKind):
         sections = fundeq._read_sections(path)
         if sections.has_section("metric") and sections.has_section("system"):
             raise UsageError(f"{name} has both a [system] and a [metric] section; give one")
-        if sections.has_section("metric"):
-            source = geometry.load_metric_file(path)
-        else:
-            source = fundeq.load_system_file(path)
+        load = geometry.load_metric_file if sections.has_section("metric") else fundeq.load_system_file
+        source = load(path)
     else:
         raise UsageError(
             f"unknown system {name!r}: not a built-in "
@@ -288,16 +290,8 @@ def cmd_systems(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params = args._params
-    f = resolve_field(args.system, params, MetricKind(args.metric_kind))
-    point_map = _parse_assignments(args.point, "--point")
-    missing = [c for c in f.coordinates if c not in point_map]
-    if missing:
-        raise UsageError(f"--point is missing coordinates {missing}")
-    unknown = set(point_map) - set(f.coordinates)
-    if unknown:
-        raise UsageError(f"--point names unknown coordinates {sorted(unknown)}")
-    point = [point_map[c] for c in f.coordinates]
+    f = resolve_field(args.system, args._params, MetricKind(args.metric_kind))
+    point = _vector(_items(args.point, "--point", finite_number), f.coordinates, "--point")
 
     want = args.quantity
     has_spec = isinstance(f, HessianMetricField)
@@ -352,33 +346,23 @@ def cmd_scan(args) -> int:
     from . import analysis
 
     f = resolve_field(args.system, args._params, MetricKind(args.metric_kind))
-    ranges = _parse_ranges(args.range or [])
-    pins = _parse_pins(args.pin or [])
+    ranges = _items(args.range, "--range", _axis)
+    pins = _items(args.pin, "--pin", finite_number)
     overlap = set(ranges) & set(pins)
     if overlap:
         raise UsageError(f"coordinates both ranged and pinned: {sorted(overlap)}")
-    try:
-        grid = analysis.GridSpec.build(f.coordinates, {**ranges, **pins})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    grid = analysis.GridSpec.build(f.coordinates, {**ranges, **pins})
 
     report_data = analysis.grid_scan(f, grid, args.quantity)
     roots = analysis.find_singular_locus(f, grid, det_g=report_data.det_g)
     fits = []
     if args.fit_center:
-        center_map = _parse_assignments(args.fit_center, "--fit-center")
-        direction_map = _parse_assignments(args.fit_direction or "", "--fit-direction")
-        for c in f.coordinates:
-            if c not in center_map:
-                raise UsageError(f"--fit-center is missing coordinate {c!r}")
-        center = [center_map[c] for c in f.coordinates]
-        direction = [direction_map.get(c, 0.0) for c in f.coordinates]
-        base, count, factor = _parse_offsets(args.fit_offsets)
-        fits.append(
-            analysis.fit_divergence_exponent(
-                f, center, direction, analysis.geometric_offsets(base, count, factor)
-            )
-        )
+        center = _items(args.fit_center, "--fit-center", finite_number)
+        direction = _items(args.fit_direction or "", "--fit-direction", finite_number)
+        center = _vector(center, f.coordinates, "--fit-center")
+        direction = _vector(direction, f.coordinates, "--fit-direction", default=0.0)
+        offsets = analysis.geometric_offsets(*_parse_offsets(args.fit_offsets))
+        fits.append(analysis.fit_divergence_exponent(f, center, direction, offsets))
 
     n_ok = report_data.status.count(analysis.STATUS_OK)
     print(f"scanned {grid.size} points ({n_ok} ok, {grid.size - n_ok} marked)")
@@ -431,8 +415,8 @@ def _parse_offsets(text: str) -> tuple[float, int, float]:
         count = int(parts[1])
     except ValueError:
         raise UsageError(f"--fit-offsets {text!r}: malformed numbers") from None
-    base = _number(parts[0], "--fit-offsets BASE")
-    factor = _number(parts[2], "--fit-offsets FACTOR") if len(parts) == 3 else 0.5
+    base = finite_number(parts[0], "--fit-offsets BASE")
+    factor = finite_number(parts[2], "--fit-offsets FACTOR") if len(parts) == 3 else 0.5
     if base <= 0 or count < 4 or not 0 < factor < 1:
         raise UsageError("--fit-offsets needs BASE > 0, COUNT >= 4, 0 < FACTOR < 1")
     return base, count, factor
@@ -442,26 +426,10 @@ def _parse_offsets(text: str) -> tuple[float, int, float]:
 
 
 def _sample_box(spec, args, rng) -> np.ndarray:
-    if args.box:
-        box = {}
-        for chunk in args.box.split(","):
-            name, eq, rest = chunk.partition("=")
-            lo, colon, hi = rest.partition(":")
-            if not eq or not colon:
-                raise UsageError(f"--box expects VAR=lo:hi items, got {chunk!r}")
-            lo, hi = float(lo), float(hi)
-            # rng.uniform needs hi - lo finite
-            if not (lo < hi and math.isfinite(hi - lo)):
-                raise UsageError(f"--box {chunk!r}: needs finite lo < hi a finite distance apart")
-            box[name.strip()] = (lo, hi)
-    else:
-        box = _CHECK_BOXES.get(spec.name)
-        if box is None:
-            raise UsageError(f"no default sampling box for {spec.name!r}; pass --box VAR=lo:hi,...")
-    missing = [v for v in spec.variables if v not in box]
-    if missing:
-        raise UsageError(f"--box is missing variables {missing}")
-    return np.array([rng.uniform(*box[v]) for v in spec.variables])
+    box = _items(args.box, "--box", _interval) or _CHECK_BOXES.get(spec.name)
+    if box is None:
+        raise UsageError(f"no default sampling box for {spec.name!r}; pass --box VAR=lo:hi,...")
+    return np.array([rng.uniform(lo, hi) for lo, hi in _vector(box, spec.variables, "--box")])
 
 
 def _require_system(args) -> "fundeq.SystemSpec":
@@ -496,8 +464,11 @@ def cmd_check(args) -> int:
 
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    # a phase space with no pairs has nothing to compare, so it would pass any check
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     rng = np.random.default_rng(args.seed)
-    tol = _number(args.tol, "--tol") if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
+    tol = finite_number(args.tol, "--tol") if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
     if tol < 0:
         raise UsageError(f"--tol: {args.tol!r} is negative, so no check could pass")
     residuals: list[float] = []
@@ -521,8 +492,10 @@ def cmd_check(args) -> int:
             residuals.append(abs(phase_space.theta_residual(spec, point, direction)))
     elif args.identity in ("euler", "gibbs-duhem"):
         spec = _require_system(args)
-        weights = tuple(_number(w, "--weights") for w in args.weights.split(",")) if args.weights else None
-        beta = _number(args.beta, "--beta") if args.beta is not None else None
+        weights = None
+        if args.weights:
+            weights = tuple(finite_number(w, "--weights") for w in args.weights.split(","))
+        beta = finite_number(args.beta, "--beta") if args.beta is not None else None
         for _ in range(args.trials):
             point = _sample_box(spec, args, rng)
             if args.identity == "euler":
@@ -637,7 +610,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._params = _parse_assignments(args.params, "--params") if getattr(args, "params", None) else {}
+        args._params = _items(getattr(args, "params", None), "--params", finite_number)
         command = {"systems": cmd_systems, "eval": cmd_eval, "scan": cmd_scan}.get(args.command, cmd_check)
         # a non-finite result is reported through statuses and exit codes, not numpy warnings
         with np.errstate(all="ignore"):

@@ -644,11 +644,15 @@ def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) ->
     point outside the domain, or whose jet holds a NaN, raises DomainError; in
     a batch such points come back as columns of NaN (see `Jet.failed`).
     """
-    label = spec.name + (f" (requires {spec.domain_text})" if spec.domain_text else "")
     (jet,) = evaluate_exprs(
-        spec.tape, spec.variables, spec.parameters, point, order, spec.domain, label
+        spec.tape, spec.variables, spec.parameters, point, order, spec.domain, domain_label(spec)
     )
     return jet
+
+
+def domain_label(source) -> str:
+    """The name of a system or direct metric in messages, with its domain if it states one."""
+    return source.name + (f" (requires {source.domain_text})" if source.domain_text else "")
 
 
 def potential_value(spec: SystemSpec, point: Point) -> float:
@@ -802,6 +806,30 @@ def _split_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def finite_number(text: str, what: str) -> float:
+    """`text` as a finite float, the number rule of flags and files; a ParseError names `what`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"{what}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what}: {text!r} is not a finite number")
+    return value
+
+
+def _read_section(path: str | Path, name: str, keys: Sequence[str]):
+    """Section `name` of a definition file, which must hold `keys`, and its [parameters]."""
+    cp = _read_sections(path)
+    if not cp.has_section(name):
+        raise ParseError(f"{path}: missing [{name}] section")
+    sec = cp[name]
+    for key in keys:
+        if key not in sec:
+            raise ParseError(f"{path}: [{name}] is missing {key!r}")
+    params = cp.items("parameters") if cp.has_section("parameters") else []
+    return sec, {k: finite_number(v, f"{path}: [parameters] {k}") for k, v in params}
+
+
 def load_system_file(path: str | Path) -> SystemSpec:
     """Load a SystemSpec from a sectioned key-value file.
 
@@ -819,18 +847,12 @@ def load_system_file(path: str | Path) -> SystemSpec:
         b = 0.1
         k = 1.0
     """
-    cp = _read_sections(path)
-    if not cp.has_section("system"):
-        raise ParseError(f"{path}: missing [system] section")
-    sec = cp["system"]
-    for key in ("name", "variables", "potential"):
-        if key not in sec:
-            raise ParseError(f"{path}: [system] is missing {key!r}")
-    params = {k: float(v) for k, v in cp.items("parameters")} if cp.has_section("parameters") else {}
+    sec, params = _read_section(path, "system", ("name", "variables", "potential"))
     weights = None
     if "weights" in sec:
-        weights = tuple(float(w) for w in _split_list(sec["weights"]))
-    beta = float(sec["beta"]) if "beta" in sec else None
+        what = f"{path}: [system] weights"
+        weights = tuple(finite_number(w, what) for w in _split_list(sec["weights"]))
+    beta = finite_number(sec["beta"], f"{path}: [system] beta") if "beta" in sec else None
     return SystemSpec(
         name=sec["name"].strip(),
         variables=tuple(_split_list(sec["variables"])),

@@ -217,6 +217,7 @@ class DirectMetricField:
         parameters: Mapping[str, float] | None = None,
         name: str = "direct",
         domain: fundeq.DomainPredicate | None = None,
+        domain_text: str = "",
     ):
         self.coordinates = tuple(coordinates)
         n = len(self.coordinates)
@@ -231,6 +232,7 @@ class DirectMetricField:
         self.tape = fundeq.compile_exprs(entries)
         self.name = name
         self.domain = domain
+        self.domain_text = domain_text
 
     @property
     def dim(self) -> int:
@@ -242,7 +244,8 @@ class DirectMetricField:
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
         flat = fundeq.evaluate_exprs(
-            self.tape, self.coordinates, self.parameters, point, gorder, self.domain, self.name
+            self.tape, self.coordinates, self.parameters, point, gorder, self.domain,
+            fundeq.domain_label(self),
         )
         n = self.dim
         out = [flat[a * n : (a + 1) * n] for a in range(n)]
@@ -502,7 +505,11 @@ def scalar_curvature(field: MetricField, point: Point) -> CurvatureReport:
     else:
         g, det, failed, degenerate, g_inv, (_, _, ricci) = _contract(field, point)
         scalar = _einsum("zbd,zbd->z", g_inv, ricci)
+    # a NaN curvature is no value: a power of T can under- or overflow in the Ruppeiner kind
+    failed = failed | np.isnan(scalar)
     if np.ndim(point) == 1:
+        if failed[0]:
+            raise DomainError(f"curvature of {field.name} is not a number at point {_coords(point)}")
         return CurvatureReport(_coords(point), g[0], float(scalar[0]), float(det[0]))
     scalar[failed | degenerate] = np.nan
     return CurvatureReport(
@@ -555,6 +562,7 @@ def _vdw_closed() -> DirectMetricField:
         parameters={"a": 1.0, "b": 0.1, "k": 1.0},
         name="vdw_closed",
         domain=fundeq._above_covolume,
+        domain_text="V > b",
     )
 
 
@@ -572,7 +580,8 @@ def _kn_closed() -> DirectMetricField:
         coordinates=("S", "J", "Q"),
         components=[[g_ss, g_sj, g_sq], [g_sj, g_jj, g_jq], [g_sq, g_jq, g_qq]],
         name="kn_closed",
-        domain=lambda env: env["S"] > 0.0,
+        domain=fundeq._positive_entropy,
+        domain_text="S > 0",
     )
 
 
@@ -585,7 +594,8 @@ def _rn_closed() -> DirectMetricField:
             [f"-{pref} * Q/2", f"{pref} * S"],
         ],
         name="rn_closed",
-        domain=lambda env: env["S"] > 0.0,
+        domain=fundeq._positive_entropy,
+        domain_text="S > 0",
     )
 
 
@@ -601,7 +611,8 @@ def _kerr_closed() -> DirectMetricField:
             [f"-{pref} * J*(3*S^2+4*pi^2*J^2)/(2*S^3)", pref],
         ],
         name="kerr_closed",
-        domain=lambda env: env["S"] > 0.0,
+        domain=fundeq._positive_entropy,
+        domain_text="S > 0",
     )
 
 
@@ -651,13 +662,7 @@ def load_metric_file(path: str | Path) -> DirectMetricField:
         [parameters]
         r = 1.0
     """
-    cp = fundeq._read_sections(path)
-    if not cp.has_section("metric"):
-        raise ParseError(f"{path}: missing [metric] section")
-    sec = cp["metric"]
-    for key in ("coordinates", "components"):
-        if key not in sec:
-            raise ParseError(f"{path}: [metric] is missing {key!r}")
+    sec, params = fundeq._read_section(path, "metric", ("coordinates", "components"))
     coords = tuple(fundeq._split_list(sec["coordinates"]))
     rows = [r.strip() for r in sec["components"].split(";")]
     components = [fundeq._split_list(r) for r in rows if r]
@@ -667,7 +672,6 @@ def load_metric_file(path: str | Path) -> DirectMetricField:
             f"{path}: components must form a {n}x{n} matrix, rows read: {len(components)} "
             "(a ';' after a space starts a comment: separate rows as in '1, 0; 0, 1')"
         )
-    params = {k: float(v) for k, v in cp.items("parameters")} if cp.has_section("parameters") else {}
     return DirectMetricField(
         coordinates=coords,
         components=components,

@@ -392,6 +392,30 @@ def test_flag_number_that_is_not_finite_exit_2(capsys, flag, argv, value):
     assert f"error: {flag}" in captured.err and f"{value!r} is not a finite number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--fit-direction", [*_RN_FIT, "--fit-center", "S=3.14159,Q=1", "--fit-direction", "S=1,q=0.5"]),
+        ("--fit-center", [*_RN_FIT, "--fit-center", "S=3.14159,Q=1,Z=7"]),
+        ("--box", ["check", "euler", "--system", "vdw", "--beta", "1", "--box", "S=1:2,V=1:2,Z=0:1"]),
+    ],
+    ids=lambda param: param if isinstance(param, str) else "",
+)
+def test_flag_that_names_an_unknown_coordinate_exit_2(capsys, flag, argv):
+    # the typo'd name was dropped: the fit ran along another direction, and the
+    # check sampled a box without it, and each exited as if nothing were wrong
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} names unknown coordinates" in captured.err
+
+
+def test_check_box_that_is_not_a_number_names_the_flag(capsys):
+    # the message was float()'s own, "could not convert string to float: 'a'"
+    assert run(["check", "euler", "--system", "vdw", "--beta", "1", "--box", "S=a:1,V=1:2"]) == 2
+    assert "error: --box expects VAR=lo:hi items, got 'a:1'" in capsys.readouterr().err
+
+
 def test_check_negative_tolerance_exit_2(capsys):
     # no residual is below a negative tolerance: it printed FAIL and exited 1, "check failed"
     assert run([*_KN_EULER, "--tol=-1e-9"]) == 2
@@ -534,6 +558,16 @@ def test_check_needs_a_trial(capsys):
     assert "error: --trials must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("identity", ["legendre", "contact"])
+def test_check_needs_a_pair(capsys, identity, n):
+    # --n 0 compared nothing and printed PASS; --n -1 failed inside factorial()
+    assert run(["check", identity, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --n must be at least 1" in captured.err
+
+
 def test_check_report_file(tmp_path, capsys):
     out = tmp_path / "check.json"
     code = run(["check", "contact", "--n", "2", "--trials", "5", "--output", str(out)])
@@ -605,6 +639,46 @@ def test_malformed_file_exit_2(tmp_path, capsys, text):
     path.write_text(text)
     assert run(["eval", "--system", str(path), "--point", "x=1"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "text, key, value",
+    [
+        (_SYSTEM_FILE.replace("b = 0.0", "b = nan"), "[parameters] b", "nan"),
+        (_SYSTEM_FILE.replace("\n\n[", "\nbeta = nan\n\n["), "[system] beta", "nan"),
+        (_SYSTEM_FILE.replace("\n\n[", "\nweights = 1, x\n\n["), "[system] weights", "x"),
+        (
+            "[metric]\ncoordinates = S, V\ncomponents = r, 0; 0, r\n\n[parameters]\nr = inf\n",
+            "[parameters] r",
+            "inf",
+        ),
+    ],
+    ids=["parameter", "beta", "weights", "metric-parameter"],
+)
+def test_definition_file_number_that_is_not_finite_exit_2(tmp_path, capsys, text, key, value):
+    # a file's numbers follow the rule of the flags: a NaN beta printed FAIL
+    # and exited 1, "check failed", and an infinite parameter loaded
+    path = tmp_path / "defs.ini"
+    path.write_text(text)
+    assert run(["eval", "--system", str(path), "--point", "S=1,V=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {path}: {key}: {value!r} is not a" in captured.err
+
+
+@pytest.mark.parametrize(
+    "system, point, domain",
+    [
+        ("vdw_closed", "S=1,V=0.05", "V > b"),
+        ("rn_closed", "S=-1,Q=1", "S > 0"),
+        ("kn_closed", "S=-1,J=0.5,Q=1", "S > 0"),
+        ("kerr_closed", "S=-1,J=0.5", "S > 0"),
+    ],
+)
+def test_closed_form_domain_error_names_the_domain(capsys, system, point, domain):
+    # as the built-in systems do: "outside domain of vdw (requires V > b)"
+    assert run(["eval", "--system", system, "--point", point]) == 2
+    assert f"outside domain of {system} (requires {domain})" in capsys.readouterr().err
 
 
 def test_constant_domain_error_in_metric_file(tmp_path, capsys):
@@ -839,6 +913,13 @@ _fuzz_axes = st.lists(_fuzz_axis, min_size=6, max_size=6)
 )
 @example(source="S*exp(1000)", kind="natural", report_format="json", axes=_OVERFLOW_AXES)
 @example(source="10^400 + S", kind="ruppeiner", report_format="csv", axes=_OVERFLOW_AXES)
+# powers of T under- and overflow in the Ruppeiner kind, so R is NaN at every point
+@example(
+    source="1e-150*sqrt((S/(4*pi))*(1 + pi*Q^2/S)^2)",
+    kind="ruppeiner",
+    report_format="csv",
+    axes=_OVERFLOW_AXES,
+)
 def test_cli_exit_codes_over_corpus(tmp_path, source, kind, report_format, axes):
     # every grammar-accepted potential, and every direct metric with it on the
     # diagonal, ends in a documented exit code, never a traceback

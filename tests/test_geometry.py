@@ -603,6 +603,18 @@ def test_degenerate_curvature_error_carries_det():
     assert err.value.threshold > 0
 
 
+def test_curvature_that_is_not_a_number_is_a_domain_error():
+    # RN scaled by 1e-150: powers of T underflow in the Ruppeiner kind, and R
+    # was NaN with status ok
+    potential = fundeq.parse("1e-150*sqrt((S/(4*pi))*(1 + pi*Q^2/S)^2)")
+    f = HessianMetricField(fundeq.SystemSpec("tiny", ("S", "Q"), potential), MetricKind.RUPPEINER)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match=r"curvature of tiny\[ruppeiner\] is not a number"):
+            scalar_curvature(f, (6.0, 1.0))
+        report = scalar_curvature(f, np.array([[2.0, 1.0], [5.0, 1.0]]))
+    assert report.status == ["domain-error"] * 2 and np.isnan(report.scalar).all()
+
+
 # -- closed forms ------------------------------------------------------------------------
 
 
