@@ -473,6 +473,26 @@ def _fit(
     )
 
 
+def fit_points(
+    center: Sequence[float], direction: Sequence[float], offsets: Sequence[float]
+) -> np.ndarray:
+    """The sample points center + t * direction of a divergence fit, one row per offset t.
+
+    A zero direction, or offsets so small against the center that two
+    samples round to the same point, raise ValueError.
+    """
+    direction = np.asarray(direction, dtype=float)
+    if not direction.any():
+        raise ValueError("the fit direction is zero: every sample would be the fit center")
+    points = np.asarray(center, dtype=float) + np.asarray(offsets, dtype=float)[:, None] * direction
+    if len(np.unique(points, axis=0)) < len(points):
+        raise ValueError(
+            "fit samples are not distinct: center + offset * direction rounds to the same "
+            "point for two offsets"
+        )
+    return points
+
+
 def fit_divergence_exponent(
     f: MetricField,
     center: Sequence[float],
@@ -481,20 +501,9 @@ def fit_divergence_exponent(
 ) -> DivergenceFit:
     """Divergence exponent of the curvature scalar approaching `center`.
 
-    All offsets are sampled as one batch of points; a zero direction, or
-    offsets so small against the center that two samples round to the same
-    point, raise ValueError.
+    All offsets are sampled as one batch of points (see `fit_points`).
     """
-    center = np.asarray(center, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if not direction.any():
-        raise ValueError("the fit direction is zero: every sample would be the fit center")
-    points = center + np.asarray(offsets, dtype=float)[:, None] * direction
-    if len(np.unique(points, axis=0)) < len(points):
-        raise ValueError(
-            "fit samples are not distinct: center + offset * direction rounds to the same "
-            "point for two offsets"
-        )
+    points = fit_points(center, direction, offsets)
     values: list[float | None] = []
     for chunk in _chunks(f, points, "curvature"):
         report = geometry.scalar_curvature(f, chunk)

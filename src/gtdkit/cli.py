@@ -156,7 +156,7 @@ def resolve_field(name: str, params: dict[str, float], kind: MetricKind):
         if sections.has_section("metric") and sections.has_section("system"):
             raise UsageError(f"{name} has both a [system] and a [metric] section; give one")
         load = geometry.load_metric_file if sections.has_section("metric") else fundeq.load_system_file
-        source = load(path)
+        source = load(path, sections)
     else:
         raise UsageError(
             f"unknown system {name!r}: not a built-in "
@@ -352,17 +352,21 @@ def cmd_scan(args) -> int:
     if overlap:
         raise UsageError(f"coordinates both ranged and pinned: {sorted(overlap)}")
     grid = analysis.GridSpec.build(f.coordinates, {**ranges, **pins})
-
-    report_data = analysis.grid_scan(f, grid, args.quantity)
-    roots = analysis.find_singular_locus(f, grid, det_g=report_data.det_g)
-    fits = []
+    # every flag is read before the first evaluation, so a bad one costs no scan
+    fit = None
     if args.fit_center:
         center = _items(args.fit_center, "--fit-center", finite_number)
         direction = _items(args.fit_direction or "", "--fit-direction", finite_number)
-        center = _vector(center, f.coordinates, "--fit-center")
-        direction = _vector(direction, f.coordinates, "--fit-direction", default=0.0)
-        offsets = analysis.geometric_offsets(*_parse_offsets(args.fit_offsets))
-        fits.append(analysis.fit_divergence_exponent(f, center, direction, offsets))
+        fit = (
+            _vector(center, f.coordinates, "--fit-center"),
+            _vector(direction, f.coordinates, "--fit-direction", default=0.0),
+            analysis.geometric_offsets(*_parse_offsets(args.fit_offsets)),
+        )
+        analysis.fit_points(*fit)  # a zero direction or coinciding samples
+
+    report_data = analysis.grid_scan(f, grid, args.quantity)
+    roots = analysis.find_singular_locus(f, grid, det_g=report_data.det_g)
+    fits = [analysis.fit_divergence_exponent(f, *fit)] if fit else []
 
     n_ok = report_data.status.count(analysis.STATUS_OK)
     print(f"scanned {grid.size} points ({n_ok} ok, {grid.size - n_ok} marked)")

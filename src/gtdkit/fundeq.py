@@ -817,9 +817,12 @@ def finite_number(text: str, what: str) -> float:
     return value
 
 
-def _read_section(path: str | Path, name: str, keys: Sequence[str]):
-    """Section `name` of a definition file, which must hold `keys`, and its [parameters]."""
-    cp = _read_sections(path)
+def _read_section(path: str | Path, name: str, keys: Sequence[str], sections=None):
+    """Section `name` of a definition file, which must hold `keys`, and its [parameters].
+
+    `sections` are the file's `_read_sections` when the caller has read them.
+    """
+    cp = _read_sections(path) if sections is None else sections
     if not cp.has_section(name):
         raise ParseError(f"{path}: missing [{name}] section")
     sec = cp[name]
@@ -830,8 +833,8 @@ def _read_section(path: str | Path, name: str, keys: Sequence[str]):
     return sec, {k: finite_number(v, f"{path}: [parameters] {k}") for k, v in params}
 
 
-def load_system_file(path: str | Path) -> SystemSpec:
-    """Load a SystemSpec from a sectioned key-value file.
+def load_system_file(path: str | Path, sections=None) -> SystemSpec:
+    """Load a SystemSpec from a sectioned key-value file, or from its parsed `sections`.
 
     Expected layout::
 
@@ -847,7 +850,7 @@ def load_system_file(path: str | Path) -> SystemSpec:
         b = 0.1
         k = 1.0
     """
-    sec, params = _read_section(path, "system", ("name", "variables", "potential"))
+    sec, params = _read_section(path, "system", ("name", "variables", "potential"), sections)
     weights = None
     if "weights" in sec:
         what = f"{path}: [system] weights"

@@ -648,8 +648,8 @@ def sphere_metric(radius: float = 1.0) -> DirectMetricField:
     )
 
 
-def load_metric_file(path: str | Path) -> DirectMetricField:
-    """Load a direct metric from a sectioned key-value file.
+def load_metric_file(path: str | Path, sections=None) -> DirectMetricField:
+    """Load a direct metric from a sectioned key-value file, or from its parsed `sections`.
 
     Expected layout (rows of the component matrix are separated by a ';'
     with no space before it)::
@@ -662,7 +662,7 @@ def load_metric_file(path: str | Path) -> DirectMetricField:
         [parameters]
         r = 1.0
     """
-    sec, params = fundeq._read_section(path, "metric", ("coordinates", "components"))
+    sec, params = fundeq._read_section(path, "metric", ("coordinates", "components"), sections)
     coords = tuple(fundeq._split_list(sec["coordinates"]))
     rows = [r.strip() for r in sec["components"].split(";")]
     components = [fundeq._split_list(r) for r in rows if r]

@@ -22,6 +22,14 @@ tape builds no `Jet` per step. At order 0 a jet is its value alone, and each
 kernel is the constant term of its series: a product is `a * b`, a function
 the first term of its Taylor series.
 
+A truncated product sums, for each output slot and each column, its run of
+pairs f_i g_j with alpha_i + alpha_j = alpha_k: the first pair plus the rest
+in order, as `np.add.reduceat` sums a run of up to 8 pairs. One point, a
+batch narrower than `LAYERED_MIN_BATCH` and order 4 (runs of up to 16 pairs,
+which numpy sums pairwise) take `reduceat`. A wider batch up to order 3 adds
+the same pairs layer by layer (`_layer_plan`), bit for bit alike but for the
+sign and payload of a NaN.
+
 Leaving the domain of an elementary function (ln or a fractional power of a
 non-positive value, a reciprocal of zero) raises `DomainError` for one
 point. In a batch the point's column becomes NaN instead and the other points
@@ -110,13 +118,73 @@ def _columns(coeffs: np.ndarray) -> np.ndarray:
     return coeffs.reshape(coeffs.shape[0], -1)
 
 
+# the narrowest batch whose products take the layered kernel: at 2-3
+# variables and orders 2-3 it overtakes reduceat between 32 and 56 points
+LAYERED_MIN_BATCH = 64
+
+
+@lru_cache(maxsize=None)
+def _layer_plan(nvars: int, order: int):
+    """Gather plan of the layered product; None where it would not give reduceat's bits.
+
+    Layer m holds the m-th pair of every output slot whose run is longer than
+    m; with the slots sorted by run length, longest first, each layer covers a
+    prefix of them. The plan is the pairs' (ii, jj) in layer order, each
+    layer's slot count and the permutation back to the graded slot order.
+    Order 4, whose longer runs numpy sums pairwise, has no plan; nor has a
+    numpy whose reduceat differs from the layered sum on a probe of -0.0
+    products (as a rest started at +0.0 would) or of products whose rounding
+    depends on the order of the sum.
+    """
+    if order > 3:
+        return None
+    ii, jj, starts = _mul_table(nvars, order)
+    lengths = np.diff(starts, append=len(ii))
+    slots = np.argsort(-lengths, kind="stable")
+    counts = tuple(int((lengths > m).sum()) for m in range(lengths.max()))
+    layers = np.concatenate([starts[slots[:count]] + m for m, count in enumerate(counts)])
+    plan = ii[layers], jj[layers], counts, np.argsort(slots)
+    shape = (len(starts), LAYERED_MIN_BATCH)
+    wave = np.sin(np.arange(shape[0] * shape[1])).reshape(shape)
+    for a, b in ((np.full(shape, -0.0), np.zeros(shape)), (wave, np.cos(wave * 1e3))):
+        pairs = a[ii]
+        pairs *= b[jj]
+        expected = np.add.reduceat(pairs, starts, axis=0)
+        if _layered_product(a, b, plan).tobytes() != expected.tobytes():
+            return None
+    return plan
+
+
+def _layered_product(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
+    li, lj, counts, inverse = plan
+    pairs = a[li]
+    pairs *= b[lj]
+    first = pairs[: counts[0]]
+    # the rest of each run adds up in layer 1's rows, one contiguous prefix
+    # add per layer, and then joins its first pair
+    rest = pairs[counts[0] : counts[0] + counts[1]]
+    offset = counts[0] + counts[1]
+    for count in counts[2:]:
+        rest[:count] += pairs[offset : offset + count]
+        offset += count
+    first[: counts[1]] += rest
+    return first[inverse]
+
+
 def mul_coeffs(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
     """Coefficients of the truncated product of two jets of (nvars, order)."""
     if not order:
         return a * b
-    # np.add.reduceat sums each output slot of each column on its own, in the
-    # fixed triplet order, so a column's result does not depend on B; the
-    # product is taken in place, so a batch holds two gathers at once, not three
+    # each output slot of each column sums its run of pairs on its own, as the
+    # first pair plus the rest in order, so a column's result does not depend
+    # on B: a batch of LAYERED_MIN_BATCH points or more adds the pairs layer by
+    # layer up to order 3, and one point, a narrower batch and order 4 take
+    # np.add.reduceat; the product is taken in place, so a batch holds two
+    # gathers at once, not three
+    if a.ndim == 2 and a.shape[1] >= LAYERED_MIN_BATCH:
+        plan = _layer_plan(nvars, order)
+        if plan is not None:
+            return _layered_product(a, b, plan)
     ii, jj, starts = _mul_table(nvars, order)
     pairs = a[ii]
     pairs *= b[jj]

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expr_corpus import CORPUS
-from gtdkit import fundeq, geometry
+from gtdkit import fundeq, geometry, jets
 from gtdkit.errors import DegenerateMetricError, DomainError
 from gtdkit.geometry import HessianMetricField, MetricKind
 
@@ -141,6 +141,63 @@ def test_batch_degeneracy_threshold_is_per_point():
     points = np.array([[1e-13, 0.0], [1e-5, 0.0], [1e3, 0.0]])
     assert geometry.scalar_curvature(f, points).status == ["degenerate", "ok", "ok"]
     _check_field(f, points)
+
+
+# wide enough that every product of the batch takes the layered kernel
+_WIDE = 2 * jets.LAYERED_MIN_BATCH + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    systems_and_points(),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([MetricKind.NATURAL, MetricKind.RUPPEINER]),
+)
+# products of signed zeros, whose -0.0 pairs a rest started at +0.0 would turn to +0.0
+@example((_system("S*V*k"), np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.0]])), 3, MetricKind.NATURAL)
+@example((_system("ln(S)^0"), np.array([[-1.0], [2.0]])), 2, MetricKind.NATURAL)
+# 0 * inf at S = 0, inf * 0 in the natural metric, and Phi Hess Phi overflowing
+@example((_system("S*exp(1000)"), np.zeros((3, 1))), 3, MetricKind.NATURAL)
+@example((_system("10^400 + S"), np.ones((2, 1))), 3, MetricKind.NATURAL)
+@example((_system("exp(200*S+200*V)"), np.array([[1.2, 1.0], [1.25, 1.0]])), 3, MetricKind.NATURAL)
+def test_wide_batch_matches_points(case, order, kind):
+    # the points repeated to a batch above the layered-product threshold: every
+    # column and status is its point's single-point call
+    spec, points = case
+    wide = np.resize(points, (_WIDE, points.shape[1]))
+    f = HessianMetricField(spec, kind)
+    with np.errstate(all="ignore"):
+        batch = fundeq.evaluate(spec, wide, order=order)
+        gjets = f.component_jets(wide, gorder=2)
+        det, det_status = geometry.metric_determinant(f, wide)
+        report = geometry.scalar_curvature(f, wide)
+        for i, p in enumerate(points):
+            columns = slice(i, None, len(points))
+            status, jet = _single(lambda: fundeq.evaluate(spec, p, order=order))
+            failed = batch.failed[columns]
+            assert failed.tolist() == [status != geometry.STATUS_OK] * len(failed)
+            if jet is not None:
+                assert all(_same(column, jet.coeffs) for column in batch.coeffs[:, columns].T)
+
+            status, single = _single(lambda: f.component_jets(p, gorder=2))
+            failed = np.any([g.failed[columns] for row in gjets for g in row], axis=0)
+            assert failed.tolist() == [status != geometry.STATUS_OK] * len(failed)
+            if single is not None:
+                for a in range(f.dim):
+                    for b in range(f.dim):
+                        expected = single[a][b].coeffs
+                        assert all(_same(c, expected) for c in gjets[a][b].coeffs[:, columns].T)
+
+            status, single_det = _single(lambda: geometry.metric_determinant(f, p))
+            assert set(det_status[columns]) == {status}
+            if single_det is not None:
+                assert all(_same(value, single_det) for value in det[columns])
+
+            status, single_report = _single(lambda: geometry.scalar_curvature(f, p))
+            assert set(report.status[columns]) == {status}
+            if single_report is not None:
+                assert all(_same(value, single_report.scalar) for value in report.scalar[columns])
+                assert all(_same(value, single_report.det_g) for value in report.det_g[columns])
 
 
 def _check_field(f, points):

@@ -410,6 +410,26 @@ def test_flag_that_names_an_unknown_coordinate_exit_2(capsys, flag, argv):
     assert f"error: {flag} names unknown coordinates" in captured.err
 
 
+@pytest.mark.parametrize(
+    "fit, message",
+    [
+        (["--fit-direction", "S=1,q=0.5"], "names unknown coordinates"),
+        (["--fit-direction", "S=0"], "the fit direction is zero"),
+        (["--fit-direction", "S=1", "--fit-offsets", "0.1:2"], "--fit-offsets needs"),
+    ],
+    ids=["unknown-coordinate", "zero-direction", "offsets"],
+)
+def test_scan_fit_flags_are_read_before_the_scan(monkeypatch, capsys, fit, message):
+    # a bad fit flag exited 2 only after the whole grid and its locus had run
+    calls = []
+    monkeypatch.setattr(analysis, "grid_scan", lambda *args, **kwargs: calls.append(args))
+    argv = ["scan", "--system", "reissner_nordstrom", "--range", "S=2:5:4", "--pin", "Q=1",
+            "--quantity", "detg", "--fit-center", "S=3.14159,Q=1", *fit]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 def test_check_box_that_is_not_a_number_names_the_flag(capsys):
     # the message was float()'s own, "could not convert string to float: 'a'"
     assert run(["check", "euler", "--system", "vdw", "--beta", "1", "--box", "S=a:1,V=1:2"]) == 2
@@ -631,6 +651,32 @@ def test_file_with_system_and_metric_sections_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "has both a [system] and a [metric] section" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        (_SYSTEM_FILE, "S=0,V=1"),
+        ("[metric]\nname = sphere\ncoordinates = theta, phi\ncomponents = 1, 0; 0, sin(theta)^2\n",
+         "theta=1,phi=0"),
+    ],
+    ids=["system", "metric"],
+)
+def test_definition_file_is_read_once(tmp_path, monkeypatch, capsys, text, point):
+    # telling a [metric] file from a [system] file read and parsed it, and then
+    # its loader read and parsed it again
+    path = tmp_path / "definition.ini"
+    path.write_text(text)
+    calls = []
+    read_sections = fundeq._read_sections
+
+    def counting_read_sections(p):
+        calls.append(p)
+        return read_sections(p)
+
+    monkeypatch.setattr(fundeq, "_read_sections", counting_read_sections)
+    assert run(["eval", "--system", str(path), "--point", point, "--quantity", "detg"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("text", ["x = 1\n", "[metric]\nname = a\nname = b\n"])

@@ -87,6 +87,105 @@ def test_blocked_product_matches_columns(batch):
         assert np.array_equal(prod.coeffs[:, i], single.coeffs)
 
 
+_ADD = np.add
+_REDUCEAT = np.add.reduceat
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 5e-324])
+
+
+def _same_or_both_nan(x, y):
+    # the sign and payload of a NaN are not part of the contract: numpy's own
+    # add picks either operand's NaN, depending on where it falls in a vector
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_layered_product_matches_reduceat(nvars, order):
+    # bit for bit against np.add.reduceat on both sides of the threshold, with
+    # signed zeros, infinities, NaNs and products that overflow
+    plan = jets._layer_plan(nvars, order)
+    assert plan is not None
+    ii, jj, starts = jets._mul_table(nvars, order)
+    size = jets._size(nvars, order)
+    rng = np.random.default_rng(10 * nvars + order)
+    for batch in (jets.LAYERED_MIN_BATCH - 1, jets.LAYERED_MIN_BATCH, 146, 750):
+        a, b = rng.normal(size=(2, size, batch)) * 10.0 ** rng.integers(-8, 9, (2, size, batch))
+        for x in (a, b):
+            edge = rng.random(x.shape) < 0.15
+            x[edge] = rng.choice(_EDGES, edge.sum())
+        with np.errstate(all="ignore"):
+            pairs = a[ii] * b[jj]
+            expected = _REDUCEAT(pairs, starts, axis=0)
+            assert _same_or_both_nan(jets._layered_product(a, b, plan), expected)
+            assert _same_or_both_nan(jets.mul_coeffs(a, b, nvars, order), expected)
+
+
+class _Add:
+    """np.add with a reduceat of its own, that counts its calls."""
+
+    def __init__(self, reduceat=_REDUCEAT):
+        self.reduceat_calls = 0
+        self._reduceat = reduceat
+
+    def __call__(self, *args, **kwargs):
+        return _ADD(*args, **kwargs)
+
+    def reduceat(self, *args, **kwargs):
+        self.reduceat_calls += 1
+        return self._reduceat(*args, **kwargs)
+
+
+def test_layered_product_takes_wide_batches_up_to_order_3(monkeypatch):
+    jets._layer_plan(3, 3)  # built before reduceat is counted: its probe calls reduceat
+    add = _Add()
+    monkeypatch.setattr(np, "add", add)
+    size = jets._size(3, 3)
+    wide = np.ones((size, jets.LAYERED_MIN_BATCH))
+    jets.mul_coeffs(wide, wide, 3, 3)
+    assert add.reduceat_calls == 0
+    for a, order in [
+        (np.ones(size), 3),  # one point
+        (np.ones((size, jets.LAYERED_MIN_BATCH - 1)), 3),  # a batch below the threshold
+        (np.ones((jets._size(3, 4), 146)), 4),  # order 4: runs of up to 16 pairs
+    ]:
+        jets.mul_coeffs(a, a, 3, order)
+    assert add.reduceat_calls == 3
+    assert jets._layer_plan(3, 4) is None
+
+
+def _reduceat_from(zero, sequence=False):
+    """A reduceat along axis 0: each run's first pair plus the rest summed in order from
+    `zero`, or with `sequence` the whole run summed in order, (p0 + p1) + p2."""
+
+    def reduceat(pairs, starts, axis=0):
+        out = pairs[starts]
+        for k, (start, end) in enumerate(zip(starts, np.append(starts[1:], len(pairs)))):
+            if sequence:
+                for pair in pairs[start + 1 : end]:
+                    out[k] += pair
+            elif end - start > 1:
+                rest = np.full_like(out[k], zero)
+                for pair in pairs[start + 1 : end]:
+                    rest += pair
+                out[k] += rest
+        return out
+
+    return reduceat
+
+
+@pytest.mark.parametrize("nvars, order", [(1, 2), (3, 3)])
+def test_layer_plan_falls_back_to_reduceat_where_they_differ(monkeypatch, nvars, order):
+    # numpy starts the rest of a run at -0.0: one that started it at +0.0 would
+    # turn a sum of -0.0 products to +0.0, which the layered sum keeps at -0.0,
+    # and one that summed a whole run in order would round otherwise
+    monkeypatch.setattr(np, "add", _Add(_reduceat_from(-0.0)))
+    assert jets._layer_plan.__wrapped__(nvars, order) is not None
+    for reduceat in (_reduceat_from(0.0), _reduceat_from(-0.0, sequence=True)):
+        monkeypatch.setattr(np, "add", _Add(reduceat))
+        assert jets._layer_plan.__wrapped__(nvars, order) is None
+
+
 def test_scalar_mixing():
     x = seed_variable(0, 3.0, nvars=1, order=2)
     assert (2 * x - x - x).value == 0.0
