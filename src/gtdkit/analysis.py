@@ -103,11 +103,12 @@ class GridSpec:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.axis_values())
+        # from the counts, so a grid above the cap allocates nothing before `points` refuses it
+        return tuple(ax.count if isinstance(ax, Axis) else 1 for _, ax in self.axes)
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def points(self, cap: int = GRID_CAP) -> np.ndarray:
         """All grid points, row-major (first coordinate slowest)."""

@@ -55,6 +55,7 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
 CHECKS = ("contact", "euler", "first-law", "gibbs-duhem", "legendre")
+_FIT_OFFSETS = "0.1:10"  # the samples of a divergence fit given no --fit-offsets
 
 DEFAULT_TOLERANCES = {
     "legendre": 1e-9,
@@ -354,9 +355,13 @@ def cmd_scan(args) -> int:
     grid = analysis.GridSpec.build(f.coordinates, {**ranges, **pins})
     # every flag is read before the first evaluation, so a bad one costs no scan
     fit = None
-    if args.fit_center:
+    flags = {"--fit-center": args.fit_center, "--fit-direction": args.fit_direction}
+    missing = [flag for flag, text in flags.items() if text is None]
+    if missing and (len(missing) == 1 or args.fit_offsets is not None):
+        raise UsageError(f"a divergence fit needs {' and '.join(missing)}")
+    if not missing:
         center = _items(args.fit_center, "--fit-center", finite_number)
-        direction = _items(args.fit_direction or "", "--fit-direction", finite_number)
+        direction = _items(args.fit_direction, "--fit-direction", finite_number)
         fit = (
             _vector(center, f.coordinates, "--fit-center"),
             _vector(direction, f.coordinates, "--fit-direction", default=0.0),
@@ -411,8 +416,10 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _parse_offsets(text: str) -> tuple[float, int, float]:
-    parts = (text or "").split(":")
+def _parse_offsets(text: str | None) -> tuple[float, int, float]:
+    from .analysis import GRID_CAP
+
+    parts = (_FIT_OFFSETS if text is None else text).split(":")
     if len(parts) not in (2, 3):
         raise UsageError("--fit-offsets expects BASE:COUNT[:FACTOR]")
     try:
@@ -421,8 +428,8 @@ def _parse_offsets(text: str) -> tuple[float, int, float]:
         raise UsageError(f"--fit-offsets {text!r}: malformed numbers") from None
     base = finite_number(parts[0], "--fit-offsets BASE")
     factor = finite_number(parts[2], "--fit-offsets FACTOR") if len(parts) == 3 else 0.5
-    if base <= 0 or count < 4 or not 0 < factor < 1:
-        raise UsageError("--fit-offsets needs BASE > 0, COUNT >= 4, 0 < FACTOR < 1")
+    if base <= 0 or not 4 <= count <= GRID_CAP or not 0 < factor < 1:
+        raise UsageError(f"--fit-offsets needs BASE > 0, 4 <= COUNT <= {GRID_CAP}, 0 < FACTOR < 1")
     return base, count, factor
 
 
@@ -586,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--quantity", default="curvature", choices=list(geometry.QUANTITIES))
     p_scan.add_argument("--fit-center", default=None, help="divergence fit center, VAR=value,...")
     p_scan.add_argument("--fit-direction", default=None, help="approach direction, VAR=value,...")
-    p_scan.add_argument("--fit-offsets", default="0.1:10", help="BASE:COUNT[:FACTOR]")
+    p_scan.add_argument("--fit-offsets", help=f"BASE:COUNT[:FACTOR], {_FIT_OFFSETS} if not given")
 
     p_check = sub.add_parser(
         "check",

@@ -20,8 +20,8 @@ come from the general contraction of g, d_e g and d_e d_f g.
 
 Both kinds are read through `metric_arrays(point, gorder)`, which returns
 (g, dg, d2g, failed) with the batch axis first, also for one point (see
-`_geometry_arrays`); only `_hessian_scalar` reads the potential's partials
-instead. Both take a system's name and parameter rules.
+`_geometry_arrays`), or through `component_jets` as jets; only `_hessian_scalar`
+reads the potential's partials. Both take a system's name and parameter rules.
 
 Metric components, determinants, Christoffel symbols and curvature accept
 one point or a (B, n) array of B points. A batch runs the same arithmetic
@@ -104,10 +104,10 @@ class CurvatureTensors(NamedTuple):
 
 
 class HessianMetricField:
-    """Metric field derived from a fundamental equation.
+    """Metric field g = c Hess Phi derived from a fundamental equation, c = Phi, 1 or 1/T.
 
-    `component_jets` returns the components as jets of the requested g-order,
-    from a potential jet of order 2 + g-order; `metric_arrays` needs 3 at most.
+    `_arrays` builds g and its derivatives, from Phi to order 3 at most for
+    `metric_arrays` and curvature, and to 2 + g-order for `component_jets`.
     """
 
     def __init__(self, spec: SystemSpec, kind: MetricKind = MetricKind.NATURAL):
@@ -129,25 +129,16 @@ class HessianMetricField:
         return f"{self.spec.name}[{self.kind.value}]"
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
-        phi = fundeq.evaluate(self.spec, point, order=gorder + 2)
-        e = np.eye(self.dim, dtype=int)
-        hess = [[jets.derive(phi, tuple(a + b)) for b in e] for a in e]
-        if self.kind is MetricKind.WEINHOLD:
-            return hess
-        if self.kind is MetricKind.RUPPEINER:
-            temp = jets.truncate(jets.derive(phi, tuple(e[0])), gorder)
-            if not temp.batched and temp.value == 0.0:
-                raise DomainError("Ruppeiner metric undefined where the temperature vanishes")
-            # in a batch the reciprocal fails the points where T = 0
-            factor = 1.0 / temp
-        else:
-            factor = jets.truncate(phi, gorder)
-        out = [[h * factor for h in row] for row in hess]
-        # a product can be NaN where its factors are not, as inf * 0: a batch
-        # keeps the NaN column, one point raises
-        if not phi.batched and np.isnan([g.coeffs for row in out for g in row]).any():
-            raise DomainError(f"metric {self.name} is not a number at point {_coords(point)}")
-        return out
+        """g as jets of order `gorder`, packed from `_arrays`; a failed point is NaN in every jet."""
+        out, failed, _, _ = self._arrays(point, gorder, exact=True)
+        n = self.dim
+        coeffs = np.empty((jets._size(n, gorder),) + out[0].shape)
+        for k, x in enumerate(out):  # the partials [z, e, ..., a, b] over alpha!, at alpha's slot
+            slots, scale = jets.partial_slots(n, gorder, k)
+            coeffs[slots] = np.moveaxis(x, 0, k) / scale[..., None, None, None]
+        coeffs[:, failed] = np.nan
+        coeffs = coeffs[:, 0] if np.ndim(point) == 1 else coeffs
+        return [[Jet(n, gorder, coeffs[..., a, b]) for b in range(n)] for a in range(n)]
 
     def metric_arrays(self, point: Point, gorder: int = 2):
         """(g, dg, d2g, failed) as `_geometry_arrays` returns them, from one potential jet.
@@ -162,14 +153,15 @@ class HessianMetricField:
         out, failed, _, _ = self._arrays(point, gorder)
         return (*out, *[None] * (2 - gorder), failed)
 
-    def _arrays(self, point: Point, gorder: int):
+    def _arrays(self, point: Point, gorder: int, exact: bool = False):
         """[g, dg, d2g][: gorder + 1], the failed points, and the partials d, c they come from.
 
         d[k][z, a, b, ...] = D^(e_a + e_b + ...) Phi at point z, to order
-        min(gorder + 2, 3), except that d[1] is None where g does not read
-        it; c[k], the k-th derivatives of c, to gorder.
+        min(gorder + 2, 3) or, when `exact`, gorder + 2, where d2g gains c Phi_abef
+        and is d_e d_f g_ab; d[1] is None where g does not read it; c[k], the
+        k-th derivatives of c, to gorder.
         """
-        phi = fundeq.evaluate(self.spec, point, order=min(gorder + 2, 3))
+        phi = fundeq.evaluate(self.spec, point, order=gorder + 2 if exact else min(gorder + 2, 3))
         # g reads Phi_a only through c: as T = Phi_1, or as c_a when gorder > 0
         unread = 1 if gorder == 0 and self.kind is not MetricKind.RUPPEINER else None
         d = [None if k == unread else jets.partials(phi, k) for k in range(phi.order + 1)]
@@ -193,6 +185,8 @@ class HessianMetricField:
             if gorder == 2:
                 cross = _times(c[1], d[3])  # [z, e, f, a, b] = c_e Phi_fab
                 out.append(_times(c[2], h) + cross + np.swapaxes(cross, 1, 2))
+                if len(d) > 4:
+                    out[2] += _times(c[0], d[4])
         failed = np.isnan(np.concatenate([x.reshape(batch, -1) for x in out], axis=1).max(axis=1))
         if not phi.batched and failed[0]:
             raise DomainError(f"metric {self.name} is not a number at point {_coords(point)}")

@@ -71,8 +71,7 @@ def _gen_indices(nvars: int, order: int) -> Iterator[MultiIndex]:
 def _index_table(nvars: int, order: int) -> tuple[tuple[MultiIndex, ...], dict[MultiIndex, int]]:
     """Multi-indices of degree <= order in graded lexicographic order.
 
-    The grading makes truncation a prefix operation: indices of degree <= m
-    occupy the first `len(_index_table(nvars, m)[0])` slots.
+    The grading puts the indices of degree <= m in the first `_size(nvars, m)` slots.
     """
     indices = sorted(_gen_indices(nvars, order), key=lambda a: (sum(a), a))
     return tuple(indices), {a: i for i, a in enumerate(indices)}
@@ -417,47 +416,6 @@ def extract_partial(jet: Jet, alpha: MultiIndex):
         fact *= math.factorial(a)
     out = jet.coeffs[pos[alpha]] * fact
     return out if jet.batched else float(out)
-
-
-def truncate(jet: Jet, order: int) -> Jet:
-    """Drop coefficients above `order` (a prefix slice in the graded table)."""
-    if order > jet.order:
-        raise ValueError(f"cannot extend order {jet.order} to {order}")
-    return Jet(jet.nvars, order, jet.coeffs[: _size(jet.nvars, order)])
-
-
-@lru_cache(maxsize=None)
-def _derive_plan(nvars: int, order: int, alpha: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Source slots and factors of D^alpha: f_{beta+alpha} (beta+alpha)!/beta! per beta."""
-    _, src_pos = _index_table(nvars, order)
-    dst_indices, _ = _index_table(nvars, order - sum(alpha))
-    slots = np.empty(len(dst_indices), dtype=int)
-    scales = np.empty(len(dst_indices))
-    for i, beta in enumerate(dst_indices):
-        slots[i] = src_pos[tuple(b + a for b, a in zip(beta, alpha))]
-        scale = 1.0
-        for b, a in zip(beta, alpha):
-            # (b+a)! / b! without large intermediates
-            for m in range(b + 1, b + a + 1):
-                scale *= m
-        scales[i] = scale
-    return slots, scales
-
-
-def derive(jet: Jet, alpha: MultiIndex) -> Jet:
-    """Jet of the derivative field D^alpha f, truncated to order - |alpha|.
-
-    The coefficient of beta in D^alpha f is f_{beta+alpha} * (beta+alpha)!/beta!,
-    which is how metric components stay differentiable after being built from
-    Hessian entries of the potential.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    dorder = sum(alpha)
-    if dorder > jet.order:
-        raise ValueError(f"cannot take order-{dorder} derivative of order-{jet.order} jet")
-    slots, scales = _derive_plan(jet.nvars, jet.order, alpha)
-    out = jet.coeffs[slots] * (scales[:, None] if jet.batched else scales)
-    return Jet(jet.nvars, jet.order - dorder, out)
 
 
 # -- elementary functions ------------------------------------------------------

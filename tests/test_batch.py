@@ -160,6 +160,8 @@ _WIDE = 2 * jets.LAYERED_MIN_BATCH + 1
 @example((_system("S*exp(1000)"), np.zeros((3, 1))), 3, MetricKind.NATURAL)
 @example((_system("10^400 + S"), np.ones((2, 1))), 3, MetricKind.NATURAL)
 @example((_system("exp(200*S+200*V)"), np.array([[1.2, 1.0], [1.25, 1.0]])), 3, MetricKind.NATURAL)
+# Phi = inf times h_SS = 0 at V = 0 fails g_SS alone: the point fails in every entry
+@example((_system("10^400 + exp(S+V) - exp(S)"), np.array([[1.0, 0.0], [1.0, 0.5]])), 2, MetricKind.NATURAL)
 def test_wide_batch_matches_points(case, order, kind):
     # the points repeated to a batch above the layered-product threshold: every
     # column and status is its point's single-point call
@@ -180,8 +182,10 @@ def test_wide_batch_matches_points(case, order, kind):
                 assert all(_same(column, jet.coeffs) for column in batch.coeffs[:, columns].T)
 
             status, single = _single(lambda: f.component_jets(p, gorder=2))
-            failed = np.any([g.failed[columns] for row in gjets for g in row], axis=0)
-            assert failed.tolist() == [status != geometry.STATUS_OK] * len(failed)
+            # a failed point is a NaN column in every entry
+            for g in (g for row in gjets for g in row):
+                failed = g.failed[columns]
+                assert failed.tolist() == [status != geometry.STATUS_OK] * len(failed)
             if single is not None:
                 for a in range(f.dim):
                     for b in range(f.dim):

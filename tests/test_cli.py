@@ -430,6 +430,53 @@ def test_scan_fit_flags_are_read_before_the_scan(monkeypatch, capsys, fit, messa
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "fit, missing",
+    [
+        (["--fit-direction", "S=1", "--fit-offsets", "0.1:8"], "--fit-center"),
+        (["--fit-direction", "S=1"], "--fit-center"),
+        (["--fit-center", "S=3.14159,Q=1"], "--fit-direction"),
+        (["--fit-offsets", "0.1:8"], "--fit-center and --fit-direction"),
+    ],
+    ids=["direction-offsets", "direction", "center", "offsets"],
+)
+def test_scan_fit_flag_without_its_partner_exit_2(monkeypatch, capsys, fit, missing):
+    # without --fit-center the other fit flags were dropped and the scan exited
+    # 0 with no fit; without --fit-direction it said "--fit-direction is empty"
+    calls = []
+    monkeypatch.setattr(analysis, "grid_scan", lambda *args, **kwargs: calls.append(args))
+    argv = ["scan", "--system", "reissner_nordstrom", "--range", "S=2:5:4", "--pin", "Q=1",
+            "--quantity", "detg", *fit]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: a divergence fit needs {missing}\n" in captured.err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--range", "S=2:5:1000000000000", "--pin", "Q=1"],
+         "grid of 1000000000000 points exceeds cap of 1000000"),
+        (["--range", "S=2:5:1000000,Q=0.5:1.5:2"], "grid of 2000000 points exceeds cap of 1000000"),
+        (["--range", "S=2:5:4", "--pin", "Q=1", "--fit-center", "S=3.14159,Q=1",
+          "--fit-direction", "S=1", "--fit-offsets", "0.1:1000000000000"], "4 <= COUNT <= 1000000"),
+    ],
+    ids=["grid", "grid-product", "fit-offsets"],
+)
+def test_scan_counts_above_the_cap_exit_2_before_allocating(monkeypatch, capsys, flags, message):
+    # a 10^12-point axis ran linspace before the cap check, and 10^12 fit
+    # offsets had no cap: both ended in numpy's out-of-memory traceback, exit 1
+    def refuse(*args):
+        raise AssertionError("allocated the points of a count above the cap")
+
+    monkeypatch.setattr(analysis.Axis, "values", refuse)
+    monkeypatch.setattr(analysis, "geometric_offsets", refuse)
+    assert run(["scan", "--system", "reissner_nordstrom", *flags, "--quantity", "detg"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_check_box_that_is_not_a_number_names_the_flag(capsys):
     # the message was float()'s own, "could not convert string to float: 'a'"
     assert run(["check", "euler", "--system", "vdw", "--beta", "1", "--box", "S=a:1,V=1:2"]) == 2

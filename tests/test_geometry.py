@@ -521,6 +521,29 @@ def test_hessian_curvature_matches_brioschi(system, kind):
         assert rel_err(report.scalar, expected) <= _ROUTE_REL
 
 
+@pytest.mark.parametrize("gorder", [0, 1, 2])
+@pytest.mark.parametrize("kind", _HESSIAN_KINDS)
+@pytest.mark.parametrize("system", sorted(cli._CHECK_BOXES))
+def test_component_jets_match_the_product_rule(system, kind, gorder):
+    # the partials of g read back from the metric jets against the product rule
+    # on true order-4 partials of Phi, which shares no code with the geometry;
+    # each point's worst error of a degree against its largest entry of that
+    # degree: at most 1.8e-14 (vdW Ruppeiner d2g) and 2.1e-16 for a natural d2g;
+    # g of every kind matches exactly
+    spec = builtin(system)
+    points = _box_points(system, 200)
+    gjets = HessianMetricField(spec, kind).component_jets(points, gorder)
+    n = spec.dim
+    for degree, expected in enumerate(_metric_derivatives(spec, kind, points)[: gorder + 1]):
+        got = np.empty_like(expected)
+        for idx in np.ndindex(expected.shape[1:]):
+            alpha = tuple(idx[:degree].count(i) for i in range(n))
+            got[(slice(None),) + idx] = jets.extract_partial(gjets[idx[-2]][idx[-1]], alpha)
+        axes = tuple(range(1, expected.ndim))
+        scale = np.max(np.abs(expected), axis=axes)
+        assert np.all(np.max(np.abs(got - expected), axis=axes) <= 1e-13 * scale)
+
+
 def _loop_scalar(g, dg, d2g):
     """R at one point from g, d_e g and d_e d_f g, contracted by explicit loops.
 

@@ -276,16 +276,6 @@ def test_immutability():
         x.coeffs[0] = 5.0
 
 
-def test_truncate_and_derive():
-    x, y = seed_point((0.5, -1.2), order=4)
-    f = jets.exp(x) * y * y * y
-    d2 = jets.derive(f, (1, 1))  # d^2 f / dx dy = 3 e^x y^2, now order 2
-    assert d2.order == 2
-    assert math.isclose(d2.value, 3 * math.exp(0.5) * 1.44, rel_tol=1e-13)
-    assert jets.truncate(f, 2).order == 2
-    assert jets.truncate(f, 2).value == f.value
-
-
 # -- spec invariants ---------------------------------------------------------------
 
 coeff_arrays = st.lists(
