@@ -110,10 +110,10 @@ class GridSpec:
     def size(self) -> int:
         return math.prod(self.shape)
 
-    def points(self, cap: int = GRID_CAP) -> np.ndarray:
-        """All grid points, row-major (first coordinate slowest)."""
-        if self.size > cap:
-            raise ValueError(f"grid of {self.size} points exceeds cap of {cap}")
+    def points(self) -> np.ndarray:
+        """All grid points, row-major (first coordinate slowest), at most GRID_CAP of them."""
+        if self.size > GRID_CAP:
+            raise ValueError(f"grid of {self.size} points exceeds cap of {GRID_CAP}")
         mesh = np.meshgrid(*self.axis_values(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -330,8 +330,8 @@ def _refine_roots(
 def _residuals(f: MetricField, points: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     """det g at the refined roots, chunked, and each root's category.
 
-    For the natural kind, det g = Phi^n det Hess, and both factors come from
-    the same order-2 potential jet as det g, one evaluation per chunk.
+    For the natural kind the smaller factor of det g = Phi^n det Hess names
+    the zero (see `geometry.determinant_factors`).
     """
     if not isinstance(f, HessianMetricField):
         return _determinants(f, points), [None] * len(points)
@@ -340,11 +340,8 @@ def _residuals(f: MetricField, points: np.ndarray) -> tuple[np.ndarray, list[str
         return _determinants(f, points), ["hessian-zero"] * len(points)
     dets, categories = [], []
     for chunk in _chunks(f, points, "detg"):
-        (g,), failed, d, _ = f._arrays(chunk, 0)
-        det, failed = geometry._checked_det(g, failed, f, chunk)
-        # a failed point's Hessian is replaced, as in det g: its root is dropped
-        det_hess = np.linalg.det(geometry._replace(d[2], failed))
-        potential_zero = np.abs(d[0]) ** f.dim <= np.abs(det_hess)
+        det, potential, det_hess = geometry.determinant_factors(f, chunk)
+        potential_zero = np.abs(potential) ** f.dim <= np.abs(det_hess)
         dets.append(det)
         categories += ["potential-zero" if z else "hessian-zero" for z in potential_zero]
     return np.concatenate(dets), categories

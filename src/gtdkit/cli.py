@@ -38,7 +38,7 @@ import numpy as np
 
 # each command imports what only it needs: `scan` analysis, `check` phase_space,
 # a JSON report json, so an eval loads none of them
-from . import fundeq, geometry
+from . import fundeq, geometry, jets
 from .errors import DegenerateMetricError, GtdError
 from .fundeq import finite_number
 from .geometry import HessianMetricField, MetricKind
@@ -56,6 +56,7 @@ EXIT_IO = 4
 
 CHECKS = ("contact", "euler", "first-law", "gibbs-duhem", "legendre")
 _FIT_OFFSETS = "0.1:10"  # the samples of a divergence fit given no --fit-offsets
+MAX_TRIALS = 10**6  # the most trials a check runs
 
 DEFAULT_TOLERANCES = {
     "legendre": 1e-9,
@@ -475,9 +476,13 @@ def cmd_check(args) -> int:
 
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials must be at most {MAX_TRIALS}")
     # a phase space with no pairs has nothing to compare, so it would pass any check
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    if args.n > jets.MAX_VARS:
+        raise UsageError(f"--n must be at most {jets.MAX_VARS}, the most variables a system can have")
     rng = np.random.default_rng(args.seed)
     tol = finite_number(args.tol, "--tol") if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
     if tol < 0:
@@ -603,9 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("identity", choices=list(CHECKS))
     p_check.add_argument("--system", default=None, help="system for system-bound checks")
     p_check.add_argument("--params", default=None)
-    p_check.add_argument("--n", type=int, default=2, help="degrees of freedom for phase-space checks")
+    p_check.add_argument(
+        "--n", type=int, default=2, help=f"degrees of freedom for phase-space checks, 1..{jets.MAX_VARS}"
+    )
     p_check.add_argument("--transform", default="total", help="identity, total, or subset=i[+j...]")
-    p_check.add_argument("--trials", type=int, default=100)
+    p_check.add_argument("--trials", type=int, default=100, help=f"random trials, 1..{MAX_TRIALS}")
     p_check.add_argument("--seed", type=int, default=20260810)
     tol_text = ", ".join(f"{k} {v:g}" for k, v in sorted(DEFAULT_TOLERANCES.items()))
     p_check.add_argument("--tol", default=None, help=f"tolerance override (defaults: {tol_text})")

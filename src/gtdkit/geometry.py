@@ -12,16 +12,13 @@ extensive coordinates. Fields come in two flavours:
 
 Everything downstream of g is exact to rounding, with no finite differences,
 so curvature stays usable arbitrarily close to the singular loci the analysis
-module hunts for. A Hessian kind, g = c Hess Phi with c = Phi, 1 or 1/T, gets
-R from one order-3 jet of the potential by the Hessian-metric identity and one
-conformal change (see `_hessian_scalar`). A direct metric's R, and the
-Christoffel, Riemann and Ricci tensors of either kind (`curvature_tensors`),
-come from the general contraction of g, d_e g and d_e d_f g.
-
-Both kinds are read through `metric_arrays(point, gorder)`, which returns
-(g, dg, d2g, failed) with the batch axis first, also for one point (see
-`_geometry_arrays`), or through `component_jets` as jets; only `_hessian_scalar`
-reads the potential's partials. Both take a system's name and parameter rules.
+module hunts for. Both kinds give g, d_e g, d_e d_f g and the failed points
+through `metric_arrays(point, gorder)`, batch axis first also for one point, or
+as jets through `component_jets`; the general contraction of those gives the
+Christoffel, Riemann and Ricci tensors (`curvature_tensors`, from Phi to order
+4 for a Hessian kind) and a direct metric's R. A Hessian kind, g = c Hess Phi
+with c = Phi, 1 or 1/T, gets R from Phi to order 3 by the Hessian-metric
+identity and one conformal change (see `_hessian_scalar`).
 
 Metric components, determinants, Christoffel symbols and curvature accept
 one point or a (B, n) array of B points. A batch runs the same arithmetic
@@ -106,8 +103,8 @@ class CurvatureTensors(NamedTuple):
 class HessianMetricField:
     """Metric field g = c Hess Phi derived from a fundamental equation, c = Phi, 1 or 1/T.
 
-    `_arrays` builds g and its derivatives, from Phi to order 3 at most for
-    `metric_arrays` and curvature, and to 2 + g-order for `component_jets`.
+    `metric_arrays` returns g and its derivatives from Phi to order gorder + 2; the
+    curvature scalar (order 3) and the det g split (order 2) build g alone.
     """
 
     def __init__(self, spec: SystemSpec, kind: MetricKind = MetricKind.NATURAL):
@@ -129,11 +126,11 @@ class HessianMetricField:
         return f"{self.spec.name}[{self.kind.value}]"
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
-        """g as jets of order `gorder`, packed from `_arrays`; a failed point is NaN in every jet."""
-        out, failed, _, _ = self._arrays(point, gorder, exact=True)
+        """g as jets of order `gorder`, packed from `metric_arrays`; a failed point is NaN in every jet."""
+        *out, failed = self.metric_arrays(point, gorder)
         n = self.dim
         coeffs = np.empty((jets._size(n, gorder),) + out[0].shape)
-        for k, x in enumerate(out):  # the partials [z, e, ..., a, b] over alpha!, at alpha's slot
+        for k, x in enumerate(out[: gorder + 1]):  # [z, e, ..., a, b] over alpha!, at alpha's slot
             slots, scale = jets.partial_slots(n, gorder, k)
             coeffs[slots] = np.moveaxis(x, 0, k) / scale[..., None, None, None]
         coeffs[:, failed] = np.nan
@@ -144,53 +141,48 @@ class HessianMetricField:
         """(g, dg, d2g, failed) as `_geometry_arrays` returns them, from one potential jet.
 
         g = c h for h = Hess Phi and c = Phi (natural), 1 (Weinhold) or 1/T
-        (Ruppeiner), so d_e g_ab = c_e h_ab + c Phi_abe. Fourth derivatives of
-        Phi enter d_e d_f g_ab only through c Phi_abef, which is symmetric in
-        all four indices and so drops out of R^a_bcd = half - swap_cd(half)
-        exactly (see `_contract`). d2g leaves it out, so curvature needs Phi to
-        order 3 only; d2g serves curvature and is not d_e d_f g_ab.
+        (Ruppeiner), so d_e g_ab = c_e h_ab + c Phi_abe and d_e d_f g_ab =
+        c_ef h_ab + c_e Phi_abf + c_f Phi_abe + c Phi_abef: Phi to order gorder + 2.
         """
-        out, failed, _, _ = self._arrays(point, gorder)
+        *out, failed = self._metric(point, *self._partials(point, gorder + 2), gorder)
         return (*out, *[None] * (2 - gorder), failed)
 
-    def _arrays(self, point: Point, gorder: int, exact: bool = False):
-        """[g, dg, d2g][: gorder + 1], the failed points, and the partials d, c they come from.
-
-        d[k][z, a, b, ...] = D^(e_a + e_b + ...) Phi at point z, to order
-        min(gorder + 2, 3) or, when `exact`, gorder + 2, where d2g gains c Phi_abef
-        and is d_e d_f g_ab; d[1] is None where g does not read it; c[k], the
-        k-th derivatives of c, to gorder.
-        """
-        phi = fundeq.evaluate(self.spec, point, order=gorder + 2 if exact else min(gorder + 2, 3))
-        # g reads Phi_a only through c: as T = Phi_1, or as c_a when gorder > 0
-        unread = 1 if gorder == 0 and self.kind is not MetricKind.RUPPEINER else None
-        d = [None if k == unread else jets.partials(phi, k) for k in range(phi.order + 1)]
-        h, batch = d[2], len(d[2])
-        c = d
+    def _partials(self, point: Point, order: int):
+        """d[k][z, a, b, ...] = D^(e_a + e_b + ...) Phi at point z for k <= order, and
+        c[k], the k-th derivatives of c, for k < order; at order 2 g reads Phi_a
+        only as T = Phi_1, and d[1] is None for the other kinds."""
+        phi = fundeq.evaluate(self.spec, point, order=order)
+        unread = 1 if order == 2 and self.kind is not MetricKind.RUPPEINER else None
+        d = [None if k == unread else jets.partials(phi, k) for k in range(order + 1)]
+        if self.kind is MetricKind.NATURAL:
+            return d, d[:order]
         if self.kind is MetricKind.WEINHOLD:
-            c = [np.ones(batch), np.zeros(h.shape[:2]), np.zeros(h.shape)]
-            out = [h, *d[3:], np.zeros((batch,) + (self.dim,) * 4)][: gorder + 1]
+            return d, [np.ones(len(d[2])), np.zeros(d[2].shape[:2]), np.zeros(d[2].shape)][:order]
+        temp = d[1][:, 0]
+        if not phi.batched and temp[0] == 0.0:
+            raise DomainError("Ruppeiner metric undefined where the temperature vanishes")
+        t, dt = np.where(temp == 0.0, np.nan, temp), d[2][:, 0]  # a batch fails T = 0
+        c = [1.0 / t, _times(-1.0 / t**2, dt)]
+        if order > 2:
+            c.append(_times(2.0 / t**3, _times(dt, dt)) - _times(1.0 / t**2, d[3][:, 0]))
+        return d, c
+
+    def _metric(self, point: Point, d: list, c: list, gorder: int) -> tuple:
+        """(g, dg, d2g)[: gorder + 1] by the product rule from `_partials` to order gorder + 2
+        or more, and the failed points, where one of them holds a NaN; one such point raises."""
+        if self.kind is MetricKind.WEINHOLD:
+            out = d[2 : gorder + 3]
         else:
-            if self.kind is MetricKind.RUPPEINER:
-                temp = d[1][:, 0]
-                if not phi.batched and temp[0] == 0.0:
-                    raise DomainError("Ruppeiner metric undefined where the temperature vanishes")
-                t, dt = np.where(temp == 0.0, np.nan, temp), h[:, 0]  # a batch fails T = 0
-                c = [1.0 / t, _times(-1.0 / t**2, dt)]
-                if gorder == 2:
-                    c.append(_times(2.0 / t**3, _times(dt, dt)) - _times(1.0 / t**2, d[3][:, 0]))
-            out = [_times(c[0], h)]
+            out = [_times(c[0], d[2])]
             if gorder:
-                out.append(_times(c[1], h) + _times(c[0], d[3]))
+                out.append(_times(c[1], d[2]) + _times(c[0], d[3]))
             if gorder == 2:
                 cross = _times(c[1], d[3])  # [z, e, f, a, b] = c_e Phi_fab
-                out.append(_times(c[2], h) + cross + np.swapaxes(cross, 1, 2))
-                if len(d) > 4:
-                    out[2] += _times(c[0], d[4])
-        failed = np.isnan(np.concatenate([x.reshape(batch, -1) for x in out], axis=1).max(axis=1))
-        if not phi.batched and failed[0]:
+                out.append(_times(c[2], d[2]) + cross + np.swapaxes(cross, 1, 2) + _times(c[0], d[4]))
+        failed = np.isnan(np.concatenate([x.reshape(len(x), -1) for x in out], axis=1).max(axis=1))
+        if np.ndim(point) == 1 and failed[0]:
             raise DomainError(f"metric {self.name} is not a number at point {_coords(point)}")
-        return out, failed, d, c[: gorder + 1]
+        return (*out, failed)
 
 
 class DirectMetricField:
@@ -311,15 +303,25 @@ def metric_determinant(field: MetricField, point: Point):
     return float(det[0]) if np.ndim(point) == 1 else (det, statuses(failed))
 
 
+def determinant_factors(field: HessianMetricField, points: np.ndarray):
+    """det g of a (B, n) batch, as `metric_determinant` gives it, with c and det Hess Phi.
+
+    det g = c^n det Hess Phi for g = c Hess Phi, all three from one order-2 potential jet.
+    """
+    d, c = field._partials(points, 2)
+    g, failed = field._metric(points, d, c, 0)
+    det, failed = _checked_det(g, failed, field, points)
+    return det, c[0], np.linalg.det(_replace(d[2], failed))
+
+
 def degeneracy_threshold(g: np.ndarray):
     """Scale-free cutoff at or below which |det g| counts as degenerate.
 
     DEGENERACY_FACTOR times Hadamard's bound on |det g|, the product of the
-    row norms, so rescaling g does not change the verdict. A float for one
-    (n, n) matrix, one cutoff per matrix for a (B, n, n) stack.
+    row norms, so rescaling g does not change the verdict: one cutoff per
+    matrix of a (B, n, n) stack.
     """
-    out = DEGENERACY_FACTOR * np.prod(np.linalg.norm(g, axis=-1), axis=-1)
-    return float(out) if g.ndim == 2 else out
+    return DEGENERACY_FACTOR * np.prod(np.linalg.norm(g, axis=-1), axis=-1)
 
 
 def statuses(failed: np.ndarray, degenerate: np.ndarray | None = None) -> list[str]:
@@ -467,7 +469,8 @@ def _hessian_scalar(field: HessianMetricField, point: Point):
     c_ab / c, so a negative c needs no log. A three-operand einsum changes bits
     with the batch size, so every quadratic form is two two-operand ones.
     """
-    (g, _, _), failed, d, c = field._arrays(point, 2)
+    d, c = field._partials(point, 3)
+    g, failed = field._metric(point, d, c, 0)
     g_inv, det, failed, degenerate = _checked_inverse(g, failed, field, point)
     # failed and degenerate points get h^-1 = g^-1 = the identity
     factor = np.where(failed | degenerate, 1.0, c[0])

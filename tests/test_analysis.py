@@ -176,6 +176,37 @@ def test_batch_rows_keep_the_widest_array_under_the_bound():
     assert analysis._batch_rows(vdw, "detg") == analysis.CHUNK_BYTES // (8 * 2 * 2)
 
 
+@pytest.mark.parametrize("source", ["reissner_nordstrom", "rn_closed"])
+def test_each_quantity_evaluates_at_the_order_its_batches_are_sized_for(monkeypatch, source):
+    # `_batch_rows` sizes the batches of a quantity by its `_JET_ORDERS` entry:
+    # a quantity evaluated at another order gets batches sized for another gather
+    direct = source == "rn_closed"
+    f = closed_form_metric(source) if direct else rn_field()
+    orders = []
+    evaluate_exprs = fundeq.evaluate_exprs
+
+    def recording(tape, variables, parameters, point, order, *rest):
+        orders.append(order)
+        return evaluate_exprs(tape, variables, parameters, point, order, *rest)
+
+    def recorded(quantity):
+        found = set(orders)
+        orders.clear()
+        return found == {analysis._JET_ORDERS[quantity][direct]}
+
+    monkeypatch.setattr(fundeq, "evaluate_exprs", recording)
+    # det g changes sign at S = pi Q^2, which lines of both axes cross
+    grid = GridSpec.build(f.coordinates, {"S": Axis(1.0, 10.0, 12), "Q": Axis(0.8, 1.2, 3)})
+    for quantity in ("curvature", "detg") if direct else analysis.QUANTITIES:
+        grid_scan(f, grid, quantity)
+        assert recorded(quantity)
+    # the root refinement and the root classifier both evaluate det g
+    assert find_singular_locus(f, grid)
+    assert recorded("detg")
+    fit_divergence_exponent(f, (PI, 1.0), (1.0, 0.0), geometric_offsets(0.2, 6))
+    assert recorded("curvature")
+
+
 def test_scan_accepts_spec_quantity_aliases():
     f = rn_field()
     grid = GridSpec.build(f.coordinates, {"S": Axis(1.0, 2.0, 3), "Q": 1.0})

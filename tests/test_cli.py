@@ -635,6 +635,33 @@ def test_check_needs_a_pair(capsys, identity, n):
     assert "error: --n must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "identity, flags, message",
+    [
+        ("legendre", ["--n", "1000000000", "--trials", "1"], "--n must be at most 8"),
+        ("contact", ["--n", "9"], "--n must be at most 8"),
+        ("legendre", ["--n", "2", "--trials", "1000000000000"], "--trials must be at most 1000000"),
+        ("contact", ["--trials", "1000001"], "--trials must be at most 1000000"),
+    ],
+)
+def test_check_counts_above_their_bound_exit_2_before_building(
+    monkeypatch, capsys, identity, flags, message
+):
+    # --n 10^9 ended in a MemoryError traceback with exit 1, "check failed", and
+    # --trials 10^12 ran on with no end
+    from gtdkit import phase_space
+
+    def refuse(*args):
+        raise AssertionError("built a map or a phase point for a count above its bound")
+
+    monkeypatch.setattr(phase_space.LegendreMap, "total", refuse)
+    monkeypatch.setattr(phase_space.PhasePoint, "from_coords", refuse)
+    assert run(["check", identity, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_check_report_file(tmp_path, capsys):
     out = tmp_path / "check.json"
     code = run(["check", "contact", "--n", "2", "--trials", "5", "--output", str(out)])

@@ -419,8 +419,8 @@ def test_hessian_curvature_matches_jet_contraction(system, kind):
     assert abs(single.scalar - scalar_curvature(_JetRoute(f), points[0]).scalar) <= max(
         _NOISE_FLOOR, _ROUTE_REL * abs(single.scalar)
     )
-    # the order-3 gathers of HessianMetricField.metric_arrays against the
-    # metric jets, both through the general contraction
+    # HessianMetricField.metric_arrays against the arrays read back from its
+    # own metric jets, both through the general contraction
     new, old = curvature_tensors(f, points), curvature_tensors(_JetRoute(f), points)
     if (system, kind) not in _FLAT:
         # each point's tensor against its largest entry: at most 5.1e-14 (RN natural)
@@ -432,7 +432,9 @@ def test_hessian_curvature_matches_jet_contraction(system, kind):
 
 
 def test_hessian_route_asks_for_low_orders(monkeypatch):
-    # curvature needs the potential to order 3, g and det g to order 2
+    # the curvature scalar and the Christoffel symbols need the potential to
+    # order 3, g and det g to order 2; the curvature tensors and the order-2
+    # metric jets read d_e d_f g, with c Phi_abef, from order 4
     orders = []
     evaluate = fundeq.evaluate
 
@@ -454,6 +456,11 @@ def test_hessian_route_asks_for_low_orders(monkeypatch):
             metric_determinant(f, points[0])
             metric_at(f, points[0])
             assert max(orders) == 2
+            orders.clear()
+            curvature_tensors(f, points)
+            curvature_tensors(f, points[0])
+            f.component_jets(points, gorder=2)
+            assert orders == [4] * 3
             orders.clear()
 
 
@@ -525,14 +532,17 @@ def test_hessian_curvature_matches_brioschi(system, kind):
 @pytest.mark.parametrize("kind", _HESSIAN_KINDS)
 @pytest.mark.parametrize("system", sorted(cli._CHECK_BOXES))
 def test_component_jets_match_the_product_rule(system, kind, gorder):
-    # the partials of g read back from the metric jets against the product rule
-    # on true order-4 partials of Phi, which shares no code with the geometry;
-    # each point's worst error of a degree against its largest entry of that
-    # degree: at most 1.8e-14 (vdW Ruppeiner d2g) and 2.1e-16 for a natural d2g;
-    # g of every kind matches exactly
+    # the partials of g read back from the metric jets, and the arrays of
+    # `metric_arrays`, against the product rule on true order-4 partials of
+    # Phi, which shares no code with the geometry; each point's worst error of
+    # a degree against its largest entry of that degree: at most 1.8e-14 (vdW
+    # Ruppeiner d2g) and 2.1e-16 for a natural d2g; g of every kind matches
+    # exactly. A d2g without c Phi_abef was off by up to 32 times that entry.
     spec = builtin(system)
     points = _box_points(system, 200)
-    gjets = HessianMetricField(spec, kind).component_jets(points, gorder)
+    f = HessianMetricField(spec, kind)
+    gjets, arrays = f.component_jets(points, gorder), f.metric_arrays(points, gorder)
+    assert not arrays[-1].any()
     n = spec.dim
     for degree, expected in enumerate(_metric_derivatives(spec, kind, points)[: gorder + 1]):
         got = np.empty_like(expected)
@@ -541,7 +551,8 @@ def test_component_jets_match_the_product_rule(system, kind, gorder):
             got[(slice(None),) + idx] = jets.extract_partial(gjets[idx[-2]][idx[-1]], alpha)
         axes = tuple(range(1, expected.ndim))
         scale = np.max(np.abs(expected), axis=axes)
-        assert np.all(np.max(np.abs(got - expected), axis=axes) <= 1e-13 * scale)
+        for x in (got, arrays[degree]):
+            assert np.all(np.max(np.abs(x - expected), axis=axes) <= 1e-13 * scale)
 
 
 def _loop_scalar(g, dg, d2g):
