@@ -3,21 +3,20 @@
 A system is a potential Phi(E^1..E^n) over named extensive variables plus a
 parameter map. Potentials come from a small expression grammar (or from the
 built-in catalogue) and are evaluated over jets, so every derivative the
-geometry needs is exact. An expression list is compiled once into a `Tape`,
-a postorder list of its distinct nodes, so a subtree that several
-expressions share, or that one repeats, runs once per evaluation. For each
-variable list, nvars and order a tape is compiled once more into a `Plan`,
-which marks every step a number (it touches no variable) or an array step,
-and `run_tape` is the one runner of a plan, at every order: a number step is
-float arithmetic, and a function or power of a number runs the jet kernel at
-order 0, so it obeys the same domain and overflow rules as over a variable;
-an array step runs a kernel of `jets` on plain coefficient arrays, and at
-order 0 that is numpy on the values. `evaluate_exprs` is the one place
-expressions become jets, at one point or over a batch: it seeds coefficient
-arrays, runs the plan and wraps only the distinct outputs in `Jet`s.
-`evaluate` runs a system's potential tape, compiled with its `SystemSpec`,
-and a direct metric field runs the tape of its components; `eval_jet` runs
-one expression over jets and numbers.
+geometry needs is exact. An expression list is compiled once, over its
+variables, into a `Tape`: a postorder list of its distinct steps, so a
+subtree that several expressions share, or that one repeats, runs once per
+evaluation. Each step is a number (it touches no variable) or an array
+step, and `run_tape` runs the one step list at every nvars and order: a
+number step is float arithmetic, and a function or power of a number runs
+the jet kernel at order 0, so it obeys the same domain and overflow rules as
+over a variable; an array step runs a kernel of `jets` on plain coefficient
+arrays, and at order 0 that is numpy on the values. `evaluate_exprs` is the
+one place expressions become jets, at one point or over a batch: it seeds
+coefficient arrays, runs the tape and wraps only the distinct outputs in
+`Jet`s. `evaluate` runs a system's potential tape, compiled with its
+`SystemSpec`, and a direct metric field runs the tape of its components;
+`eval_jet` runs one expression over jets and numbers.
 
 Expression grammar (also the format used in system definition files)::
 
@@ -247,102 +246,75 @@ Scalar = Union[float, Jet]
 
 
 class Tape(NamedTuple):
-    """An expression list compiled into a postorder list of its distinct nodes.
+    """An expression list compiled once over its variables into the steps that run.
 
-    A step is ("num", value, None), ("name", ident, None), a unary op ("neg"
-    or a function) of step x as (op, x, None), or a binary op (op, x, y).
-    Equal subtrees are one step, and `outputs` holds each expression's step.
-    Steps come in the order a left-to-right walk of the trees first meets
-    them, so the first operation to fail is the one a tree walk fails on.
-    `plans` keeps the tape's `Plan` for each variable list, nvars and order
-    (see `compile_plan`).
+    Step i is (op, f, x, y): a name or a number ("name" or "num", x is None),
+    computed as f(env), or an operation on steps x and y, computed as
+    f(value x, value y, nvars, order), where a unary op ("neg" or a function)
+    has y = x. Every step is a number or an array step, and `arrays[i]` tells
+    them apart. A step that touches no variable is a number: a float,
+    computed by plain float arithmetic, while a function or power of a number
+    is the value of its jet kernel on the order-0 constant, so `sqrt(0)` is a
+    DomainError as it is over a variable, and `exp(1000)` is inf. Every other
+    step is an array step: the coefficient array of its jet, computed by the
+    kernels of `jets` as `Jet`'s operators compute it, at whatever nvars and
+    order the tape runs. Equal subtrees are one step, and a division by an
+    array y is a product with a ("1/", y) step, one reciprocal per distinct y
+    at its first use. Steps come in the order a left-to-right walk of the
+    trees first meets them, so the first operation to fail is the one a tree
+    walk fails on, and `outputs` holds each expression's step. A tape
+    pickles and copies as its expressions and variables, compiled again.
     """
 
-    steps: tuple[tuple, ...]
+    exprs: tuple[Expr, ...]
+    variables: tuple[str, ...]
+    steps: tuple[tuple[str, Callable, int | None, int | None], ...]
+    arrays: tuple[bool, ...]
     outputs: tuple[int, ...]
-    plans: dict
+
+    def __reduce__(self):
+        return compile_exprs, (self.exprs, self.variables)
 
 
-def compile_exprs(exprs: Sequence[Expr]) -> Tape:
-    """The tape of `exprs`. Constants are kept, not folded: they fail when the tape runs."""
-    index: dict[tuple, int] = {}  # step -> its place; a dict keeps insertion order
+def compile_exprs(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
+    """The tape of `exprs` over `variables`. Constants are not folded: they fail when it runs."""
+    exprs, variables = tuple(exprs), tuple(variables)
+    index: dict[tuple, int] = {}  # the key of each distinct step -> its place, in order
+    arrays: list[bool] = []
 
     def visit(node: Expr) -> int:
         if isinstance(node, Num):
             # 0.0 == -0.0 and they hash alike: the sign keeps them apart
-            key = ("num", node.value, None, math.copysign(1.0, node.value))
+            key, array = ("num", node.value, math.copysign(1.0, node.value)), False
         elif isinstance(node, Name):
-            key = ("name", node.ident, None)
-        elif isinstance(node, Neg):
-            key = ("neg", visit(node.operand), None)
-        elif isinstance(node, Call):
-            key = (node.func, visit(node.arg), None)
+            key, array = ("name", node.ident, None), node.ident in variables
+        elif isinstance(node, (Neg, Call)):
+            x = visit(node.operand if isinstance(node, Neg) else node.arg)
+            key, array = ("neg" if isinstance(node, Neg) else node.func, x, x), arrays[x]
         else:
-            key = (node.op, visit(node.left), visit(node.right))
-        return index.setdefault(key, len(index))
+            x, y = visit(node.left), visit(node.right)
+            key, array = (node.op, x, y), arrays[x] or arrays[y]
+            if node.op == "/" and arrays[y]:
+                # x / y is x * (1/y), with 1/y computed at its first use and shared after
+                key = ("*", x, index.setdefault(("1/", y, y), len(arrays)))
+                if key[2] == len(arrays):
+                    arrays.append(True)
+        place = index.setdefault(key, len(arrays))
+        if place == len(arrays):
+            arrays.append(array)
+        return place
 
     outputs = tuple(visit(e) for e in exprs)
-    return Tape(tuple(key[:3] for key in index), outputs, {})
-
-
-class Plan(NamedTuple):
-    """A tape compiled for jets of (nvars, order) bound to its variables.
-
-    Every step is a number or an array step. A step that touches no variable
-    is a number: a float, computed by plain float arithmetic, while a
-    function or power of a number is the value of its jet kernel on the
-    order-0 constant, so `sqrt(0)` is a DomainError as it is over a variable,
-    and `exp(1000)` is inf. Every other step is an array step: the
-    coefficient array of its jet, computed by the kernels of `jets` as
-    `Jet`'s operators compute it. `arrays[i]` tells the two apart. Step i is
-    (f, x, y), computed as f(env) for a name or a number (x is None) and as
-    f(value x, value y, nvars, order) for an operation, where a unary one
-    has y = x. A division by an array y is a product with 1/y, one
-    reciprocal step per distinct y at its first use, so a plan can have more
-    steps than its tape; `outputs` holds the plan step of each tape output.
-    """
-
-    steps: tuple[tuple[Callable, int | None, int | None], ...]
-    arrays: tuple[bool, ...]
-    outputs: tuple[int, ...]
-    nvars: int
-    order: int
-
-
-def compile_plan(tape: Tape, variables: Sequence[str], nvars: int, order: int) -> Plan:
-    """The plan of `tape` over jets of (nvars, order) bound to `variables`, compiled once."""
-    key = (tuple(variables), nvars, order)
-    found = tape.plans.get(key)
-    if found is None:
-        found = tape.plans.setdefault(key, _new_plan(tape, key[0], nvars, order))
-    return found
-
-
-def _new_plan(tape: Tape, variables: tuple[str, ...], nvars: int, order: int) -> Plan:
-    steps, arrays = [], []
-    where = []  # the plan step of each tape step
-    reciprocals: dict[int, int] = {}  # the plan step of 1/y for each array denominator y
-    for op, x, y in tape.steps:
-        if op == "num":
-            steps.append((functools.partial(_number, x), None, None))
-            arrays.append(False)
-        elif op == "name":
-            steps.append((functools.partial(_lookup, x), None, None))
-            arrays.append(x in variables)
+    steps = []
+    for (op, x, y), array in zip(index, arrays):
+        if op == "num" or op == "name":
+            f, x, y = functools.partial(_number if op == "num" else _lookup, x), None, None
+        elif op == "1/":
+            f = _reciprocal
         else:
-            x, y = where[x], where[x if y is None else y]
-            if op == "/" and arrays[y]:
-                # x / y is x * (1/y), with 1/y computed at its first use and shared after
-                if y not in reciprocals:
-                    reciprocals[y] = len(steps)
-                    steps.append((_reciprocal, y, y))
-                    arrays.append(True)
-                op, y = "*", reciprocals[y]
-            kind = (arrays[x], arrays[y])
-            steps.append((_ARRAY_OPS[(op, *kind)] if any(kind) else _NUMBER_OPS[op], x, y))
-            arrays.append(any(kind))
-        where.append(len(steps) - 1)
-    return Plan(tuple(steps), tuple(arrays), tuple(where[i] for i in tape.outputs), nvars, order)
+            f = _ARRAY_OPS[(op, arrays[x], arrays[y])] if array else _NUMBER_OPS[op]
+        steps.append((op, f, x, y))
+    return Tape(exprs, variables, tuple(steps), tuple(arrays), outputs)
 
 
 def _number(value: float, env: Mapping) -> float:
@@ -414,37 +386,37 @@ _ARRAY_OPS: dict[tuple[str, bool, bool], Callable] = {
 }
 
 
-def run_tape(plan: Plan, env: Mapping[str, Union[float, np.ndarray]]) -> list:
-    """The value of every step of `plan` over an environment of numbers and coefficient arrays.
+def run_tape(
+    tape: Tape, env: Mapping[str, Union[float, np.ndarray]], nvars: int, order: int
+) -> list:
+    """The value of every step of `tape` over an environment of numbers and coefficient arrays.
 
-    Each variable of the plan is bound to its jet's coefficient array, each
-    other name to a number. A number step's value is a float, an array
-    step's a coefficient array of the plan's jets. Steps run in tape order,
-    so the first to fail raises.
+    Each variable of the tape is bound to the coefficient array of its jet
+    of (nvars, order), each other name to a number. A number step's value is
+    a float, an array step's a coefficient array of those jets. Steps run in
+    order, so the first to fail raises.
     """
-    nvars, order = plan.nvars, plan.order
     values: list = []
-    for f, x, y in plan.steps:
+    for _, f, x, y in tape.steps:
         values.append(f(env) if x is None else f(values[x], values[y], nvars, order))
     return values
 
 
 def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
-    """One expression over an environment of jets and numbers, through its plan (see `Plan`).
+    """One expression over an environment of jets and numbers, through its tape (see `Tape`).
 
     A float where the expression touches no jet, else a jet like those of the
     environment, which must all have one shape.
     """
-    tape = compile_exprs([node])
     variables = tuple(name for name, value in env.items() if isinstance(value, Jet))
     shapes = {(env[name].nvars, env[name].order, env[name].coeffs.shape) for name in variables}
     if len(shapes) > 1:
         raise ValueError(f"jet shape mismatch: {sorted(shapes)}")
     nvars, order, _ = shapes.pop() if shapes else (1, 0, None)
-    plan = compile_plan(tape, variables, nvars, order)
-    values = run_tape(plan, {**env, **{name: env[name].coeffs for name in variables}})
-    (step,) = plan.outputs
-    return Jet(nvars, order, values[step]) if plan.arrays[step] else values[step]
+    tape = compile_exprs([node], variables)
+    values = run_tape(tape, {**env, **{name: env[name].coeffs for name in variables}}, nvars, order)
+    (step,) = tape.outputs
+    return Jet(nvars, order, values[step]) if tape.arrays[step] else values[step]
 
 
 def free_names(node: Expr) -> set[str]:
@@ -496,7 +468,7 @@ class SystemSpec:
     ):
         parameters = {} if parameters is None else parameters
         check_names([*variables, *parameters], [potential], "potential references")
-        tape = compile_exprs([potential])
+        tape = compile_exprs([potential], variables)
         if weights is not None and len(weights) != len(variables):
             raise ValueError("one weight per variable required")
         fields = (name, variables, potential, parameters, weights, beta, domain, domain_text, tape)
@@ -562,7 +534,6 @@ def override_parameters(source, overrides: Mapping):
 
 def evaluate_exprs(
     tape: Tape,
-    variables: Sequence[str],
     parameters: Mapping[str, float],
     point: Point | np.ndarray,
     order: int,
@@ -571,9 +542,9 @@ def evaluate_exprs(
 ) -> list[Jet]:
     """Jets of the expressions compiled into `tape`, around one point or a (B, n) batch.
 
-    Each variable is seeded, and the tape runs once: a subexpression shared
-    by several expressions is evaluated once, and equal expressions return
-    the same jet. The expressions see the parameters and the variables, and
+    Each variable of the tape is seeded, and the tape runs once: a
+    subexpression shared by several expressions is evaluated once, and equal
+    expressions return the same jet. The expressions see the parameters and the variables, and
     so does the domain predicate, once per call: as floats for one point, and
     for a batch with one array of coordinates per variable. A point fails
     where it is outside the domain, where an operation leaves its domain, or
@@ -584,6 +555,7 @@ def evaluate_exprs(
     point, so each point's result is that of its single-point call.
     """
     points = np.asarray(point, dtype=float)
+    variables = tape.variables
     nvars = len(variables)
     if points.ndim not in (1, 2) or points.shape[-1] != nvars:
         raise ValueError(
@@ -605,17 +577,16 @@ def evaluate_exprs(
         raise _point_error(points, f"outside domain of {label}", parameters)
     for i, name in enumerate(variables):
         env[name] = jets.seed_coeffs(i, coords[..., i], nvars, order)
-    plan = compile_plan(tape, variables, nvars, order)
     try:
-        values = run_tape(plan, env)
-    except DomainError:
+        values = run_tape(tape, env, nvars, order)
+    except DomainError as exc:
         if not batched:
-            raise
+            raise _point_error(points, f"fails in {label}", parameters, f": {exc}") from None
         return [jets.constant(np.full(len(points), np.nan), nvars, order)] * len(tape.outputs)
     out = {}  # the coefficients of each distinct output
-    for step in plan.outputs:
+    for step in tape.outputs:
         value = values[step]
-        if not plan.arrays[step]:
+        if not tape.arrays[step]:
             value = jets.constant_coeffs(np.full(coords.shape[:-1], float(value)), nvars, order)
         out[step] = value
     failed = outside
@@ -627,14 +598,14 @@ def evaluate_exprs(
             raise _point_error(points, f"makes {label} not a number", parameters)
         out = {step: np.where(failed, np.nan, coeffs) for step, coeffs in out.items()}
     out = {step: Jet(nvars, order, coeffs) for step, coeffs in out.items()}
-    return [out[step] for step in plan.outputs]
+    return [out[step] for step in tape.outputs]
 
 
-def _point_error(point: np.ndarray, reason: str, parameters: Mapping[str, float]) -> DomainError:
+def _point_error(point: np.ndarray, reason: str, parameters: Mapping[str, float], detail: str = ""):
     message = f"point {tuple(point.tolist())} {reason}"
     if parameters:
         message += " with " + ", ".join(f"{k} = {v}" for k, v in parameters.items())
-    return DomainError(message)
+    return DomainError(message + detail)
 
 
 def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) -> Jet:
@@ -644,9 +615,8 @@ def evaluate(spec: SystemSpec, point: Point, order: int = jets.DEFAULT_ORDER) ->
     point outside the domain, or whose jet holds a NaN, raises DomainError; in
     a batch such points come back as columns of NaN (see `Jet.failed`).
     """
-    (jet,) = evaluate_exprs(
-        spec.tape, spec.variables, spec.parameters, point, order, spec.domain, domain_label(spec)
-    )
+    label = domain_label(spec)
+    (jet,) = evaluate_exprs(spec.tape, spec.parameters, point, order, spec.domain, label)
     return jet
 
 

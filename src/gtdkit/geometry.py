@@ -190,10 +190,11 @@ class DirectMetricField:
 
     Components may be expression strings, parsed Expr trees or numbers;
     each becomes an Expr over the coordinates and parameters. All n x n
-    entries are compiled once into one tape (see `fundeq.Tape`): identical
-    entries share one output, and a subexpression shared by several entries
-    runs once per evaluation. The evaluated matrix must be symmetric; the
-    upper triangle is mirrored so downstream algebra sees exact symmetry.
+    entries are compiled once, over the coordinates, into one tape (see
+    `fundeq.Tape`) that runs at every gorder: identical entries share one
+    output, and a subexpression shared by several entries runs once per
+    evaluation. The evaluated matrix must be symmetric; the upper triangle
+    is mirrored so downstream algebra sees exact symmetry.
     """
 
     def __init__(
@@ -215,7 +216,7 @@ class DirectMetricField:
         fundeq.check_names(
             [*self.coordinates, *self.parameters], entries, "metric components reference"
         )
-        self.tape = fundeq.compile_exprs(entries)
+        self.tape = fundeq.compile_exprs(entries, self.coordinates)
         self.name = name
         self.domain = domain
         self.domain_text = domain_text
@@ -230,8 +231,7 @@ class DirectMetricField:
 
     def component_jets(self, point: Point, gorder: int = 2) -> list[list[Jet]]:
         flat = fundeq.evaluate_exprs(
-            self.tape, self.coordinates, self.parameters, point, gorder, self.domain,
-            fundeq.domain_label(self),
+            self.tape, self.parameters, point, gorder, self.domain, fundeq.domain_label(self)
         )
         n = self.dim
         out = [flat[a * n : (a + 1) * n] for a in range(n)]

@@ -17,10 +17,11 @@ The arithmetic is a set of kernels on plain coefficient arrays (`mul_coeffs`,
 `reciprocal_coeffs`, `power_coeffs`, `offset_coeffs` and one kernel per
 function of `FUNCTION_KERNELS`), given the jets' nvars and order. `Jet`'s
 operators and the functions `exp`, `ln`, `power`, `sqrt`, `sin` and `cos`
-wrap them, and `fundeq` runs its compiled tapes through them directly, so a
-tape builds no `Jet` per step. At order 0 a jet is its value alone, and each
-kernel is the constant term of its series: a product is `a * b`, a function
-the first term of its Taylor series.
+wrap them, and each step of a `fundeq` tape is one of them, run directly at
+whatever nvars and order the tape is evaluated, so a tape builds no `Jet`
+per step. At order 0 a jet is its value alone, and each kernel is the
+constant term of its series: a product is `a * b`, a function the first
+term of its Taylor series.
 
 A truncated product sums, for each output slot and each column, its run of
 pairs f_i g_j with alpha_i + alpha_j = alpha_k: the first pair plus the rest

@@ -185,9 +185,9 @@ def test_each_quantity_evaluates_at_the_order_its_batches_are_sized_for(monkeypa
     orders = []
     evaluate_exprs = fundeq.evaluate_exprs
 
-    def recording(tape, variables, parameters, point, order, *rest):
+    def recording(tape, parameters, point, order, *rest):
         orders.append(order)
-        return evaluate_exprs(tape, variables, parameters, point, order, *rest)
+        return evaluate_exprs(tape, parameters, point, order, *rest)
 
     def recorded(quantity):
         found = set(orders)

@@ -130,9 +130,9 @@ def test_eval_evaluates_each_source_once(monkeypatch, capsys, system, quantity, 
         potential.append(order)
         return evaluate(spec, point, order)
 
-    def recording_evaluate_exprs(exprs, variables, parameters, point, order, *rest):
+    def recording_evaluate_exprs(tape, parameters, point, order, *rest):
         components.append(order)
-        return evaluate_exprs(exprs, variables, parameters, point, order, *rest)
+        return evaluate_exprs(tape, parameters, point, order, *rest)
 
     monkeypatch.setattr(fundeq, "evaluate", recording_evaluate)
     monkeypatch.setattr(fundeq, "evaluate_exprs", recording_evaluate_exprs)
@@ -820,6 +820,19 @@ def test_constant_domain_error_in_metric_file(tmp_path, capsys):
         assert json.loads(report.read_text())["values"]["status"] == ["domain-error"] * 5
 
 
+def test_one_point_kernel_error_names_the_system_and_the_point(tmp_path, capsys):
+    # the kernel's text follows the system, the point and the parameters, as
+    # the "outside domain" and "not a number" messages name them
+    path = tmp_path / "powers.ini"
+    path.write_text(
+        "[system]\nname = powers\nvariables = S, V\npotential = k*S^V\n[parameters]\nk = 2\n"
+    )
+    assert run(["eval", "--system", str(path), "--point", "S=-1,V=2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: point (-1.0, 2.0) fails in powers with k = 2.0: ln of non-positive value -1.0\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["scan", "eval"])
 def test_metric_file_with_undeclared_identifier_exit_2(tmp_path, capsys, command):
     path = tmp_path / "metric.ini"
@@ -922,9 +935,9 @@ def test_unknown_params_get_one_message_for_every_source(tmp_path, capsys, sourc
 def test_params_run_compiles_once(monkeypatch, capsys, system):
     calls, compile_exprs = [], fundeq.compile_exprs
 
-    def counting_compile(exprs):
+    def counting_compile(exprs, variables):
         calls.append(exprs)
-        return compile_exprs(exprs)
+        return compile_exprs(exprs, variables)
 
     monkeypatch.setattr(fundeq, "compile_exprs", counting_compile)
     at = ["eval", "--system", system, "--point", "S=0.9,V=1", "--quantity", "detg"]

@@ -177,9 +177,9 @@ _TAPE_PARAMETERS = {"a": 1.0, "b": 0.1, "c": 0.7, "d": -1.3, "e": 2.2, "f": 0.4,
 
 
 def _tape_jets(sources, points):
-    tape = fundeq.compile_exprs([parse(s) for s in sources])
+    tape = fundeq.compile_exprs([parse(s) for s in sources], _TAPE_VARIABLES)
     with np.errstate(all="ignore"):
-        return fundeq.evaluate_exprs(tape, _TAPE_VARIABLES, _TAPE_PARAMETERS, points, 2)
+        return fundeq.evaluate_exprs(tape, _TAPE_PARAMETERS, points, 2)
 
 
 @pytest.mark.parametrize("first", CORPUS)
@@ -262,7 +262,7 @@ def _bits(value):
 
 @pytest.mark.parametrize("source", CORPUS)
 def test_plan_matches_a_walk_with_jet_operators(source):
-    # the plan's number and array steps give the bits, signed zeros and NaN
+    # the tape's number and array steps give the bits, signed zeros and NaN
     # columns of Jet's operators, at one point and in a batch, and one failed
     # point raises the same DomainError
     tree = parse(source)
@@ -292,17 +292,42 @@ def test_order_zero_is_the_constant_term_at_every_order(source):
 
 
 def test_tape_keeps_signed_zeros():
-    tape = fundeq.compile_exprs([Num(0.0), Num(-0.0), Num(0.0)])
+    tape = fundeq.compile_exprs([Num(0.0), Num(-0.0), Num(0.0)], ("x",))
     assert tape.outputs[0] == tape.outputs[2] != tape.outputs[1]
-    values = fundeq.evaluate_exprs(tape, ("x",), {}, (1.0,), 0)
+    values = fundeq.evaluate_exprs(tape, {}, (1.0,), 0)
     assert [math.copysign(1.0, jet.value) for jet in values] == [1.0, -1.0, 1.0]
 
 
 def test_tape_shares_equal_subtrees():
-    tape = fundeq.compile_exprs([parse(VDW_SOURCE), parse("exp(S/k)/(V-b) + a/V")])
-    ops = [op for op, _, _ in tape.steps]
-    assert ops.count("exp") == 1 and ops.count("/") == 4
-    assert len(tape.steps) == len(set(tape.steps))
+    tape = fundeq.compile_exprs([parse(VDW_SOURCE), parse("exp(S/k)/(V-b) + a/V")], ("S", "V"))
+    ops = [op for op, _, _, _ in tape.steps]
+    # S/k and 2/3 divide by numbers; the array denominators V - b and V are
+    # one reciprocal each, multiplied into both expressions
+    assert ops.count("exp") == 1 and ops.count("/") == 2 and ops.count("1/") == 2
+    keys = [(op, f.args) if x is None else (op, x, y) for op, f, x, y in tape.steps]
+    assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("name", ["reissner_nordstrom", "kerr_newman", "vdw"])
+def test_tape_runs_at_every_order_as_compiled(monkeypatch, name):
+    # one step list serves every order: evaluating compiles nothing, leaves the
+    # tape as it was and gives the bits of a tape compiled afresh
+    spec = builtin(name)
+    tape = spec.tape
+    fresh = fundeq.compile_exprs([spec.potential], spec.variables)
+    points = np.array([(3.0, 0.5, 0.8), (5.0, 1.0, 0.3)])[:, : spec.dim]
+    compiled = []
+    monkeypatch.setattr(fundeq, "compile_exprs", lambda *args: compiled.append(args))
+    for point in (points[0], points):
+        for order in range(5):
+            jet = evaluate(spec, point, order)
+            (alone,) = fundeq.evaluate_exprs(
+                fresh, spec.parameters, point, order, spec.domain, fundeq.domain_label(spec)
+            )
+            assert (jet.order, jet.coeffs.tobytes()) == (order, alone.coeffs.tobytes())
+    assert compiled == []
+    # every field of the tape is a tuple: nothing is cached in it
+    assert spec.tape is tape and all(isinstance(field, tuple) for field in tape)
 
 
 @pytest.mark.parametrize("name, order", [("kerr_newman", 3), ("reissner_nordstrom", 2)])
@@ -375,9 +400,9 @@ def test_builtin_compiles_its_potential_once(monkeypatch, name, params):
     # an override keeps the tape: it depends on no parameter value
     calls, compile_exprs = [], fundeq.compile_exprs
 
-    def counting_compile(exprs):
+    def counting_compile(exprs, variables):
         calls.append(exprs)
-        return compile_exprs(exprs)
+        return compile_exprs(exprs, variables)
 
     monkeypatch.setattr(fundeq, "compile_exprs", counting_compile)
     spec = builtin(name, **params)

@@ -129,9 +129,9 @@ def test_direct_metric_with_parameters_returns_a_new_field():
 def test_closed_form_override_compiles_its_entries_once(monkeypatch):
     calls, compile_exprs = [], fundeq.compile_exprs
 
-    def counting_compile(exprs):
+    def counting_compile(exprs, variables):
         calls.append(exprs)
-        return compile_exprs(exprs)
+        return compile_exprs(exprs, variables)
 
     monkeypatch.setattr(fundeq, "compile_exprs", counting_compile)
     g = closed_form_metric("vdw_closed", a=2.0)
@@ -193,9 +193,9 @@ def test_direct_metric_evaluates_each_distinct_entry_once(monkeypatch, name, cou
     outputs = []
     run_tape = fundeq.run_tape
 
-    def counting(tape, env):
+    def counting(tape, env, nvars, order):
         outputs.append(len(set(tape.outputs)))
-        return run_tape(tape, env)
+        return run_tape(tape, env, nvars, order)
 
     monkeypatch.setattr(fundeq, "run_tape", counting)
     f = closed_form_metric(name)
@@ -204,16 +204,16 @@ def test_direct_metric_evaluates_each_distinct_entry_once(monkeypatch, name, cou
     assert outputs == [count]
     if name == "vdw_closed":
         # exp(S/k), inside the factors every entry repeats, is one step
-        assert [op for op, _, _ in f.tape.steps].count("exp") == 1
+        assert [step[0] for step in f.tape.steps].count("exp") == 1
 
 
 def test_direct_metric_compiles_its_tape_once(monkeypatch):
     compiled = []
     compile_exprs = fundeq.compile_exprs
 
-    def counting(exprs):
+    def counting(exprs, variables):
         compiled.append(len(exprs))
-        return compile_exprs(exprs)
+        return compile_exprs(exprs, variables)
 
     monkeypatch.setattr(fundeq, "compile_exprs", counting)
     f = closed_form_metric("vdw_closed")

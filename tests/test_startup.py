@@ -1,6 +1,7 @@
 """Start-up: what a fresh `gtdkit` process imports per command, and the lazy package surface."""
 
 import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -111,3 +112,31 @@ def test_with_parameters_and_copy_keep_the_compiled_tape():
     assert spec.parameters["a"] == 1.0 and changed != spec
     copied = copy.copy(spec)
     assert copied == spec and copied.tape is spec.tape
+
+
+@pytest.mark.parametrize("kind", ["system", "metric"])
+@pytest.mark.parametrize("evaluated", [False, True])
+def test_pickle_and_deepcopy_round_trips_evaluate_alike(kind, evaluated):
+    # a tape holds its step functions from the start, and pickles and copies
+    # as its expressions and variables compiled again
+    if kind == "system":
+        source, points = fundeq.builtin("reissner_nordstrom"), [(3.0, 0.5), (5.0, 1.0)]
+
+        def bits(source, point, order):
+            return [fundeq.evaluate(source, point, order).coeffs.tobytes()]
+    else:
+        source, points = geometry.closed_form_metric("vdw_closed"), [(0.9, 1.0), (1.1, 2.0)]
+
+        def bits(source, point, order):
+            rows = source.component_jets(point, order)
+            return [jet.coeffs.tobytes() for row in rows for jet in row]
+
+    cases = [(point, order) for point in (points[0], points) for order in range(3)]
+    if evaluated:
+        for point, order in cases:
+            bits(source, point, order)
+    copies = (pickle.loads(pickle.dumps(source)), copy.deepcopy(source))
+    expected = [bits(source, point, order) for point, order in cases]
+    for copied in copies:
+        assert copied.tape is not source.tape
+        assert [bits(copied, point, order) for point, order in cases] == expected
