@@ -54,7 +54,6 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 
-CHECKS = ("contact", "euler", "first-law", "gibbs-duhem", "legendre")
 _FIT_OFFSETS = "0.1:10"  # the samples of a divergence fit given no --fit-offsets
 MAX_TRIALS = 10**6  # the most trials a check runs
 
@@ -65,6 +64,7 @@ DEFAULT_TOLERANCES = {
     "contact": 1e-12,
     "first-law": 1e-12,
 }
+CHECKS = tuple(sorted(DEFAULT_TOLERANCES))
 
 # sampling boxes for randomized checks on the built-in systems
 _CHECK_BOXES = {

@@ -1,22 +1,22 @@
 """Thermodynamic systems: fundamental equations and the expression language.
 
 A system is a potential Phi(E^1..E^n) over named extensive variables plus a
-parameter map. Potentials come from a small expression grammar (or from the
-built-in catalogue) and are evaluated over jets, so every derivative the
-geometry needs is exact. An expression list is compiled once, over its
-variables, into a `Tape`: a postorder list of its distinct steps, so a
-subtree that several expressions share, or that one repeats, runs once per
-evaluation. Each step is a number (it touches no variable) or an array
-step, and `run_tape` runs the one step list at every nvars and order: a
-number step is float arithmetic, and a function or power of a number runs
-the jet kernel at order 0, so it obeys the same domain and overflow rules as
-over a variable; an array step runs a kernel of `jets` on plain coefficient
-arrays, and at order 0 that is numpy on the values. `evaluate_exprs` is the
-one place expressions become jets, at one point or over a batch: it seeds
-coefficient arrays, runs the tape and wraps only the distinct outputs in
-`Jet`s. `evaluate` runs a system's potential tape, compiled with its
-`SystemSpec`, and a direct metric field runs the tape of its components;
-`eval_jet` runs one expression over jets and numbers.
+parameter map. Potentials come from a small expression grammar (a built-in
+system is one row of `SystemSpec` arguments) and are evaluated over jets, so
+every derivative the geometry needs is exact. An expression list is compiled
+once, over its variables, into a `Tape`: a postorder list of its distinct
+steps, so a subtree that several expressions share, or that one repeats,
+runs once per evaluation. Each step is a number (it touches no variable) or
+an array step, and `run_tape` runs the one step list at every nvars and
+order: a number step is float arithmetic, and a function or power of a
+number runs the jet kernel at order 0, so it obeys the same domain and
+overflow rules as over a variable; an array step runs a kernel of `jets` on
+plain coefficient arrays, and at order 0 that is numpy on the values.
+`evaluate_exprs` is the one place expressions become jets, at one point or
+over a batch: it seeds coefficient arrays, runs the tape and wraps only the
+distinct outputs in `Jet`s. `evaluate` runs a system's potential tape,
+compiled with its `SystemSpec`, and a direct metric field runs the tape of
+its components; `eval_jet` runs one expression over jets and numbers.
 
 Expression grammar (also the format used in system definition files)::
 
@@ -446,8 +446,9 @@ class SystemSpec:
     `weights`/`beta` are the quasi-homogeneity data Phi(l^w_a E^a) = l^beta Phi,
     when the system has them. `domain` narrows the admissible points beyond
     what expression evaluation itself enforces. `tape` is the compiled
-    potential. A spec is immutable, and two specs are equal when every field
-    but the tape is.
+    potential. A spec is immutable: it keeps its own copy of `parameters`, so
+    changing the caller's dict later moves no spec. Two specs are equal when
+    every field but the tape is.
     """
 
     __slots__ = (
@@ -466,7 +467,7 @@ class SystemSpec:
         domain: DomainPredicate | None = None,
         domain_text: str = "",
     ):
-        parameters = {} if parameters is None else parameters
+        parameters = dict(parameters or {})  # the spec's own copy
         check_names([*variables, *parameters], [potential], "potential references")
         tape = compile_exprs([potential], variables)
         if weights is not None and len(weights) != len(variables):
@@ -664,91 +665,48 @@ def stability_residual_vdw(spec: SystemSpec, point: Point) -> float:
 
 
 # -- built-in systems -------------------------------------------------------------
-
-_VDW_POTENTIAL = parse("(exp(S/k)/(V-b))^(2/3) - a/V")
-_KN_POTENTIAL = parse("sqrt(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)")
+#
+# Each built-in is a row of `SystemSpec` arguments, all but the name.
 
 
 def _above_covolume(env: Mapping[str, float]) -> bool:
     return env["V"] > env["b"]
 
 
-def _vdw(a: float = 1.0, b: float = 0.1, k: float = 1.0, name: str = "vdw") -> SystemSpec:
-    return SystemSpec(
-        name=name,
-        variables=("S", "V"),
-        potential=_VDW_POTENTIAL,
-        parameters={"a": a, "b": b, "k": k},
-        domain=_above_covolume,
-        domain_text="V > b",
-    )
-
-
 def _positive_entropy(env: Mapping[str, float]) -> bool:
     return env["S"] > 0.0
 
 
-def _ideal_gas(a: float = 0.0, b: float = 0.0, k: float = 1.0) -> SystemSpec:
-    return _vdw(a=a, b=b, k=k, name="ideal_gas")
-
-
-def _kerr_newman() -> SystemSpec:
-    return SystemSpec(
-        name="kerr_newman",
-        variables=("S", "J", "Q"),
-        potential=_KN_POTENTIAL,
-        parameters={},
-        weights=(1.0, 1.0, 0.5),
-        beta=0.5,
-        domain=_positive_entropy,
-        domain_text="S > 0",
-    )
-
-
-def _reissner_nordstrom(J: float = 0.0) -> SystemSpec:
-    return SystemSpec(
-        name="reissner_nordstrom",
-        variables=("S", "Q"),
-        potential=_KN_POTENTIAL,
-        parameters={"J": J},
-        weights=(1.0, 0.5),
-        beta=0.5,
-        domain=_positive_entropy,
-        domain_text="S > 0",
-    )
-
-
-def _kerr(Q: float = 0.0) -> SystemSpec:
-    return SystemSpec(
-        name="kerr",
-        variables=("S", "J"),
-        potential=_KN_POTENTIAL,
-        parameters={"Q": Q},
-        weights=(1.0, 1.0),
-        beta=0.5,
-        domain=_positive_entropy,
-        domain_text="S > 0",
-    )
-
-
-_BUILTINS: dict[str, Callable[..., SystemSpec]] = {
-    "ideal_gas": _ideal_gas,
-    "kerr": _kerr,
-    "kerr_newman": _kerr_newman,
-    "reissner_nordstrom": _reissner_nordstrom,
-    "vdw": _vdw,
+_VDW = dict(  # the fields the vdW pair share
+    variables=("S", "V"),
+    potential=parse("(exp(S/k)/(V-b))^(2/3) - a/V"),
+    domain=_above_covolume,
+    domain_text="V > b",
+)
+_KN = dict(  # the fields Kerr-Newman shares with its limits, Reissner-Nordstrom and Kerr
+    potential=parse("sqrt(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)"),
+    beta=0.5,
+    domain=_positive_entropy,
+    domain_text="S > 0",
+)
+_BUILTINS: dict[str, dict] = {
+    "ideal_gas": dict(_VDW, parameters={"a": 0.0, "b": 0.0, "k": 1.0}),
+    "kerr": dict(_KN, variables=("S", "J"), parameters={"Q": 0.0}, weights=(1.0, 1.0)),
+    "kerr_newman": dict(_KN, variables=("S", "J", "Q"), weights=(1.0, 1.0, 0.5)),
+    "reissner_nordstrom": dict(_KN, variables=("S", "Q"), parameters={"J": 0.0}, weights=(1.0, 0.5)),
+    "vdw": dict(_VDW, parameters={"a": 1.0, "b": 0.1, "k": 1.0}),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
 def builtin(name: str, **parameters: float) -> SystemSpec:
-    """Construct a built-in system, optionally overriding its parameters."""
+    """The built-in system `name`, built from its row of arguments, with `parameters` overridden."""
     try:
-        factory = _BUILTINS[name]
+        row = _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown built-in system {name!r}; choose from {BUILTIN_NAMES}") from None
-    spec = factory()
+    spec = SystemSpec(name, **row)
     return spec.with_parameters(**parameters) if parameters else spec
 
 

@@ -304,8 +304,14 @@ def test_tape_shares_equal_subtrees():
     # S/k and 2/3 divide by numbers; the array denominators V - b and V are
     # one reciprocal each, multiplied into both expressions
     assert ops.count("exp") == 1 and ops.count("/") == 2 and ops.count("1/") == 2
-    keys = [(op, f.args) if x is None else (op, x, y) for op, f, x, y in tape.steps]
+    keys = _tape_shape(tape).steps
     assert len(keys) == len(set(keys))
+
+
+def _tape_shape(tape):
+    """The tape with each step's function left out: a name or number by its value, an op by its operands."""
+    keys = tuple((op, f.args) if x is None else (op, x, y) for op, f, x, y in tape.steps)
+    return tape._replace(steps=keys)
 
 
 @pytest.mark.parametrize("name", ["reissner_nordstrom", "kerr_newman", "vdw"])
@@ -395,6 +401,56 @@ def test_builtin_unknown():
         builtin("bogus")
 
 
+_VDW = "(exp(S/k)/(V-b))^(2/3) - a/V"
+_KN = "sqrt(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)"
+_CATALOGUE = {
+    "ideal_gas": fundeq.SystemSpec(
+        "ideal_gas", ("S", "V"), parse(_VDW), {"a": 0.0, "b": 0.0, "k": 1.0},
+        None, None, fundeq._above_covolume, "V > b",
+    ),
+    "kerr": fundeq.SystemSpec(
+        "kerr", ("S", "J"), parse(_KN), {"Q": 0.0},
+        (1.0, 1.0), 0.5, fundeq._positive_entropy, "S > 0",
+    ),
+    "kerr_newman": fundeq.SystemSpec(
+        "kerr_newman", ("S", "J", "Q"), parse(_KN), {},
+        (1.0, 1.0, 0.5), 0.5, fundeq._positive_entropy, "S > 0",
+    ),
+    "reissner_nordstrom": fundeq.SystemSpec(
+        "reissner_nordstrom", ("S", "Q"), parse(_KN), {"J": 0.0},
+        (1.0, 0.5), 0.5, fundeq._positive_entropy, "S > 0",
+    ),
+    "vdw": fundeq.SystemSpec(
+        "vdw", ("S", "V"), parse(_VDW), {"a": 1.0, "b": 0.1, "k": 1.0},
+        None, None, fundeq._above_covolume, "V > b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOGUE))
+def test_builtin_builds_the_catalogued_system(name):
+    spec, expected = builtin(name), _CATALOGUE[name]
+    assert fundeq.BUILTIN_NAMES == tuple(sorted(_CATALOGUE))
+    assert spec == expected and repr(spec) == repr(expected)
+    assert _tape_shape(spec.tape) == _tape_shape(expected.tape)
+
+
+def test_spec_keeps_its_own_parameters():
+    # the caller's dict is copied: changing it later moves no spec
+    given = {"a": 1.0, "b": 0.1, "k": 1.0}
+    spec = fundeq.SystemSpec("v", ("S", "V"), parse(_VDW), given)
+    before = potential_value(spec, (1.0, 2.0))
+    given["a"] = 5.0
+    assert spec.parameters == {"a": 1.0, "b": 0.1, "k": 1.0}
+    assert potential_value(spec, (1.0, 2.0)) == before
+
+
+def test_builtin_parameters_are_not_shared():
+    # each built-in spec holds its own dict, not the catalogue's
+    builtin("vdw").parameters["a"] = 5.0
+    assert builtin("vdw").parameters == {"a": 1.0, "b": 0.1, "k": 1.0}
+
+
 @pytest.mark.parametrize("name, params", [("vdw", {"a": 2.0}), ("kerr_newman", {})])
 def test_builtin_compiles_its_potential_once(monkeypatch, name, params):
     # an override keeps the tape: it depends on no parameter value
@@ -431,7 +487,7 @@ def test_vdw_domain_follows_b_override():
 
 
 def test_vdw_domain_follows_with_parameters():
-    # the domain predicate reads b from the parameters, not from the factory
+    # the domain predicate reads b from the parameters, not from the catalogue
     spec = builtin("vdw").with_parameters(b=0.5)
     with pytest.raises(DomainError, match="outside domain") as info:
         evaluate(spec, (1.0, 0.3))
