@@ -12,6 +12,7 @@ path to a definition file ([system] or [metric] sections). Every NAME=VALUE
 flag reads comma-separated items (`--range VAR=start:stop:count`, inclusive;
 `--box VAR=lo:hi`; a number elsewhere), each NAME a coordinate (a parameter
 for `--params`), and every number of a flag or a definition file is finite.
+`scan` and `check` read each flag they use once, before they evaluate a point.
 
 Exit codes: 0 success / check within tolerance, 1 check failed, 2 user input
 error, 3 degenerate geometry, 4 output write failure.
@@ -437,22 +438,6 @@ def _parse_offsets(text: str | None) -> tuple[float, int, float]:
 # -- check -------------------------------------------------------------------------
 
 
-def _sample_box(spec, args, rng) -> np.ndarray:
-    box = _items(args.box, "--box", _interval) or _CHECK_BOXES.get(spec.name)
-    if box is None:
-        raise UsageError(f"no default sampling box for {spec.name!r}; pass --box VAR=lo:hi,...")
-    return np.array([rng.uniform(lo, hi) for lo, hi in _vector(box, spec.variables, "--box")])
-
-
-def _require_system(args) -> "fundeq.SystemSpec":
-    if not args.system:
-        raise UsageError("this check requires --system")
-    f = resolve_field(args.system, args._params, MetricKind.NATURAL)
-    if not isinstance(f, HessianMetricField):
-        raise UsageError("this check requires a fundamental-equation system")
-    return f.spec
-
-
 def _parse_transform(text: str, n: int) -> phase_space.LegendreMap:
     from . import phase_space
 
@@ -471,9 +456,56 @@ def _parse_transform(text: str, n: int) -> phase_space.LegendreMap:
     raise UsageError(f"--transform must be identity, total, or subset=i[+j...], got {text!r}")
 
 
-def cmd_check(args) -> int:
+def _trial(args, rng) -> Callable[[], float]:
+    """A function that draws one sample of `args.identity` from `rng` and returns its residual.
+
+    Every flag the identity uses is read here, once: `--transform`; or
+    `--system` and `--params`, `--weights` and `--beta`, then `--box`. A trial
+    draws a phase point, or a box point (one uniform per variable, in the
+    spec's order) and then a unit direction.
+    """
     from . import phase_space
 
+    def phase_point():
+        return phase_space.PhasePoint.from_coords(rng.uniform(-2.0, 2.0, 2 * args.n + 1))
+
+    if args.identity == "legendre":
+        lmap = _parse_transform(args.transform, args.n)
+        return lambda: phase_space.legendre_invariance_residual(lmap, phase_point())
+    if args.identity == "contact":
+        expected = phase_space.contact_volume_expected(args.n)
+        return lambda: phase_space.contact_volume_coefficient(phase_point()) - expected
+    if not args.system:
+        raise UsageError("this check requires --system")
+    f = resolve_field(args.system, args._params, MetricKind.NATURAL)
+    if not isinstance(f, HessianMetricField):
+        raise UsageError("this check requires a fundamental-equation system")
+    spec = f.spec
+    weights = beta = None
+    if args.identity != "first-law":  # the first law has no weights and no degree
+        if args.weights:
+            weights = tuple(finite_number(w, "--weights") for w in args.weights.split(","))
+        beta = None if args.beta is None else finite_number(args.beta, "--beta")
+    box = _items(args.box, "--box", _interval) or _CHECK_BOXES.get(spec.name)
+    if box is None:
+        raise UsageError(f"no default sampling box for {spec.name!r}; pass --box VAR=lo:hi,...")
+    lo, hi = np.transpose(_vector(box, spec.variables, "--box"))
+
+    def direction():
+        v = rng.normal(size=spec.dim)
+        norm = float(np.linalg.norm(v))
+        return v / norm if norm > 0 else np.ones(spec.dim) / math.sqrt(spec.dim)
+
+    if args.identity == "euler":
+        return lambda: phase_space.euler_residual(spec, rng.uniform(lo, hi), weights, beta)
+    if args.identity == "first-law":
+        return lambda: phase_space.theta_residual(spec, rng.uniform(lo, hi), direction())
+    return lambda: phase_space.gibbs_duhem_residual(
+        spec, rng.uniform(lo, hi), direction(), weights, beta
+    )
+
+
+def cmd_check(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
@@ -483,47 +515,11 @@ def cmd_check(args) -> int:
         raise UsageError("--n must be at least 1")
     if args.n > jets.MAX_VARS:
         raise UsageError(f"--n must be at most {jets.MAX_VARS}, the most variables a system can have")
-    rng = np.random.default_rng(args.seed)
     tol = finite_number(args.tol, "--tol") if args.tol is not None else DEFAULT_TOLERANCES[args.identity]
     if tol < 0:
         raise UsageError(f"--tol: {args.tol!r} is negative, so no check could pass")
-    residuals: list[float] = []
-
-    if args.identity == "legendre":
-        lmap = _parse_transform(args.transform, args.n)
-        for _ in range(args.trials):
-            point = phase_space.PhasePoint.from_coords(rng.uniform(-2.0, 2.0, 2 * args.n + 1))
-            residuals.append(phase_space.legendre_invariance_residual(lmap, point))
-    elif args.identity == "contact":
-        expected = phase_space.contact_volume_expected(args.n)
-        for _ in range(args.trials):
-            point = phase_space.PhasePoint.from_coords(rng.uniform(-2.0, 2.0, 2 * args.n + 1))
-            coeff = phase_space.contact_volume_coefficient(point, args.n)
-            residuals.append(abs(coeff - expected))
-    elif args.identity == "first-law":
-        spec = _require_system(args)
-        for _ in range(args.trials):
-            point = _sample_box(spec, args, rng)
-            direction = _unit_direction(rng, spec.dim)
-            residuals.append(abs(phase_space.theta_residual(spec, point, direction)))
-    elif args.identity in ("euler", "gibbs-duhem"):
-        spec = _require_system(args)
-        weights = None
-        if args.weights:
-            weights = tuple(finite_number(w, "--weights") for w in args.weights.split(","))
-        beta = finite_number(args.beta, "--beta") if args.beta is not None else None
-        for _ in range(args.trials):
-            point = _sample_box(spec, args, rng)
-            if args.identity == "euler":
-                raw = phase_space.euler_residual(spec, point, weights, beta)
-            else:
-                direction = _unit_direction(rng, spec.dim)
-                raw = phase_space.gibbs_duhem_residual(spec, point, direction, weights, beta)
-            residuals.append(abs(raw))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown check {args.identity!r}")
-
-    residuals = [float(r) for r in residuals]
+    trial = _trial(args, np.random.default_rng(args.seed))
+    residuals = [abs(float(trial())) for _ in range(args.trials)]
     worst = max(residuals)
     passed = bool(worst <= tol)
     print(f"check {args.identity}: max residual {fmt(worst)} over {len(residuals)} trials")
@@ -540,12 +536,6 @@ def cmd_check(args) -> int:
     }
     _emit(args, report, ["trial", "residual"], list(enumerate(residuals)))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _unit_direction(rng, n: int) -> np.ndarray:
-    v = rng.normal(size=n)
-    norm = float(np.linalg.norm(v))
-    return v / norm if norm > 0 else np.ones(n) / math.sqrt(n)
 
 
 # -- argument parsing -----------------------------------------------------------------
@@ -566,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--metric-kind",
             default="natural",
-            choices=[k.value for k in MetricKind if k is not MetricKind.DIRECT],
+            choices=[k.value for k in MetricKind],
             help="metric construction for fundamental-equation systems",
         )
         p.add_argument("--output", default=None, help="write a report file")
@@ -609,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--system", default=None, help="system for system-bound checks")
     p_check.add_argument("--params", default=None)
     p_check.add_argument(
-        "--n", type=int, default=2, help=f"degrees of freedom for phase-space checks, 1..{jets.MAX_VARS}"
+        "--n", type=int, default=2, help=f"phase-space pairs: 1..{jets.MAX_VARS}, or 1..3 for contact"
     )
     p_check.add_argument("--transform", default="total", help="identity, total, or subset=i[+j...]")
     p_check.add_argument("--trials", type=int, default=100, help=f"random trials, 1..{MAX_TRIALS}")

@@ -640,8 +640,9 @@ def intensive_variables(spec: SystemSpec, point: Point) -> np.ndarray:
 
 
 def hessian(spec: SystemSpec, point: Point) -> np.ndarray:
-    """Second-derivative matrix of the potential at a point."""
-    return jets.partials(evaluate(spec, point, order=2), 2)[0]
+    """Second-derivative matrix of the potential at a point, (n, n), or (B, n, n) for a batch."""
+    hess = jets.partials(evaluate(spec, point, order=2), 2)
+    return hess[0] if np.ndim(point) == 1 else hess
 
 
 VDW_FAMILY = ("vdw", "ideal_gas")

@@ -63,15 +63,14 @@ class MetricKind(enum.Enum):
     NATURAL = "natural"
     WEINHOLD = "weinhold"
     RUPPEINER = "ruppeiner"
-    DIRECT = "direct"
 
 
 class MetricValue(NamedTuple):
-    """Metric components and det g at a single equilibrium point."""
+    """Metric components and det g at one equilibrium point; `kind` is None for a direct metric."""
 
     point: tuple[float, ...]
     components: np.ndarray
-    kind: MetricKind
+    kind: MetricKind | None
     det_g: float
 
 
@@ -107,11 +106,9 @@ class HessianMetricField:
     curvature scalar (order 3) and the det g split (order 2) build g alone.
     """
 
-    def __init__(self, spec: SystemSpec, kind: MetricKind = MetricKind.NATURAL):
-        if kind is MetricKind.DIRECT:
-            raise ValueError("direct metrics are built with DirectMetricField")
+    def __init__(self, spec: SystemSpec, kind: MetricKind | str = MetricKind.NATURAL):
         self.spec = spec
-        self.kind = kind
+        self.kind = MetricKind(kind)  # a member or its value; anything else is a ValueError
 
     @property
     def coordinates(self) -> tuple[str, ...]:
@@ -160,7 +157,8 @@ class HessianMetricField:
             return d, [np.ones(len(d[2])), np.zeros(d[2].shape[:2]), np.zeros(d[2].shape)][:order]
         temp = d[1][:, 0]
         if not phi.batched and temp[0] == 0.0:
-            raise DomainError("Ruppeiner metric undefined where the temperature vanishes")
+            why = "Ruppeiner metric undefined where the temperature vanishes"
+            raise DomainError(f"{why}: {self.name} at point {_coords(point)}")
         t, dt = np.where(temp == 0.0, np.nan, temp), d[2][:, 0]  # a batch fails T = 0
         c = [1.0 / t, _times(-1.0 / t**2, dt)]
         if order > 2:
@@ -285,10 +283,11 @@ def _check_symmetry(out: list[list[Jet]], name: str) -> None:
 
 def metric_at(field: MetricField, point: Point) -> MetricValue:
     """Metric components and det g at one point; DomainError where det g is not a number."""
-    kind = field.kind if isinstance(field, HessianMetricField) else MetricKind.DIRECT
+    if np.ndim(point) > 1:
+        raise ValueError("metric_at takes one point; metric_determinant takes a batch")
     g, _, _, failed = field.metric_arrays(point, gorder=0)
     det, _ = _checked_det(g, failed, field, point)
-    return MetricValue(_coords(point), g[0], kind, float(det[0]))
+    return MetricValue(_coords(point), g[0], getattr(field, "kind", None), float(det[0]))
 
 
 def metric_determinant(field: MetricField, point: Point):
@@ -525,11 +524,14 @@ def curvature_tensors(field: MetricField, point: Point) -> CurvatureTensors:
     return CurvatureTensors(*(t[0] if np.ndim(point) == 1 else t for t in tensors))
 
 
-def hessian_positive_semidefinite(spec: SystemSpec, point: Point, tol: float = 1e-10) -> bool:
-    """Local convexity of the potential (the second-law check)."""
-    eigenvalues = np.linalg.eigvalsh(fundeq.hessian(spec, point))
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))))
-    return bool(np.all(eigenvalues >= -tol * scale))
+def hessian_positive_semidefinite(spec: SystemSpec, point: Point, tol: float = 1e-10):
+    """Local convexity of the potential (the second-law check): a bool, or one per batch point."""
+    hess = fundeq.hessian(spec, point)
+    eigenvalues = np.linalg.eigvalsh(hess)
+    scale = np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1, keepdims=True))
+    # a failed point of a batch has a NaN Hessian, whose eigenvalues eigvalsh does not make NaN
+    convex = np.all(eigenvalues >= -tol * scale, axis=-1) & ~np.isnan(hess).any(axis=(-2, -1))
+    return bool(convex) if np.ndim(point) == 1 else convex
 
 
 # -- closed-form metrics ---------------------------------------------------------

@@ -258,17 +258,14 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def contact_volume_coefficient(point: PhasePoint, n: int | None = None) -> float:
-    """Single coefficient of Theta ^ (dTheta)^n in coordinate order.
+def contact_volume_coefficient(point: PhasePoint) -> float:
+    """Single coefficient of Theta ^ (dTheta)^n in coordinate order, n = `point.n`.
 
     Computed by full antisymmetrization over the 2n+1 coordinate axes; equals
     +-n! independently of the point, which is the nondegeneracy of the contact
     structure. Limited to n <= 3 (the sum has (2n+1)! terms).
     """
-    if n is None:
-        n = point.n
-    if n != point.n:
-        raise ValueError(f"point has n={point.n}, requested n={n}")
+    n = point.n
     if n > 3:
         raise ValueError("contact volume coefficient supported for n <= 3")
     dim = 2 * n + 1

@@ -60,6 +60,17 @@ def test_eval_domain_violation_exit_2(capsys):
     assert "domain" in capsys.readouterr().err
 
 
+def test_eval_ruppeiner_at_zero_temperature_names_the_field_and_the_point(capsys):
+    # the message named neither, unlike every other one-point geometry error
+    argv = ["eval", "--system", "reissner_nordstrom", "--metric-kind", "ruppeiner",
+            "--point", "S=3.141592653589793,Q=1", "--quantity", "metric"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: Ruppeiner metric undefined where the temperature vanishes: "
+        "reissner_nordstrom[ruppeiner] at point (3.141592653589793, 1.0)\n"
+    )
+
+
 def test_eval_degenerate_exit_3(capsys):
     code = run(
         ["eval", "--system", "reissner_nordstrom",
@@ -671,6 +682,78 @@ def test_check_report_file(tmp_path, capsys):
     assert report["residuals"]["trials"] == 5
 
 
+# each identity's flags, and for the system-bound ones the spec and its box in the spec's order
+_CHECK_RUNS = {
+    "legendre": (["--n", "2", "--transform", "total"], None, None),
+    "contact": (["--n", "3"], None, None),
+    "euler": (
+        ["--system", "kerr_newman", "--beta", "0.5", "--weights", "1,1,0.5"],
+        "kerr_newman",
+        [(1.0, 10.0), (0.1, 1.5), (0.3, 1.5)],
+    ),
+    "gibbs-duhem": (
+        ["--system", "reissner_nordstrom", "--box", "Q=0.5:1,S=2:3"],
+        "reissner_nordstrom",
+        [(2.0, 3.0), (0.5, 1.0)],
+    ),
+    "first-law": (["--system", "vdw"], "vdw", [(0.5, 2.0), (0.7, 5.0)]),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("identity", sorted(_CHECK_RUNS))
+def test_check_residuals_follow_the_draw_order(tmp_path, capsys, identity, seed):
+    # a trial draws 2n + 1 phase coordinates, or one uniform per variable of the
+    # box in the spec's order and then, for first-law and gibbs-duhem, a unit
+    # direction; so a seed gives every residual's bits
+    from gtdkit import phase_space
+
+    flags, system, bounds = _CHECK_RUNS[identity]
+    out = tmp_path / "check.json"
+    argv = ["check", identity, *flags, "--trials", "6", "--seed", str(seed), "--output", str(out)]
+    assert run(argv) == 0
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(6):
+        if system is None:
+            n = 2 if identity == "legendre" else 3
+            point = phase_space.PhasePoint.from_coords(rng.uniform(-2.0, 2.0, 2 * n + 1))
+            if identity == "legendre":
+                raw = phase_space.legendre_invariance_residual(phase_space.LegendreMap.total(n), point)
+            else:
+                raw = phase_space.contact_volume_coefficient(point) - phase_space.contact_volume_expected(n)
+            expected.append(abs(raw))
+            continue
+        spec = fundeq.builtin(system)
+        point = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+        if identity == "euler":
+            raw = phase_space.euler_residual(spec, point, (1.0, 1.0, 0.5), 0.5)
+        else:
+            direction = rng.normal(size=spec.dim)
+            direction /= np.linalg.norm(direction)
+            if identity == "first-law":
+                raw = phase_space.theta_residual(spec, point, direction)
+            else:
+                raw = phase_space.gibbs_duhem_residual(spec, point, direction)
+        expected.append(abs(raw))
+    assert json.loads(out.read_text())["residuals"]["values"] == expected
+
+
+def test_check_reads_the_box_once(monkeypatch, capsys):
+    # each trial parsed --box again: 50 trials over two coordinates made 100 calls
+    calls = []
+
+    def counted(text, flag):
+        calls.append(text)
+        return interval(text, flag)
+
+    interval = cli._interval
+    monkeypatch.setattr(cli, "_interval", counted)
+    argv = ["check", "euler", "--system", "vdw", "--beta", "1", "--box", "S=1:2,V=1:2", "--trials", "50"]
+    assert run(argv) == cli.EXIT_CHECK_FAILED  # the vdW potential is not of degree 1
+    assert calls == ["1:2", "1:2"]
+
+
 # -- file-based systems ------------------------------------------------------------
 
 
@@ -1031,7 +1114,7 @@ _fuzz_width = st.floats(min_value=0.0, max_value=3.0).map(lambda v: round(v, 3))
 _fuzz_axis = st.tuples(_fuzz_coordinate, _fuzz_width, st.integers(min_value=0, max_value=4))
 _FUZZ_MAX_POINTS = 64
 _OVERFLOW_AXES = [(0.5, 1.5, 4)] * 6
-_fuzz_kind = st.sampled_from([k.value for k in cli.MetricKind if k is not cli.MetricKind.DIRECT])
+_fuzz_kind = st.sampled_from([k.value for k in cli.MetricKind])
 _fuzz_axes = st.lists(_fuzz_axis, min_size=6, max_size=6)
 
 

@@ -704,6 +704,27 @@ def test_rn_not_convex_beyond_extremal():
     assert not hessian_positive_semidefinite(spec, (2 * PI, 1.0))
 
 
+def test_hessian_of_a_batch_is_one_matrix_per_point():
+    # a batch gave the first point's Hessian alone, so (1, 1), not convex by
+    # itself, read as convex behind (1, 5)
+    spec = builtin("vdw")
+    points = np.array([[1.0, 5.0], [1.0, 1.0], [0.9, 0.5]])
+    stack = fundeq.hessian(spec, points)
+    assert stack.shape == (3, 2, 2)
+    for point, hess in zip(points, stack):
+        assert np.array_equal(hess, fundeq.hessian(spec, point))
+    verdicts = hessian_positive_semidefinite(spec, points)
+    assert verdicts.tolist() == [hessian_positive_semidefinite(spec, p) for p in points]
+    assert verdicts.tolist()[:2] == [True, False]
+
+
+def test_convexity_of_a_batch_marks_a_failed_point_not_convex():
+    spec = builtin("vdw")
+    with pytest.raises(DomainError):
+        hessian_positive_semidefinite(spec, (1.0, 0.05))  # V <= b
+    assert hessian_positive_semidefinite(spec, [[1.0, 5.0], [1.0, 0.05]]).tolist() == [True, False]
+
+
 # -- metric files ------------------------------------------------------------------------
 
 METRIC_FILE = """
@@ -731,3 +752,32 @@ def test_ruppeiner_needs_nonzero_temperature():
     f = HessianMetricField(spec, MetricKind.RUPPEINER)
     with pytest.raises(DomainError):
         metric_at(f, (PI, 1.0)).components  # extremal: T = 0
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_a_kind_given_by_its_value_builds_that_kind(kind):
+    # "natural" fell through to the Ruppeiner branch: R read the Ruppeiner
+    # value, and metric_at ended in a TypeError
+    spec = builtin("reissner_nordstrom")
+    by_value, by_member = HessianMetricField(spec, kind.value), HessianMetricField(spec, kind)
+    assert by_value.kind is kind
+    point, batch = (6.28, 1.0), np.array([[6.28, 1.0], [5.0, 0.8]])
+    assert scalar_curvature(by_value, point).scalar == scalar_curvature(by_member, point).scalar
+    assert np.array_equal(christoffel(by_value, point), christoffel(by_member, point))
+    assert np.array_equal(metric_at(by_value, point).components, metric_at(by_member, point).components)
+    assert np.array_equal(
+        scalar_curvature(by_value, batch).scalar, scalar_curvature(by_member, batch).scalar
+    )
+
+
+@pytest.mark.parametrize("kind", ["direct", "Natural", "bogus", None])
+def test_an_unknown_kind_is_a_value_error(kind):
+    with pytest.raises(ValueError, match="is not a valid MetricKind"):
+        HessianMetricField(builtin("vdw"), kind)
+
+
+def test_metric_at_refuses_a_batch():
+    # a batch ended in numpy's "only 0-dimensional arrays can be converted" TypeError
+    f = HessianMetricField(builtin("reissner_nordstrom"))
+    with pytest.raises(ValueError, match="metric_determinant"):
+        metric_at(f, [[6.28, 1.0], [5.0, 0.8]])
