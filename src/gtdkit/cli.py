@@ -66,6 +66,10 @@ DEFAULT_TOLERANCES = {
     "first-law": 1e-12,
 }
 CHECKS = tuple(sorted(DEFAULT_TOLERANCES))
+# the flags of a system-bound identity, in parser order; one that an identity
+# does not read exits 2 when given, rather than pass unread
+_SYSTEM_FLAGS = ("system", "params", "weights", "beta", "box")
+_UNREAD_FLAGS = {"legendre": _SYSTEM_FLAGS, "contact": _SYSTEM_FLAGS, "first-law": ("weights", "beta")}
 
 # sampling boxes for randomized checks on the built-in systems
 _CHECK_BOXES = {
@@ -460,11 +464,17 @@ def _trial(args, rng) -> Callable[[], float]:
     """A function that draws one sample of `args.identity` from `rng` and returns its residual.
 
     Every flag the identity uses is read here, once: `--transform`; or
-    `--system` and `--params`, `--weights` and `--beta`, then `--box`. A trial
-    draws a phase point, or a box point (one uniform per variable, in the
-    spec's order) and then a unit direction.
+    `--system` and `--params`, `--weights` and `--beta`, then `--box`. A flag
+    it does not read (`_UNREAD_FLAGS`) is a UsageError. A trial draws a phase
+    point, or a box point (one uniform per variable, in the spec's order) and
+    then a unit direction.
     """
     from . import phase_space
+
+    unread = _UNREAD_FLAGS.get(args.identity, ())
+    given = [f"--{flag}" for flag in unread if getattr(args, flag) is not None]
+    if given:
+        raise UsageError(f"check {args.identity} does not read {', '.join(given)}")
 
     def phase_point():
         return phase_space.PhasePoint.from_coords(rng.uniform(-2.0, 2.0, 2 * args.n + 1))
@@ -481,11 +491,10 @@ def _trial(args, rng) -> Callable[[], float]:
     if not isinstance(f, HessianMetricField):
         raise UsageError("this check requires a fundamental-equation system")
     spec = f.spec
-    weights = beta = None
-    if args.identity != "first-law":  # the first law has no weights and no degree
-        if args.weights:
-            weights = tuple(finite_number(w, "--weights") for w in args.weights.split(","))
-        beta = None if args.beta is None else finite_number(args.beta, "--beta")
+    weights = None
+    if args.weights:
+        weights = tuple(finite_number(w, "--weights") for w in args.weights.split(","))
+    beta = None if args.beta is None else finite_number(args.beta, "--beta")
     box = _items(args.box, "--box", _interval) or _CHECK_BOXES.get(spec.name)
     if box is None:
         raise UsageError(f"no default sampling box for {spec.name!r}; pass --box VAR=lo:hi,...")

@@ -21,7 +21,7 @@ with c = Phi, 1 or 1/T, gets R from Phi to order 3 by the Hessian-metric
 identity and one conformal change (see `_hessian_scalar`).
 
 Metric components, determinants, Christoffel symbols and curvature accept
-one point or a (B, n) array of B points. A batch runs the same arithmetic
+one point or a (B, n) array of B >= 0 points. A batch runs the same arithmetic
 with the batch axis first, so each point's result is bit-identical to its
 single-point call; a point that fails gets a status (`domain-error` or
 `degenerate`) and NaN values where one point would raise. A det g that is
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -177,7 +177,8 @@ class HessianMetricField:
             if gorder == 2:
                 cross = _times(c[1], d[3])  # [z, e, f, a, b] = c_e Phi_fab
                 out.append(_times(c[2], d[2]) + cross + np.swapaxes(cross, 1, 2) + _times(c[0], d[4]))
-        failed = np.isnan(np.concatenate([x.reshape(len(x), -1) for x in out], axis=1).max(axis=1))
+        # a point's max over each array's non-batch axes is NaN where it meets a NaN; B may be 0
+        failed = np.logical_or.reduce([np.isnan(x.max(axis=tuple(range(1, x.ndim)))) for x in out])
         if np.ndim(point) == 1 and failed[0]:
             raise DomainError(f"metric {self.name} is not a number at point {_coords(point)}")
         return (*out, failed)
@@ -536,113 +537,87 @@ def hessian_positive_semidefinite(spec: SystemSpec, point: Point, tol: float = 1
 
 # -- closed-form metrics ---------------------------------------------------------
 #
-# The printed metrics for the four systems, encoded as direct fields. They are
-# used as oracles against the Hessian pipeline: both must agree componentwise
-# at every domain point.
+# The printed metrics for the four systems, each a row of `DirectMetricField`
+# arguments, all but the name, as `fundeq._BUILTINS` holds the built-in systems.
+# They are oracles for the Hessian pipeline: both must agree componentwise at
+# every domain point. A factor or entry that repeats is one constant.
 
 _VDW_PHI = "((exp(S/k)/(V-b))^(2/3) - a/V)"
 _VDW_U = "(exp(S/k)/(V-b))^(2/3)"  # Phi + a/V
+_VDW_SV = f"-(4/(9*k)) * {_VDW_PHI} * {_VDW_U} / (V-b)"
 _KN_M2 = "(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)"
-
-
-def _vdw_closed() -> DirectMetricField:
-    return DirectMetricField(
-        coordinates=("S", "V"),
-        components=[
-            [
-                f"(4/(9*k^2)) * {_VDW_PHI} * {_VDW_U}",
-                f"-(4/(9*k)) * {_VDW_PHI} * {_VDW_U} / (V-b)",
-            ],
-            [
-                f"-(4/(9*k)) * {_VDW_PHI} * {_VDW_U} / (V-b)",
-                f"(10/9) * {_VDW_PHI} * {_VDW_U} / (V-b)^2 - 2*a*{_VDW_PHI}/V^3",
-            ],
-        ],
-        parameters={"a": 1.0, "b": 0.1, "k": 1.0},
-        name="vdw_closed",
-        domain=fundeq._above_covolume,
-        domain_text="V > b",
-    )
-
-
-def _kn_closed() -> DirectMetricField:
-    g_ss = (
-        f"(-S^4 + pi^2*(4*J^2+Q^4)*(6*S^2 + 8*pi*S*Q^2 + 3*pi^2*(4*J^2+Q^4)))"
-        f" / (64*pi^2*S^4*{_KN_M2})"
-    )
-    g_sj = f"-J*(2*pi*{_KN_M2} + pi*Q^2 + S) / (4*S^2*{_KN_M2})"
-    g_sq = f"Q*(2*pi*J^2 - (pi*Q^2+S)*{_KN_M2}) / (4*S^2*{_KN_M2})"
-    g_jj = f"(pi*Q^2+S)^2 / (4*S^2*{_KN_M2})"
-    g_jq = f"-pi*J*Q*(pi*Q^2+S) / (2*S^2*{_KN_M2})"
-    g_qq = f"(4*pi^2*J^2*(3*pi*Q^2+S) + (pi*Q^2+S)^3) / (8*pi*S^2*{_KN_M2})"
-    return DirectMetricField(
-        coordinates=("S", "J", "Q"),
-        components=[[g_ss, g_sj, g_sq], [g_sj, g_jj, g_jq], [g_sq, g_jq, g_qq]],
-        name="kn_closed",
-        domain=fundeq._positive_entropy,
-        domain_text="S > 0",
-    )
-
-
-def _rn_closed() -> DirectMetricField:
-    pref = "((pi*Q^2+S)/(2*S^2))"
-    return DirectMetricField(
-        coordinates=("S", "Q"),
-        components=[
-            [f"{pref} * (3*pi*Q^2 - S)/(8*pi*S)", f"-{pref} * Q/2"],
-            [f"-{pref} * Q/2", f"{pref} * S"],
-        ],
-        name="rn_closed",
-        domain=fundeq._positive_entropy,
-        domain_text="S > 0",
-    )
-
-
-def _kerr_closed() -> DirectMetricField:
-    pref = "(pi*S/(S^2+4*pi^2*J^2))"
-    return DirectMetricField(
+_KN_SJ = f"-J*(2*pi*{_KN_M2} + pi*Q^2 + S) / (4*S^2*{_KN_M2})"
+_KN_SQ = f"Q*(2*pi*J^2 - (pi*Q^2+S)*{_KN_M2}) / (4*S^2*{_KN_M2})"
+_KN_JQ = f"-pi*J*Q*(pi*Q^2+S) / (2*S^2*{_KN_M2})"
+_RN_PREF = "((pi*Q^2+S)/(2*S^2))"
+_KERR_PREF = "(pi*S/(S^2+4*pi^2*J^2))"
+_KERR_SJ = f"-{_KERR_PREF} * J*(3*S^2+4*pi^2*J^2)/(2*S^3)"
+_BLACK_HOLE = dict(domain=fundeq._positive_entropy, domain_text="S > 0")  # KN and its limits
+_CLOSED_FORMS: dict[str, dict] = {
+    "kerr_closed": dict(
+        _BLACK_HOLE,
         coordinates=("S", "J"),
         components=[
-            [
-                f"{pref} * (3*pi^2*J^4/S^4 + 3*J^2/(2*S^2) - 1/(16*pi^2))",
-                f"-{pref} * J*(3*S^2+4*pi^2*J^2)/(2*S^3)",
-            ],
-            [f"-{pref} * J*(3*S^2+4*pi^2*J^2)/(2*S^3)", pref],
+            [f"{_KERR_PREF} * (3*pi^2*J^4/S^4 + 3*J^2/(2*S^2) - 1/(16*pi^2))", _KERR_SJ],
+            [_KERR_SJ, _KERR_PREF],
         ],
-        name="kerr_closed",
-        domain=fundeq._positive_entropy,
-        domain_text="S > 0",
-    )
-
-
-_CLOSED_FORMS: dict[str, Callable[[], DirectMetricField]] = {
-    "kerr_closed": _kerr_closed,
-    "kn_closed": _kn_closed,
-    "rn_closed": _rn_closed,
-    "vdw_closed": _vdw_closed,
+    ),
+    "kn_closed": dict(
+        _BLACK_HOLE,
+        coordinates=("S", "J", "Q"),
+        components=[
+            [
+                "(-S^4 + pi^2*(4*J^2+Q^4)*(6*S^2 + 8*pi*S*Q^2 + 3*pi^2*(4*J^2+Q^4)))"
+                f" / (64*pi^2*S^4*{_KN_M2})",
+                _KN_SJ,
+                _KN_SQ,
+            ],
+            [_KN_SJ, f"(pi*Q^2+S)^2 / (4*S^2*{_KN_M2})", _KN_JQ],
+            [_KN_SQ, _KN_JQ, f"(4*pi^2*J^2*(3*pi*Q^2+S) + (pi*Q^2+S)^3) / (8*pi*S^2*{_KN_M2})"],
+        ],
+    ),
+    "rn_closed": dict(
+        _BLACK_HOLE,
+        coordinates=("S", "Q"),
+        components=[
+            [f"{_RN_PREF} * (3*pi*Q^2 - S)/(8*pi*S)", f"-{_RN_PREF} * Q/2"],
+            [f"-{_RN_PREF} * Q/2", f"{_RN_PREF} * S"],
+        ],
+    ),
+    "vdw_closed": dict(
+        coordinates=("S", "V"),
+        components=[
+            [f"(4/(9*k^2)) * {_VDW_PHI} * {_VDW_U}", _VDW_SV],
+            [_VDW_SV, f"(10/9) * {_VDW_PHI} * {_VDW_U} / (V-b)^2 - 2*a*{_VDW_PHI}/V^3"],
+        ],
+        parameters={"a": 1.0, "b": 0.1, "k": 1.0},
+        domain=fundeq._above_covolume,
+        domain_text="V > b",
+    ),
 }
 
 CLOSED_FORM_NAMES = tuple(sorted(_CLOSED_FORMS))
 
 
 def closed_form_metric(name: str, **parameters: float) -> DirectMetricField:
-    """One of the printed metrics (vdw_closed, kn_closed, rn_closed, kerr_closed)."""
+    """The printed metric `name` (see CLOSED_FORM_NAMES), with `parameters` overridden."""
     try:
-        factory = _CLOSED_FORMS[name]
+        row = _CLOSED_FORMS[name]
     except KeyError:
         raise ValueError(
             f"unknown closed-form metric {name!r}; choose from {CLOSED_FORM_NAMES}"
         ) from None
-    field = factory()
+    field = DirectMetricField(name=name, **row)
     return field.with_parameters(**parameters) if parameters else field
 
 
 def sphere_metric(radius: float = 1.0) -> DirectMetricField:
     """Round 2-sphere of given radius in (theta, phi); curvature oracle R = 2/r^2."""
     r2 = radius * radius
+    # a tree, not text: the text of an infinite or NaN r^2 would read as a name
     return DirectMetricField(
         coordinates=("theta", "phi"),
-        components=[[r2, 0.0], [0.0, f"{r2!r}*sin(theta)^2"]],
+        components=[[r2, 0.0], [0.0, fundeq.BinOp("*", fundeq.Num(r2), fundeq.parse("sin(theta)^2"))]],
         name=f"sphere(r={radius})",
     )
 

@@ -754,6 +754,33 @@ def test_check_reads_the_box_once(monkeypatch, capsys):
     assert calls == ["1:2", "1:2"]
 
 
+# the flags legendre and contact leave unread, each with a value it would take
+_PHASE_SPACE_FLAGS = [
+    ("--system", "vdw"), ("--params", "a=1"), ("--weights", "1,1"), ("--beta", "1"), ("--box", "S=1:2")
+]
+
+
+@pytest.mark.parametrize(
+    "identity, flag, value",
+    [(identity, *given) for identity in ("contact", "legendre") for given in _PHASE_SPACE_FLAGS]
+    + [("first-law", "--weights", "1,1"), ("first-law", "--beta", "1")],
+)
+def test_check_refuses_a_flag_its_identity_does_not_read(capsys, identity, flag, value):
+    # each flag went unread and the check passed with exit 0; --params landed in the report
+    system = ["--system", "vdw"] if identity == "first-law" else []
+    assert run(["check", identity, *system, flag, value, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check {identity} does not read {flag}\n"
+
+
+def test_check_names_every_unread_flag_in_parser_order(capsys):
+    argv = ["check", "legendre", "--box", "S=x", "--beta", "nan", "--weights", "x", "--system", "nosuch"]
+    assert run(argv) == 2
+    expected = "error: check legendre does not read --system, --weights, --beta, --box\n"
+    assert capsys.readouterr().err == expected
+
+
 # -- file-based systems ------------------------------------------------------------
 
 

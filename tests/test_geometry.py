@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gtdkit.geometry import (
     scalar_curvature,
     sphere_metric,
 )
+from test_fundeq import _tape_shape
 
 PI = math.pi
 
@@ -275,6 +277,24 @@ def test_sphere_scaling():
     for r in (0.5, 1.0, 3.0):
         rep = scalar_curvature(sphere_metric(r), (1.1, 0.4))
         assert rep.scalar == pytest.approx(2.0 / r**2, abs=1e-9)
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-3, 0.5, 1.0, 1.0000001, 3.0, 7.3, 1e100])
+def test_sphere_entry_is_the_tree_of_its_text(radius):
+    # the tree a finite r^2 builds is the one its text parses to, so its bits are unchanged
+    r2 = radius * radius
+    assert repr(sphere_metric(radius).components[1][1]) == repr(fundeq.parse(f"{r2!r}*sin(theta)^2"))
+
+
+@pytest.mark.parametrize("radius", [1e200, math.nan])
+def test_sphere_of_no_finite_area_builds_and_its_curvature_is_a_domain_error(radius):
+    # r^2 = inf or NaN was written into the text as a name, and construction
+    # raised "reference undeclared identifiers: ['inf']"
+    f = sphere_metric(radius)
+    with np.errstate(all="ignore"):  # inf times a zero coefficient is NaN
+        with pytest.raises(DomainError, match=re.escape(f"makes sphere(r={radius}) not a number")):
+            scalar_curvature(f, (1.0, 0.5))
+        assert scalar_curvature(f, np.array([[1.0, 0.5]])).status == ["domain-error"]
 
 
 def test_kerr_flat_spot():
@@ -689,6 +709,63 @@ def test_kerr_closed_spot():
     assert rel_err(metric_at(nat, p).components, metric_at(cf, p).components) <= 1e-10
 
 
+# the printed metrics, written out entry by entry as each closed form's source text
+_VDW_PHI = "((exp(S/k)/(V-b))^(2/3) - a/V)"
+_VDW_U = "(exp(S/k)/(V-b))^(2/3)"
+_VDW_SV = f"-(4/(9*k)) * {_VDW_PHI} * {_VDW_U} / (V-b)"
+_KN_M2 = "(pi*J^2/S + (S/(4*pi))*(1 + pi*Q^2/S)^2)"
+_KN_SJ = f"-J*(2*pi*{_KN_M2} + pi*Q^2 + S) / (4*S^2*{_KN_M2})"
+_KN_SQ = f"Q*(2*pi*J^2 - (pi*Q^2+S)*{_KN_M2}) / (4*S^2*{_KN_M2})"
+_KN_JQ = f"-pi*J*Q*(pi*Q^2+S) / (2*S^2*{_KN_M2})"
+_RN = "((pi*Q^2+S)/(2*S^2))"
+_KERR = "(pi*S/(S^2+4*pi^2*J^2))"
+_KERR_SJ = f"-{_KERR} * J*(3*S^2+4*pi^2*J^2)/(2*S^3)"
+_PRINTED = {
+    "kerr_closed": DirectMetricField(
+        ("S", "J"),
+        [[f"{_KERR} * (3*pi^2*J^4/S^4 + 3*J^2/(2*S^2) - 1/(16*pi^2))", _KERR_SJ], [_KERR_SJ, _KERR]],
+        None, "kerr_closed", fundeq._positive_entropy, "S > 0",
+    ),
+    "kn_closed": DirectMetricField(
+        ("S", "J", "Q"),
+        [
+            [
+                "(-S^4 + pi^2*(4*J^2+Q^4)*(6*S^2 + 8*pi*S*Q^2 + 3*pi^2*(4*J^2+Q^4)))"
+                f" / (64*pi^2*S^4*{_KN_M2})",
+                _KN_SJ,
+                _KN_SQ,
+            ],
+            [_KN_SJ, f"(pi*Q^2+S)^2 / (4*S^2*{_KN_M2})", _KN_JQ],
+            [_KN_SQ, _KN_JQ, f"(4*pi^2*J^2*(3*pi*Q^2+S) + (pi*Q^2+S)^3) / (8*pi*S^2*{_KN_M2})"],
+        ],
+        None, "kn_closed", fundeq._positive_entropy, "S > 0",
+    ),
+    "rn_closed": DirectMetricField(
+        ("S", "Q"),
+        [[f"{_RN} * (3*pi*Q^2 - S)/(8*pi*S)", f"-{_RN} * Q/2"], [f"-{_RN} * Q/2", f"{_RN} * S"]],
+        None, "rn_closed", fundeq._positive_entropy, "S > 0",
+    ),
+    "vdw_closed": DirectMetricField(
+        ("S", "V"),
+        [
+            [f"(4/(9*k^2)) * {_VDW_PHI} * {_VDW_U}", _VDW_SV],
+            [_VDW_SV, f"(10/9) * {_VDW_PHI} * {_VDW_U} / (V-b)^2 - 2*a*{_VDW_PHI}/V^3"],
+        ],
+        {"a": 1.0, "b": 0.1, "k": 1.0}, "vdw_closed", fundeq._above_covolume, "V > b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRINTED))
+def test_closed_form_builds_the_printed_metric(name):
+    field, expected = closed_form_metric(name), _PRINTED[name]
+    assert geometry.CLOSED_FORM_NAMES == tuple(sorted(_PRINTED))
+    fields = ("coordinates", "parameters", "name", "domain", "domain_text")
+    assert [getattr(field, k) for k in fields] == [getattr(expected, k) for k in fields]
+    assert repr(field.components) == repr(expected.components)
+    assert _tape_shape(field.tape) == _tape_shape(expected.tape)
+
+
 # -- convexity ---------------------------------------------------------------------------
 
 
@@ -774,6 +851,31 @@ def test_a_kind_given_by_its_value_builds_that_kind(kind):
 def test_an_unknown_kind_is_a_value_error(kind):
     with pytest.raises(ValueError, match="is not a valid MetricKind"):
         HessianMetricField(builtin("vdw"), kind)
+
+
+_EMPTY_BATCH_FIELDS = {
+    **{
+        f"rn[{kind.value}]": lambda kind=kind: HessianMetricField(builtin("reissner_nordstrom"), kind)
+        for kind in MetricKind
+    },
+    "rn_closed": lambda: closed_form_metric("rn_closed"),
+    "sphere": sphere_metric,
+}
+
+
+@pytest.mark.parametrize("name", list(_EMPTY_BATCH_FIELDS))
+def test_every_geometry_function_takes_an_empty_batch(name):
+    # a Hessian field ended in numpy's "cannot reshape array of size 0" ValueError
+    f, empty = _EMPTY_BATCH_FIELDS[name](), np.empty((0, 2))
+    det, status = metric_determinant(f, empty)
+    report = scalar_curvature(f, empty)
+    assert det.shape == report.scalar.shape == report.det_g.shape == (0,)
+    assert report.metric.shape == (0, 2, 2) and status == report.status == []
+    assert christoffel(f, empty).shape == (0, 2, 2, 2)
+    shapes = [t.shape for t in curvature_tensors(f, empty)]
+    assert shapes == [(0, 2, 2, 2), (0, 2, 2, 2, 2), (0, 2, 2)]
+    if isinstance(f, HessianMetricField):
+        assert [x.shape for x in geometry.determinant_factors(f, empty)] == [(0,)] * 3
 
 
 def test_metric_at_refuses_a_batch():
