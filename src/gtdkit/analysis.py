@@ -415,17 +415,15 @@ def fit_power_law(
 ) -> DivergenceFit:
     """Least-squares slope of log|sample| against log(offset).
 
-    Samples at center + t * direction for each offset t; values below the
+    Samples at the rows of `fit_points`, which checks them; values below the
     noise floor (and failed evaluations) are dropped, and ValueError is
     raised when every evaluation failed. The reported exponent is the
     negated slope, so 1/x**2 fits to 2.0.
     """
-    center = np.asarray(center, dtype=float)
-    direction = np.asarray(direction, dtype=float)
     values = []
-    for t in offsets:
+    for point in fit_points(center, direction, offsets):
         try:
-            values.append(float(sample(center + t * direction)))
+            values.append(float(sample(point)))
         except (DomainError, DegenerateMetricError):
             values.append(None)
     return _fit(offsets, values, noise_floor)

@@ -381,8 +381,8 @@ def cmd_scan(args) -> int:
 
     n_ok = report_data.status.count(analysis.STATUS_OK)
     print(f"scanned {grid.size} points ({n_ok} ok, {grid.size - n_ok} marked)")
-    # one template for every root's numbers; %.17g writes the bytes fmt writes
-    line = ", ".join(f"{name.replace('%', '%%')}=%.17g" for name in grid.names) + "  det_g = %.17g"
+    # one template for every root's numbers (an identifier holds no %); %.17g writes fmt's bytes
+    line = ", ".join(f"{name}=%.17g" for name in grid.names) + "  det_g = %.17g"
     for root in roots:
         numbers = (*root.coords.values(), root.det_g)
         if root.category == "pole":

@@ -1,22 +1,21 @@
 """Thermodynamic systems: fundamental equations and the expression language.
 
 A system is a potential Phi(E^1..E^n) over named extensive variables plus a
-parameter map. Potentials come from a small expression grammar (a built-in
-system is one row of `SystemSpec` arguments) and are evaluated over jets, so
-every derivative the geometry needs is exact. An expression list is compiled
-once, over its variables, into a `Tape`: a postorder list of its distinct
-steps, so a subtree that several expressions share, or that one repeats,
-runs once per evaluation. Each step is a number (it touches no variable) or
-an array step, and `run_tape` runs the one step list at every nvars and
-order: a number step is float arithmetic, and a function or power of a
-number runs the jet kernel at order 0, so it obeys the same domain and
+parameter map. Potentials come from a small expression grammar and are
+evaluated over jets, so every derivative the geometry needs is exact. An
+expression list is compiled once, over its variables, into a `Tape`: a
+postorder list of its distinct steps, so a subtree that several expressions
+share, or that one repeats, runs once per evaluation, and the names the trees
+read, which `check_names` checks. Each step is a number (it touches no
+variable) or an array step, and `run_tape` runs the one step list at every
+nvars and order: a number step is float arithmetic, and a function or power
+of a number runs the jet kernel at order 0, so it obeys the same domain and
 overflow rules as over a variable; an array step runs a kernel of `jets` on
 plain coefficient arrays, and at order 0 that is numpy on the values.
 `evaluate_exprs` is the one place expressions become jets, at one point or
 over a batch: it seeds coefficient arrays, runs the tape and wraps only the
-distinct outputs in `Jet`s. `evaluate` runs a system's potential tape,
-compiled with its `SystemSpec`, and a direct metric field runs the tape of
-its components; `eval_jet` runs one expression over jets and numbers.
+distinct outputs in `Jet`s. `evaluate` runs a system's potential tape, and
+`eval_jet` one expression over jets and numbers.
 
 Expression grammar (also the format used in system definition files)::
 
@@ -84,9 +83,10 @@ Expr = Union[Num, Name, Neg, BinOp, Call]
 
 # -- parser --------------------------------------------------------------------
 
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{_IDENT_RE.pattern})"
     r"|(?P<op>[-+*/^()]))"
 )
 
@@ -262,8 +262,9 @@ class Tape(NamedTuple):
     array y is a product with a ("1/", y) step, one reciprocal per distinct y
     at its first use. Steps come in the order a left-to-right walk of the
     trees first meets them, so the first operation to fail is the one a tree
-    walk fails on, and `outputs` holds each expression's step. A tape
-    pickles and copies as its expressions and variables, compiled again.
+    walk fails on, and `outputs` holds each expression's step. `names` are the
+    identifiers the trees read, sorted, constants left out. A tape pickles
+    and copies as its expressions and variables, compiled again.
     """
 
     exprs: tuple[Expr, ...]
@@ -271,6 +272,7 @@ class Tape(NamedTuple):
     steps: tuple[tuple[str, Callable, int | None, int | None], ...]
     arrays: tuple[bool, ...]
     outputs: tuple[int, ...]
+    names: tuple[str, ...]
 
     def __reduce__(self):
         return compile_exprs, (self.exprs, self.variables)
@@ -305,6 +307,7 @@ def compile_exprs(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
         return place
 
     outputs = tuple(visit(e) for e in exprs)
+    names = tuple(sorted(x for op, x, _ in index if op == "name" and x not in CONSTANTS))
     steps = []
     for (op, x, y), array in zip(index, arrays):
         if op == "num" or op == "name":
@@ -314,7 +317,7 @@ def compile_exprs(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
         else:
             f = _ARRAY_OPS[(op, arrays[x], arrays[y])] if array else _NUMBER_OPS[op]
         steps.append((op, f, x, y))
-    return Tape(exprs, variables, tuple(steps), tuple(arrays), outputs)
+    return Tape(exprs, variables, tuple(steps), tuple(arrays), outputs, names)
 
 
 def _number(value: float, env: Mapping) -> float:
@@ -419,18 +422,6 @@ def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
     return Jet(nvars, order, values[step]) if tape.arrays[step] else values[step]
 
 
-def free_names(node: Expr) -> set[str]:
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Name):
-        return set() if node.ident in CONSTANTS else {node.ident}
-    if isinstance(node, Neg):
-        return free_names(node.operand)
-    if isinstance(node, Call):
-        return free_names(node.arg)
-    return free_names(node.left) | free_names(node.right)
-
-
 # -- system specifications -------------------------------------------------------
 
 Point = Sequence[float]
@@ -468,8 +459,8 @@ class SystemSpec:
         domain_text: str = "",
     ):
         parameters = dict(parameters or {})  # the spec's own copy
-        check_names([*variables, *parameters], [potential], "potential references")
         tape = compile_exprs([potential], variables)
+        check_names([*variables, *parameters], tape.names, "potential references")
         if weights is not None and len(weights) != len(variables):
             raise ValueError("one weight per variable required")
         fields = (name, variables, potential, parameters, weights, beta, domain, domain_text, tape)
@@ -505,14 +496,17 @@ class SystemSpec:
         return override_parameters(self, overrides)
 
 
-def check_names(declared: Sequence[str], exprs: Sequence[Expr], subject: str) -> None:
-    """The names `declared` are distinct and not reserved, and `exprs` use no other name."""
+def check_names(declared: Sequence[str], names: Sequence[str], subject: str) -> None:
+    """`declared` are distinct identifiers, none reserved, and a tape's `names` hold no other."""
     if len(set(declared)) != len(declared):
         raise ValueError("variable and parameter names must be distinct")
     bad = (set(FUNCTIONS) | set(CONSTANTS)).intersection(declared)
     if bad:
         raise ValueError(f"reserved identifiers cannot be declared: {sorted(bad)}")
-    unknown = set().union(*map(free_names, exprs)) - set(declared)
+    bad = [name for name in declared if not _IDENT_RE.fullmatch(name)]
+    if bad:
+        raise ValueError(f"declared names must be identifiers of the grammar: {sorted(bad)}")
+    unknown = set(names) - set(declared)
     if unknown:
         raise ValueError(f"{subject} undeclared identifiers: {sorted(unknown)}")
 
@@ -765,19 +759,15 @@ def _read_section(path: str | Path, name: str, keys: Sequence[str], sections=Non
 def load_system_file(path: str | Path, sections=None) -> SystemSpec:
     """Load a SystemSpec from a sectioned key-value file, or from its parsed `sections`.
 
-    Expected layout::
+    Expected layout, here Reissner-Nordstrom, with an optional [parameters]
+    section of `name = value` lines::
 
         [system]
-        name = my_gas
-        variables = S, V
-        potential = (exp(S/k)/(V-b))^(2/3) - a/V
-        weights = 1, 1        ; optional
-        beta = 2              ; optional
-
-        [parameters]
-        a = 1.0
-        b = 0.1
-        k = 1.0
+        name = my_rn
+        variables = S, Q
+        potential = sqrt(S/(4*pi))*(1 + pi*Q^2/S)
+        weights = 1, 0.5      ; optional
+        beta = 0.5            ; optional
     """
     sec, params = _read_section(path, "system", ("name", "variables", "potential"), sections)
     weights = None

@@ -212,10 +212,10 @@ class DirectMetricField:
         self.components = [[_as_expr(c) for c in row] for row in components]
         self.parameters = dict(parameters or {})
         entries = [c for row in self.components for c in row]
-        fundeq.check_names(
-            [*self.coordinates, *self.parameters], entries, "metric components reference"
-        )
         self.tape = fundeq.compile_exprs(entries, self.coordinates)
+        fundeq.check_names(
+            [*self.coordinates, *self.parameters], self.tape.names, "metric components reference"
+        )
         self.name = name
         self.domain = domain
         self.domain_text = domain_text

@@ -446,6 +446,27 @@ def test_fit_samples_must_be_distinct_points():
         fit_divergence_exponent(rn_field(), (PI, 1.0), (-1.0, 0.0), offsets)
 
 
+def test_power_law_fit_rejects_a_zero_direction():
+    # every sample would be the center: 8 evaluations of one point fit nothing
+    with pytest.raises(ValueError, match="the fit direction is zero"):
+        fit_power_law(lambda p: 5.0, (1.0,), (0.0,), geometric_offsets(0.1, 8))
+
+
+def test_power_law_fit_samples_must_be_distinct_points():
+    # 0.1 * 0.5^m is lost against 1e20: every sample rounds to the center
+    with pytest.raises(ValueError, match="fit samples are not distinct"):
+        fit_power_law(lambda p: 1.0 / p[0], (1e20,), (1.0,), geometric_offsets(0.1, 8))
+
+
+def test_power_law_fit_samples_the_rows_of_fit_points():
+    center, direction, offsets = (0.3, -1.7), (0.1, 3.0), geometric_offsets(0.7, 9)
+    seen = []
+    fit_power_law(lambda p: seen.append(p.copy()) or 1.0 / p[0] ** 2, center, direction, offsets)
+    expected = [np.asarray(center) + t * np.asarray(direction) for t in offsets]
+    assert np.array(seen).tobytes() == analysis.fit_points(center, direction, offsets).tobytes()
+    assert np.array(seen).tobytes() == np.array(expected).tobytes()
+
+
 def test_fit_needs_four_samples():
     with pytest.raises(ValueError, match="at least 4"):
         fit_power_law(lambda p: 1.0 / p[0], (0.0,), (1.0,), [0.1, 0.2])

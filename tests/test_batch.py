@@ -35,7 +35,7 @@ def _single(call):
 
 def _system(source: str) -> fundeq.SystemSpec:
     tree = fundeq.parse(source)
-    names = tuple(sorted(fundeq.free_names(tree))) or ("x",)
+    names = fundeq.compile_exprs([tree], ()).names or ("x",)
     first = names[0]
     return fundeq.SystemSpec(
         name="corpus",

@@ -960,7 +960,8 @@ def test_metric_file_with_undeclared_identifier_exit_2(tmp_path, capsys, command
 
 
 # metric files that break the name rule of a [system] file: a coordinate named
-# twice, a parameter named like a coordinate, a coordinate named like a constant
+# twice, a parameter named like a coordinate, a coordinate named like a
+# constant, a coordinate no expression can read (it evaluated, g_2y_2y = 1)
 _NAME_CLASHES = {
     "twice": (
         "coordinates = x, x\ncomponents = 1, 0; 0, x^2\n",
@@ -976,6 +977,11 @@ _NAME_CLASHES = {
         "coordinates = pi, y\ncomponents = pi^2, 0; 0, y^2\n",
         ["pi", "y"],
         "reserved identifiers cannot be declared: ['pi']",
+    ),
+    "unreadable": (
+        "coordinates = x, 2y\ncomponents = 1, 0; 0, 1\n",
+        ["x", "2y"],
+        "declared names must be identifiers of the grammar: ['2y']",
     ),
 }
 
@@ -994,6 +1000,22 @@ def test_metric_file_follows_the_system_name_rule(tmp_path, capsys, command, cla
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["scan", "eval"])
+def test_system_file_with_a_name_the_grammar_cannot_read_exit_2(tmp_path, capsys, command):
+    # no expression can read V-b: before the name rule the file loaded and a
+    # scan that pinned V-b reported ok points
+    path = tmp_path / "typo.ini"
+    path.write_text("[system]\nname = typo\nvariables = S, V-b\npotential = S^2 + S\n")
+    where = {
+        "scan": ["--range", "S=1:2:3", "--pin", "V-b=1", "--quantity", "detg"],
+        "eval": ["--point", "S=1.5,V-b=1.5"],
+    }[command]
+    assert run([command, "--system", str(path), *where]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: declared names must be identifiers of the grammar: ['V-b']" in captured.err
 
 
 @pytest.mark.parametrize("command", ["scan", "eval"])
@@ -1194,7 +1216,7 @@ def _corpus_runs(tmp_path, source, kind, report_format, axes):
 
     Yields each run's exit code and the report path it writes to.
     """
-    names = sorted(fundeq.free_names(fundeq.parse(source))) or ["x"]
+    names = list(fundeq.compile_exprs([fundeq.parse(source)], ()).names) or ["x"]
     system = tmp_path / "corpus.ini"
     system.write_text(
         f"[system]\nname = corpus\nvariables = {', '.join(names)}\npotential = {source}\n"

@@ -1,11 +1,12 @@
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
 
 from expr_corpus import CORPUS, KN_SOURCE, VDW_SOURCE
-from gtdkit import fundeq, jets
+from gtdkit import fundeq, geometry, jets
 from gtdkit.errors import DomainError, ParseError
 from gtdkit.fundeq import (
     BinOp,
@@ -122,7 +123,7 @@ def test_order_zero_matches_plain_eval():
     env = {"S": 0.8, "V": 1.7, "J": 0.4, "Q": 0.9, "k": 1.0, "a": 1.0, "b": 0.1, "theta": 0.6}
     for source in (VDW_SOURCE, KN_SOURCE, "sin(theta)^2", "exp(S/k)/(V-b)"):
         tree = parse(source)
-        names = sorted(fundeq.free_names(tree))
+        names = fundeq.compile_exprs([tree], ()).names
         jet_env = {n: jets.seed_variable(i, env[n], len(names), 0) for i, n in enumerate(names)}
         via_jet = fundeq.eval_jet(tree, jet_env)
         via_jet = via_jet.value if isinstance(via_jet, jets.Jet) else via_jet
@@ -312,6 +313,39 @@ def _tape_shape(tape):
     """The tape with each step's function left out: a name or number by its value, an op by its operands."""
     keys = tuple((op, f.args) if x is None else (op, x, y) for op, f, x, y in tape.steps)
     return tape._replace(steps=keys)
+
+
+def _free_names(node) -> set[str]:
+    """The names a tree reads but the constants, by a recursive walk of its own."""
+    if isinstance(node, Num):
+        return set()
+    if isinstance(node, Name):
+        return set() if node.ident in fundeq.CONSTANTS else {node.ident}
+    if isinstance(node, Neg):
+        return _free_names(node.operand)
+    if isinstance(node, Call):
+        return _free_names(node.arg)
+    return _free_names(node.left) | _free_names(node.right)
+
+
+_NAMED_LISTS = {
+    **{f"corpus {source}": [parse(source)] for source in CORPUS},
+    **{f"builtin {name}": [builtin(name).potential] for name in fundeq.BUILTIN_NAMES},
+    **{
+        f"closed form {name}": [c for row in geometry.closed_form_metric(name).components for c in row]
+        for name in geometry.CLOSED_FORM_NAMES
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(_NAMED_LISTS))
+def test_tape_names_are_the_names_a_walk_finds(label):
+    # compiling walks the trees once, and that walk records the names the
+    # name checks read: every identifier but `pi`, sorted
+    exprs = _NAMED_LISTS[label]
+    expected = tuple(sorted(set().union(*map(_free_names, exprs))))
+    for variables in ((), expected):
+        assert fundeq.compile_exprs(exprs, variables).names == expected
 
 
 @pytest.mark.parametrize("name", ["reissner_nordstrom", "kerr_newman", "vdw"])
@@ -574,3 +608,23 @@ def test_spec_rejects_reserved_names():
 def test_spec_rejects_undeclared_identifiers():
     with pytest.raises(ValueError, match="undeclared"):
         fundeq.SystemSpec(name="bad", variables=("S",), potential=parse("S + missing"))
+
+
+# names no expression can read: a typo here would leave a variable that no
+# potential reaches, so it is an input error and not a degenerate metric
+_UNREADABLE_NAMES = ["V-b", "2y", "S V", "x.y", "_x", ""]
+
+
+@pytest.mark.parametrize("bad", _UNREADABLE_NAMES)
+@pytest.mark.parametrize("declared_as", ["variable", "parameter"])
+def test_spec_rejects_a_name_the_grammar_cannot_read(bad, declared_as):
+    variables, parameters = (("S", bad), {}) if declared_as == "variable" else (("S",), {bad: 1.0})
+    with pytest.raises(ValueError, match=re.escape(f"identifiers of the grammar: [{bad!r}]")):
+        fundeq.SystemSpec("bad", variables, parse("S^2"), parameters)
+
+
+def test_name_rule_comes_between_the_reserved_and_undeclared_checks():
+    with pytest.raises(ValueError, match=re.escape("reserved identifiers cannot be declared: ['pi']")):
+        fundeq.SystemSpec("bad", ("pi", "2y"), parse("pi"))
+    with pytest.raises(ValueError, match=re.escape("identifiers of the grammar: ['2y']")):
+        fundeq.SystemSpec("bad", ("S", "2y"), parse("S + missing"))

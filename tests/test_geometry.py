@@ -155,6 +155,8 @@ def test_closed_form_override_compiles_its_entries_once(monkeypatch):
         (("x", "x"), {}, "must be distinct"),
         (("x", "y"), {"x": 5.0}, "must be distinct"),
         (("pi", "y"), {}, "reserved identifiers"),
+        (("x", "2y"), {}, re.escape("identifiers of the grammar: ['2y']")),
+        (("x", "y"), {"y-1": 1.0}, re.escape("identifiers of the grammar: ['y-1']")),
     ],
 )
 def test_direct_metric_follows_the_system_name_rule(coordinates, parameters, message):
