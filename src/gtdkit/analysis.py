@@ -4,11 +4,12 @@ Scans walk a cartesian grid over the metric field's coordinates, recording
 one of: curvature scalar, metric determinant, potential value, or the
 intensive variables. Points where the metric degenerates or the field leaves
 its domain are marked, never fatal. Root finding watches det g for sign
-changes along coordinate lines and refines each bracket by ITP root refinement
-(interpolate, truncate, project): every active bracket takes its step in one det-g
-batch, and a bracket that stops leaves the batch. Divergence exponents come from a
-log-log fit of |R| against the distance to an approach point; a fit none of whose
-samples could be evaluated is an error, not a missing divergence.
+changes along coordinate lines and refines each bracket by ITP root refinement,
+with Chandrupatla's interpolation inside ITP's projection window: every active
+bracket takes its step in one det-g batch, and a bracket that stops leaves the
+batch. Divergence exponents come from a log-log fit of |R| against the distance
+to an approach point; a fit none of whose samples could be evaluated is an
+error, not a missing divergence.
 
 A batch of the scan, root refinement, root classification or fit holds at most
 as many points as fit CHUNK_BYTES in its widest array (`_batch_rows`). Reports are
@@ -46,11 +47,10 @@ NOISE_FLOOR = 1e-8
 CHUNK_BYTES = 96 * 1024
 # the jet order each quantity is evaluated at: (Hessian field, direct field)
 _JET_ORDERS = {"curvature": (3, 2), "detg": (2, 0), "potential": (0, 0), "intensive": (1, 1)}
-# ITP root refinement: a trial point moves ITP_KAPPA1 / width0 * width^ITP_KAPPA2
-# off regula falsi towards the midpoint, and a bracket takes at most ITP_N0
-# steps more than bisection.
+# ITP root refinement: the first trial point moves ITP_KAPPA1 * width off regula
+# falsi towards the midpoint, and a bracket takes at most ITP_N0 steps more than
+# bisection.
 ITP_KAPPA1 = 0.2
-ITP_KAPPA2 = 2
 ITP_N0 = 1
 
 _QUANTITY_ALIASES = {"scalar_curvature": "curvature", "det_g": "detg"}
@@ -232,32 +232,15 @@ def _determinants(f: MetricField, points: np.ndarray) -> np.ndarray:
     return np.concatenate([geometry.metric_determinant(f, c)[0] for c in _chunks(f, points, "detg")])
 
 
-def _itp_points(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    flo: np.ndarray,
-    fhi: np.ndarray,
-    target: np.ndarray,
-    steps_left: np.ndarray,
-    width0: np.ndarray,
+def _itp_project(
+    lo: np.ndarray, hi: np.ndarray, trial: np.ndarray, target: np.ndarray, steps_left: np.ndarray
 ) -> np.ndarray:
-    """The next ITP trial point of every bracket; the midpoint where it fails.
-
-    Interpolate (regula falsi), truncate (move towards the midpoint by
-    ITP_KAPPA1 / width0 * width^ITP_KAPPA2) and project into the window of
-    radius target / 2 * 2^steps_left - width / 2 around the midpoint, which
-    keeps every bracket narrower than target after the steps left to it.
-    The caller ignores invalid and overflow warnings: a failed trial is NaN or inf.
-    """
-    width = hi - lo
+    """ITP's projection: each trial moved into the window of radius target / 2 * 2^steps_left
+    - width / 2 around its midpoint, which keeps the bracket narrower than target after the
+    steps left to it whatever the trial; the midpoint unless that is finite and strictly inside."""
     mid = 0.5 * (lo + hi)
-    # flo / (flo - fhi) lies in [0, 1]: the signs at the ends differ
-    interpolated = lo + width * (flo / (flo - fhi))
-    toward_mid = np.sign(mid - interpolated)
-    delta = ITP_KAPPA1 / width0 * width**ITP_KAPPA2
-    truncated = np.where(delta <= np.abs(mid - interpolated), interpolated + toward_mid * delta, mid)
-    radius = 0.5 * (np.ldexp(target, steps_left) - width)
-    trial = np.where(np.abs(truncated - mid) <= radius, truncated, mid - toward_mid * radius)
+    radius = 0.5 * (np.ldexp(target, steps_left) - (hi - lo))
+    trial = np.where(np.abs(trial - mid) <= radius, trial, mid - np.sign(mid - trial) * radius)
     inside = np.isfinite(trial) & (trial > lo) & (trial < hi)
     return np.where(inside, trial, mid)
 
@@ -273,58 +256,72 @@ def _refine_roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine det g = 0 on all brackets at once by ITP, one batch per step.
 
-    Bracket k runs along coordinate axis[k] through base[k] from lo[k] to
-    hi[k], with det g = flo[k] at lo[k] and fhi[k] at hi[k]. ITP (interpolate,
-    truncate, project; Oliveira & Takahashi, ACM TOMS 47(1), 2020) keeps the
-    bracket and takes at most ceil(log2(width / tol)) + ITP_N0 steps, ITP_N0
-    more than bisection, converging superlinearly on smooth det g. Each
-    bracket follows the scalar rules: stop when hi - lo <= tol, when the
-    midpoint no longer splits the bracket, or at a trial point with det g ==
-    0 exactly, which becomes both ends; the root is then 0.5 * (lo + hi). A
-    bracket whose trial point leaves the domain is dropped. Every bracket starts at step 0 and
-    its arithmetic is elementwise, so its root does not depend on the others
-    in the batch. A step works on the brackets still active alone, compacted
-    as others stop. Returns the roots and the mask of brackets that kept them.
+    Bracket k runs along coordinate axis[k] through base[k] from lo[k] to hi[k], with
+    det g = flo[k] at lo[k] and fhi[k] at hi[k]. ITP (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) keeps the bracket and takes at most ceil(log2(width / tol)) + ITP_N0
+    steps. Its first trial is regula falsi moved ITP_KAPPA1 * width towards the
+    midpoint, later ones Chandrupatla's inverse quadratic interpolation (Adv. Eng.
+    Software 28(3), 1997) through both ends and the point the last step discarded;
+    `_itp_project` projects each. A bracket stops when its width is <= tol, when the
+    midpoint no longer splits it, or at a trial point with det g == 0 exactly, which
+    becomes both ends; its root is then the midpoint. A bracket whose trial point
+    leaves the domain is dropped. The arithmetic is elementwise and a step works on the
+    active brackets alone, so a root does not depend on the others in the batch.
+    Returns the roots and the mask of brackets that kept them.
     """
-    lo, hi = lo.copy(), hi.copy()
+    roots = 0.5 * (lo + hi)
     scale = np.maximum(np.abs(lo), np.abs(hi))
     tol = ROOT_TOL_FACTOR * np.maximum(1.0, scale)
     # the projection aims a few ulps inside tol: the rounded midpoints of the
     # last steps could otherwise leave a bracket one ulp wider than tol
     target = tol - 4.0 * np.spacing(scale)
-    width0 = hi - lo
     kept = np.ones(len(lo), dtype=bool)
     # ceil(log2(width0 / tol)) from the exact binary exponent, plus ITP_N0
-    mantissa, exponent = np.frexp(width0 / tol)
+    mantissa, exponent = np.frexp((hi - lo) / tol)
     max_steps = exponent - (mantissa == 0.5) + ITP_N0
-    # the active brackets: their places idx, and their fields compacted, one entry each
-    idx = np.flatnonzero(width0 > tol)
-    state = [v[idx] for v in (lo, hi, flo, fhi, tol, target, max_steps, width0, base, axis)]
+    # the active brackets: their places idx, and their fields compacted, one entry each;
+    # a is the newest end, b the other, c the point the last step discarded
+    idx = np.flatnonzero(hi - lo > tol)
+    state = [v[idx] for v in (lo, hi, lo, flo, fhi, flo, tol, target, max_steps, base, axis)]
     step = 0
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(idx):
-            a, b, fa, fb, t, aim, steps, w0, points, ax = state
-            mid = 0.5 * (a + b)
+            a, b, c, fa, fb, fc, t, aim, steps, points, ax = state
+            left, right, mid = np.minimum(a, b), np.maximum(a, b), 0.5 * (a + b)
             # a bracket the midpoint no longer splits stops before the step
-            stay = (mid > a) & (mid < b)
+            stay = (mid > left) & (mid < right)
             if stay.all():
-                x = _itp_points(a, b, fa, fb, aim, steps - step, w0)
+                if step == 0:
+                    x = a + (b - a) * (fa / (fa - fb))
+                    delta = ITP_KAPPA1 * (b - a)
+                    x = np.where(delta <= np.abs(mid - x), x + np.sign(mid - x) * delta, mid)
+                else:
+                    # the inverse quadratic fraction where Chandrupatla's test allows it, else bisection
+                    xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+                    s = fa / (fb - fa) * fc / (fb - fc)
+                    s += (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+                    s = np.where((phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & ~np.isnan(s), s, 0.5)
+                    # a closing step lands tol / 2 inside an end
+                    edge = 0.5 * t / np.abs(b - a)
+                    x = a + np.clip(s, edge, 1.0 - edge) * (b - a)
+                x = _itp_project(left, right, x, aim, steps - step)
                 points[np.arange(len(x)), ax] = x
                 fx = _determinants(f, points)
-                left, zero = np.isnan(fx), fx == 0.0
-                kept[idx[left]] = False
-                move = ~(left | zero)
-                flip = (fa < 0.0) != (fx < 0.0)
-                np.copyto(b, x, where=zero | (move & flip))
-                np.copyto(fb, fx, where=move & flip)
-                np.copyto(a, x, where=zero | (move & ~flip))
-                np.copyto(fa, fx, where=move & ~flip)
-                stay = move & (b - a > t)
+                failed, zero = np.isnan(fx), fx == 0.0
+                kept[idx[failed]] = False
+                moved = ~(failed | zero)
+                # the root lies between a and x: c takes b, b takes a; else c takes a
+                flip = moved & ((fa < 0.0) != (fx < 0.0))
+                c, fc = np.where(flip, b, a), np.where(flip, fb, fa)
+                b, fb = np.where(zero, x, np.where(flip, a, b)), np.where(flip, fa, fb)
+                a, fa = np.where(failed, a, x), np.where(failed, fa, fx)
+                state[:6] = a, b, c, fa, fb, fc
+                stay = moved & (np.abs(b - a) > t)
                 step += 1
             if not stay.all():
-                lo[idx[~stay]], hi[idx[~stay]] = a[~stay], b[~stay]
+                roots[idx[~stay]] = 0.5 * (a[~stay] + b[~stay])
                 idx, state = idx[stay], [v[stay] for v in state]
-    return 0.5 * (lo + hi), kept
+    return roots, kept
 
 
 def _residuals(f: MetricField, points: np.ndarray) -> tuple[np.ndarray, list[str | None]]:

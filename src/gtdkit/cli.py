@@ -383,13 +383,14 @@ def cmd_scan(args) -> int:
     print(f"scanned {grid.size} points ({n_ok} ok, {grid.size - n_ok} marked)")
     # one template for every root's numbers (an identifier holds no %); %.17g writes fmt's bytes
     line = ", ".join(f"{name}=%.17g" for name in grid.names) + "  det_g = %.17g"
-    for root in roots:
-        numbers = (*root.coords.values(), root.det_g)
-        if root.category == "pole":
-            print("pole: " + line % numbers)
-            continue
-        cat = f" [{root.category}]" if root.category else ""
-        print("root: " + line % numbers + cat)
+    lines = [
+        ("pole: " if root.category == "pole" else "root: ")
+        + line % (*root.coords.values(), root.det_g)
+        + (f" [{root.category}]" if root.category not in (None, "pole") else "")
+        for root in roots
+    ]
+    if lines:  # one write for all of them, not one a root
+        print("\n".join(lines))
     for fit in fits:
         if fit.diverges:
             print(f"divergence exponent: {fit.exponent:.4f} (correlation {fit.correlation:.6f})")

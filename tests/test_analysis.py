@@ -245,12 +245,42 @@ def test_rn_locus_refines_in_few_determinant_batches(monkeypatch):
     det_g = grid_scan(f, grid, "detg").det_g
     calls = _count_determinants(monkeypatch)
     roots = find_singular_locus(f, grid, det_g=det_g)
-    assert calls[0] <= 16
+    assert calls[0] <= 8
     assert len(roots) > 80
     for root in roots:
         s, q = root.coords["S"], root.coords["Q"]
         assert root.category == "hessian-zero"
         assert s == pytest.approx(PI * q * q, rel=1e-11)
+
+
+# the benchmark's three scan grids, unjittered: field, ranges and pins, roots
+_BENCHMARK_GRIDS = {
+    "rn": (rn_field, {"S": Axis(0.5, 10.0, 100), "Q": Axis(0.2, 1.6, 15)}, 92),
+    "kn": (
+        lambda: HessianMetricField(builtin("kerr_newman")),
+        {"S": Axis(1.0, 10.0, 30), "J": Axis(0.1, 1.5, 30), "Q": 0.8},
+        5,
+    ),
+    "vdw_closed": (
+        lambda: closed_form_metric("vdw_closed"),
+        {"S": Axis(0.7, 1.1, 3), "V": Axis(0.02, 3.0, 100)},
+        45,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_GRIDS))
+def test_benchmark_loci_refine_in_at_most_eight_determinant_batches(monkeypatch, name):
+    # every det-g batch of the locus with det g given: its refinement steps, and
+    # for the direct vdW metric also its residual batch
+    make, axes, count = _BENCHMARK_GRIDS[name]
+    f = make()
+    grid = GridSpec.build(f.coordinates, axes)
+    det_g = grid_scan(f, grid, "detg").det_g
+    calls = _count_determinants(monkeypatch)
+    roots = find_singular_locus(f, grid, det_g=det_g)
+    assert len(roots) == count
+    assert calls[0] <= 8
 
 
 def test_every_stage_evaluates_at_most_chunk_rows_points(monkeypatch):
@@ -300,6 +330,39 @@ _HARD_CROSSINGS = {
     "jump": lambda x, c: np.where(x < c, -1.0, 2.0),
     "eleventh_power": lambda x, c: x**11 - c**11,
 }
+
+
+_SMOOTH_CROSSINGS = {
+    "exp": lambda x, c: np.exp(x) - np.exp(c),
+    "cube": lambda x, c: x**3 - c**3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH_CROSSINGS))
+def test_refinement_closes_simple_roots_in_seven_steps(monkeypatch, name):
+    # simple roots away from 0, in brackets up to 10% wide: interpolation, not
+    # bisection, closes them; bracket k carries its index k in coordinate 1
+    g = _SMOOTH_CROSSINGS[name]
+    rng = np.random.default_rng(4)
+    c = rng.uniform(0.5, 3.0, 200) * rng.choice([-1.0, 1.0], 200)
+    width = rng.uniform(1e-4, 0.1, 200) * np.abs(c)
+    lo = c - rng.uniform(0.01, 0.99, 200) * width
+    hi = lo + width
+    steps = np.zeros(200, dtype=int)
+
+    def determinants(f, points):
+        k = points[:, 1].astype(int)
+        np.add.at(steps, k, 1)
+        return g(points[:, 0], c[k])
+
+    monkeypatch.setattr(analysis, "_determinants", determinants)
+    base = np.stack([lo, np.arange(200.0)], axis=1)
+    axis = np.zeros(200, dtype=int)
+    roots, kept = analysis._refine_roots(None, base, axis, lo, hi, g(lo, c), g(hi, c))
+    tol = analysis.ROOT_TOL_FACTOR * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    assert kept.all()
+    assert np.all(np.abs(roots - c) <= tol)
+    assert steps.max() <= 7
 
 
 @pytest.mark.parametrize("name", sorted(_HARD_CROSSINGS))

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -1153,6 +1155,30 @@ def test_scan_root_and_pole_lines_format_each_number_alone(capsys, kind, head):
         expected.append(f"pole: {line}" if root.category == "pole" else f"root: {line} [{root.category}]")
     assert len(expected) > 4 and all(line.startswith(head) for line in expected)
     assert printed == expected
+
+
+@pytest.mark.parametrize(
+    "system, other, count", [("reissner_nordstrom", "Q", 36), ("ideal_gas", "V", 0)]
+)
+def test_scan_prints_its_root_lines_in_one_write(monkeypatch, system, other, count):
+    # unbuffered or on a terminal every print is a write(2) of its own, so the
+    # root lines go in one print, and a scan without roots prints no empty line
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recording())
+    code = run(
+        ["scan", "--system", system, "--range", "S=0.5:10:50", "--range", f"{other}=0.5:1.5:4",
+         "--quantity", "detg"]
+    )
+    assert code == 0
+    printed = sys.stdout.getvalue()
+    assert "\n\n" not in printed and printed.count("root: ") == count
+    assert len([w for w in writes if "root: " in w]) == min(count, 1)
 
 
 # -- CLI contract over the expression corpus ----------------------------------------
