@@ -408,7 +408,6 @@ def fit_power_law(
     center: Sequence[float],
     direction: Sequence[float],
     offsets: Sequence[float],
-    noise_floor: float = NOISE_FLOOR,
 ) -> DivergenceFit:
     """Least-squares slope of log|sample| against log(offset).
 
@@ -423,17 +422,15 @@ def fit_power_law(
             values.append(float(sample(point)))
         except (DomainError, DegenerateMetricError):
             values.append(None)
-    return _fit(offsets, values, noise_floor)
+    return _fit(offsets, values)
 
 
-def _fit(
-    offsets: Sequence[float], values: Sequence[float | None], noise_floor: float
-) -> DivergenceFit:
+def _fit(offsets: Sequence[float], values: Sequence[float | None]) -> DivergenceFit:
     """The log-log fit of `fit_power_law` on sampled values (None for a failed sample).
 
     A fit whose every sample failed raises ValueError naming their offsets.
     """
-    if values and all(v is None for v in values):
+    if all(v is None for v in values):
         raise ValueError(
             "every fit sample failed (outside the domain or a degenerate metric), at offsets "
             + ", ".join(f"{t:g}" for t in offsets)
@@ -443,11 +440,11 @@ def _fit(
         if v is None:
             continue
         value = abs(v)
-        if not math.isfinite(value) or value <= noise_floor:
+        if not math.isfinite(value) or value <= NOISE_FLOOR:
             continue
         logs_x.append(math.log(t))
         logs_y.append(math.log(value))
-    if len(logs_x) < 4 and not all(v is None or abs(v) <= noise_floor for v in values):
+    if len(logs_x) < 4 and not all(v is None or abs(v) <= NOISE_FLOOR for v in values):
         raise ValueError(f"only {len(logs_x)} valid samples; need at least 4")
     if len(logs_x) < 4 or len(set(logs_y)) == 1:
         return DivergenceFit(
@@ -471,13 +468,23 @@ def fit_points(
 ) -> np.ndarray:
     """The sample points center + t * direction of a divergence fit, one row per offset t.
 
-    A zero direction, or offsets so small against the center that two
-    samples round to the same point, raise ValueError.
+    Fewer than 4 offsets, an offset that is not finite and positive (the fit
+    takes its logarithm), a zero direction, or offsets so small against the
+    center that two samples round to the same point, raise ValueError.
     """
+    offsets = np.asarray(offsets, dtype=float)
+    if len(offsets) < 4:
+        raise ValueError(f"a fit needs at least 4 offsets, got {len(offsets)}")
+    bad = offsets[~(np.isfinite(offsets) & (offsets > 0))]
+    if len(bad):
+        raise ValueError(
+            "fit offsets must be finite and positive, since the fit takes their logarithm: "
+            + ", ".join(f"{t:g}" for t in bad)
+        )
     direction = np.asarray(direction, dtype=float)
     if not direction.any():
         raise ValueError("the fit direction is zero: every sample would be the fit center")
-    points = np.asarray(center, dtype=float) + np.asarray(offsets, dtype=float)[:, None] * direction
+    points = np.asarray(center, dtype=float) + offsets[:, None] * direction
     if len(np.unique(points, axis=0)) < len(points):
         raise ValueError(
             "fit samples are not distinct: center + offset * direction rounds to the same "
@@ -502,7 +509,7 @@ def fit_divergence_exponent(
         report = geometry.scalar_curvature(f, chunk)
         for r, status in zip(report.scalar, report.status):
             values.append(float(r) if status == STATUS_OK else None)
-    return _fit(offsets, values, NOISE_FLOOR)
+    return _fit(offsets, values)
 
 
 # -- Reissner-Nordstrom critical points ------------------------------------------------
@@ -524,10 +531,12 @@ def rn_critical_points(Q: float) -> RNCriticalPoints:
     """Critical entropies S = pi Q^2 (extremal) and S = pi Q^2 / 3 (flat point).
 
     Verifies numerically that the curvature vanishes at the flat point and the
-    metric determinant at the extremal one.
+    metric determinant at the extremal one. Since M(l^2 S, l Q) = l M, both R
+    and det g scale as Q^-2, so each is checked times Q^2 and the check holds
+    at every charge.
     """
-    if Q <= 0.0:
-        raise ValueError("charge Q must be positive")
+    if not 0.0 < Q < math.inf:
+        raise ValueError("charge Q must be positive and finite")
     spec = fundeq.builtin("reissner_nordstrom")
     f = HessianMetricField(spec)
     s_ext = math.pi * Q * Q
@@ -536,8 +545,7 @@ def rn_critical_points(Q: float) -> RNCriticalPoints:
     m_zero = fundeq.potential_value(spec, (s_zero, Q))
     r_zero = geometry.scalar_curvature(f, (s_zero, Q)).scalar
     det_ext = geometry.metric_determinant(f, (s_ext, Q))
-    scale = max(1.0, Q**4)
-    if abs(r_zero) > NOISE_FLOOR or abs(det_ext) > 1e-10 * scale:
+    if abs(r_zero) * (Q * Q) > NOISE_FLOOR or abs(det_ext) * (Q * Q) > 1e-10:
         raise ArithmeticError(
             f"critical-point verification failed: R(S=piQ^2/3) = {r_zero:.3e}, "
             f"det g(S=piQ^2) = {det_ext:.3e}"

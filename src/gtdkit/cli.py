@@ -530,7 +530,7 @@ def cmd_check(args) -> int:
         raise UsageError(f"--tol: {args.tol!r} is negative, so no check could pass")
     trial = _trial(args, np.random.default_rng(args.seed))
     residuals = [abs(float(trial())) for _ in range(args.trials)]
-    worst = max(residuals)
+    worst = float(np.max(residuals))  # NaN if any trial is: a trial that is not a number fails
     passed = bool(worst <= tol)
     print(f"check {args.identity}: max residual {fmt(worst)} over {len(residuals)} trials")
     print(f"tolerance {fmt(tol)}: {'PASS' if passed else 'FAIL'}")

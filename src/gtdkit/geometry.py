@@ -49,6 +49,8 @@ from .fundeq import Expr, SystemSpec
 from .jets import Jet
 
 DEGENERACY_FACTOR = 1e-12
+# the convexity check allows eigenvalues down to -CONVEXITY_TOL * max(1, largest |eigenvalue|)
+CONVEXITY_TOL = 1e-10
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -525,13 +527,13 @@ def curvature_tensors(field: MetricField, point: Point) -> CurvatureTensors:
     return CurvatureTensors(*(t[0] if np.ndim(point) == 1 else t for t in tensors))
 
 
-def hessian_positive_semidefinite(spec: SystemSpec, point: Point, tol: float = 1e-10):
+def hessian_positive_semidefinite(spec: SystemSpec, point: Point):
     """Local convexity of the potential (the second-law check): a bool, or one per batch point."""
     hess = fundeq.hessian(spec, point)
     eigenvalues = np.linalg.eigvalsh(hess)
     scale = np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1, keepdims=True))
     # a failed point of a batch has a NaN Hessian, whose eigenvalues eigvalsh does not make NaN
-    convex = np.all(eigenvalues >= -tol * scale, axis=-1) & ~np.isnan(hess).any(axis=(-2, -1))
+    convex = np.all(eigenvalues >= -CONVEXITY_TOL * scale, axis=-1) & ~np.isnan(hess).any(axis=(-2, -1))
     return bool(convex) if np.ndim(point) == 1 else convex
 
 

@@ -535,6 +535,20 @@ def test_fit_needs_four_samples():
         fit_power_law(lambda p: 1.0 / p[0], (0.0,), (1.0,), [0.1, 0.2])
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.05, math.nan, math.inf])
+def test_fit_refuses_an_offset_it_cannot_take_the_log_of(bad):
+    # a zero or negative offset ended in "math domain error", a NaN one was
+    # dropped and the fit ran on the rest, an infinite one leaked a RuntimeWarning
+    with pytest.raises(ValueError, match=f"must be finite and positive.*: {bad:g}$"):
+        fit_power_law(lambda p: 1.0 / p[0] ** 2, (0.0,), (1.0,), [0.4, 0.2, 0.1, 0.05, bad])
+
+
+def test_fit_refuses_no_offsets():
+    # it reported no divergence from 0 samples
+    with pytest.raises(ValueError, match="at least 4 offsets, got 0"):
+        fit_power_law(lambda p: 1.0 / p[0] ** 2, (0.0,), (1.0,), [])
+
+
 def test_rn_divergence_exponent():
     f = rn_field()
     offsets = geometric_offsets(PI * 2.0**-4, 13)
@@ -573,3 +587,16 @@ def test_rn_curvature_changes_sign_at_davies_point():
 def test_rn_critical_points_require_positive_charge():
     with pytest.raises(ValueError):
         rn_critical_points(0.0)
+
+
+@pytest.mark.parametrize("k", range(-6, 12))
+def test_rn_critical_points_hold_at_every_charge(k):
+    # R and det g scale as Q^-2, so an absolute bound on them refused Q <= 1e-3
+    crit = rn_critical_points(10.0**k)
+    assert crit.s_extremal == PI * 10.0**k * 10.0**k
+
+
+@pytest.mark.parametrize("charge", [math.nan, math.inf])
+def test_rn_critical_points_require_finite_charge(charge):
+    with pytest.raises(ValueError, match="charge Q must be positive and finite"):
+        rn_critical_points(charge)

@@ -684,6 +684,22 @@ def test_check_report_file(tmp_path, capsys):
     assert report["residuals"]["trials"] == 5
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+def test_check_fails_when_a_trial_is_not_a_number(tmp_path, capsys, seed):
+    # 2*S overflows near 1.5e308, so some Euler residuals are inf - inf; the
+    # max of the residuals skipped them unless the first trial was one
+    system = tmp_path / "lin.ini"
+    system.write_text("[system]\nname = lin\nvariables = S\npotential = 2*S\nweights = 1\nbeta = 1\n")
+    out = tmp_path / "check.json"
+    argv = ["check", "euler", "--system", str(system), "--box", "S=1e307:1.5e308",
+            "--trials", "20", "--seed", str(seed), "--output", str(out)]
+    assert run(argv) == 1
+    assert "FAIL" in capsys.readouterr().out
+    residuals = json.loads(out.read_text())["residuals"]
+    assert None in residuals["values"]
+    assert residuals["max"] is None and residuals["pass"] is False
+
+
 # each identity's flags, and for the system-bound ones the spec and its box in the spec's order
 _CHECK_RUNS = {
     "legendre": (["--n", "2", "--transform", "total"], None, None),
