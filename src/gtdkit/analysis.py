@@ -344,6 +344,11 @@ def _residuals(f: MetricField, points: np.ndarray) -> tuple[np.ndarray, list[str
     return np.concatenate(dets), categories
 
 
+def _sign_change(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where x and y are nonzero numbers of opposite sign."""
+    return ((x < 0.0) & (y > 0.0)) | ((x > 0.0) & (y < 0.0))
+
+
 def find_singular_locus(
     f: MetricField, grid: GridSpec, det_g: np.ndarray | None = None
 ) -> list[SingularPoint]:
@@ -351,7 +356,9 @@ def find_singular_locus(
 
     `det_g` holds det g at every grid point in `grid.points()` order (NaN
     outside the domain), as `grid_scan` reports it; it is computed when not
-    given. Roots come out ordered by axis, then line, then position.
+    given. A step between nonzero det g of opposite sign is refined; a grid point whose
+    det g is exactly +-0 between such neighbours is a root at that point. Roots come out
+    ordered by axis, then line, then position.
     """
     points = grid.points()
     if det_g is None:
@@ -366,15 +373,22 @@ def find_singular_locus(
             continue
         line_dets = np.moveaxis(dets, axis, -1).reshape(-1, shape[axis])
         line_points = np.moveaxis(grid_points, axis, -2).reshape(-1, shape[axis], dim)
-        dlo, dhi = line_dets[:, :-1], line_dets[:, 1:]
-        crossing = ~np.isnan(dlo) & ~np.isnan(dhi) & (dlo != 0.0) & ((dlo < 0.0) != (dhi < 0.0))
-        line, k = np.nonzero(crossing)
+        # slot 2k is grid point k, slot 2k + 1 the step from k to k + 1: a step whose ends
+        # are nonzero and of opposite sign brackets a root, and an inner point whose det g
+        # is exactly +-0 between such neighbours is a root itself, its own bracket
+        slots = np.zeros((len(line_dets), 2 * shape[axis] - 1), dtype=bool)
+        slots[:, 1::2] = _sign_change(line_dets[:, :-1], line_dets[:, 1:])
+        zero = line_dets[:, 1:-1] == 0.0
+        slots[:, 2:-1:2] = zero & _sign_change(line_dets[:, :-2], line_dets[:, 2:])
+        line, slot = np.nonzero(slots)
+        k, end = slot // 2, (slot + 1) // 2
         base.append(line_points[line, k])
         axes.append(np.full(len(k), axis))
         lo.append(line_points[line, k, axis])
-        hi.append(line_points[line, k + 1, axis])
-        flo.append(dlo[line, k])
-        fhi.append(dhi[line, k])
+        hi.append(line_points[line, end, axis])
+        # a zero's neighbours, so that its residual 0 is never a pole
+        flo.append(line_dets[line, (slot - 1) // 2])
+        fhi.append(line_dets[line, slot // 2 + 1])
     if sum(map(len, base)) == 0:
         return []
     base, axes, lo, hi, flo, fhi = map(np.concatenate, (base, axes, lo, hi, flo, fhi))

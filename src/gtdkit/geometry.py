@@ -18,7 +18,11 @@ as jets through `component_jets`; the general contraction of those gives the
 Christoffel, Riemann and Ricci tensors (`curvature_tensors`, from Phi to order
 4 for a Hessian kind) and a direct metric's R. A Hessian kind, g = c Hess Phi
 with c = Phi, 1 or 1/T, gets R from Phi to order 3 by the Hessian-metric
-identity and one conformal change (see `_hessian_scalar`).
+identity and one conformal change (see `_hessian_scalar`). The general
+contraction runs as batched matrix products, one small BLAS product per point
+(see `_contract`). The Hessian identity keeps its einsums: rewritten as
+matrix products too, it differed from the general contraction by 1.18e-12
+relative at a test point, more than the 1e-12 the tests allow.
 
 Metric components, determinants, Christoffel symbols and curvature accept
 one point or a (B, n) array of B >= 0 points. A batch runs the same arithmetic
@@ -422,10 +426,15 @@ def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma [z, a, b, c] and T [z, d, (b, c)], C-contiguous, from g^-1 and d g."""
     # T[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc; symmetric in (b, c) exactly
-    # because g_ab and g_ba are the same jet.
+    # because g_ab and g_ba are the same jet. The reshape copies a batch's T,
+    # whose batch axis runs fastest, into C order.
     term = np.einsum("zbdc->zdbc", dg) + np.einsum("zcdb->zdbc", dg) - dg
-    return 0.5 * _einsum("zad,zdbc->zabc", g_inv, term), term
+    b, n = g_inv.shape[:2]
+    term = term.reshape(b, n, n * n)
+    # Gamma^a_bc = 1/2 g^ad T[d,b,c], one (n, n) @ (n, n^2) product per point
+    return 0.5 * np.matmul(g_inv, term).reshape(dg.shape), term
 
 
 def christoffel(field: MetricField, point: Point) -> np.ndarray:
@@ -442,19 +451,37 @@ def christoffel(field: MetricField, point: Point) -> np.ndarray:
 
 
 def _contract(field: MetricField, point: Point):
-    """g, det g, failed and degenerate points, g^-1 and [Gamma, Riemann, Ricci], batched."""
+    """g, det g, failed and degenerate points, g^-1 and [Gamma, Riemann, Ricci], batched.
+
+    Each contraction over one index is a batched matrix product (np.matmul) of
+    C-contiguous stacks, batch axis first: numpy runs one small BLAS product
+    per point, whose sizes and so summation order do not depend on the batch,
+    so every point's bits are its single-point call's. A batch's metric arrays
+    run the batch axis fastest in memory, so they go in copied to C order: a
+    numpy that multiplied them where they lie could take its own loop for a
+    batch and BLAS for one point, and a point's bits would follow its batch.
+    The bits do depend on the BLAS kernel numpy links, which differs by CPU.
+    The Ricci trace and g^bd R_bd stay einsums, and so do `_hessian_scalar`'s
+    quadratic forms: as matrix products they moved its R 1.18e-12 relative
+    off this contraction's at a test point, above the tests' 1e-12 bound.
+    """
     g, dg, d2g, failed = field.metric_arrays(point, gorder=2)
     g_inv, det, failed, degenerate = _checked_inverse(g, failed, field, point)
     gamma, term = _christoffel_from(g_inv, dg)
+    b, n = g.shape[:2]
+    inv = g_inv[:, None]  # one g^-1 per derivative index e
     # d_e g^ad = -g^ax (d_e g_xy) g^yd
-    dg_inv = -_einsum("zax,zexy,zyd->zead", g_inv, dg, g_inv)
+    dg_inv = -np.matmul(np.matmul(inv, np.ascontiguousarray(dg)), inv)
     dterm = np.einsum("zebdc->zedbc", d2g) + np.einsum("zecdb->zedbc", d2g) - d2g
+    # d_e Gamma^a_bc = 1/2 (d_e g^ad T[d,b,c] + g^ad d_e T[d,b,c]), as [z, e, a, (b, c)]
     dgamma = 0.5 * (
-        _einsum("zead,zdbc->zeabc", dg_inv, term) + _einsum("zad,zedbc->zeabc", g_inv, dterm)
-    )
+        np.matmul(dg_inv, term[:, None]) + np.matmul(inv, dterm.reshape(b, n, n, n * n))
+    ).reshape(d2g.shape)
+    # Gamma^a_ce Gamma^e_db as [z, (a, c), (d, b)], read as [z, a, c, d, b]
+    squared = np.matmul(gamma.reshape(b, n * n, n), gamma.reshape(b, n, n * n)).reshape(d2g.shape)
     # half[a,b,c,d] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db; antisymmetrizing
     # the pair (c, d) as a single subtraction keeps R^a_bcd = -R^a_bdc exact.
-    half = np.einsum("zcadb->zabcd", dgamma) + _einsum("zace,zedb->zabcd", gamma, gamma)
+    half = np.einsum("zcadb->zabcd", dgamma) + np.einsum("zacdb->zabcd", squared)
     riemann = half - np.swapaxes(half, 3, 4)
     ricci = _einsum("zabad->zbd", riemann)
     return g, det, failed, degenerate, g_inv, [gamma, riemann, ricci]

@@ -15,7 +15,13 @@ from gtdkit.analysis import (
     rn_critical_points,
 )
 from gtdkit.fundeq import builtin, potential_value
-from gtdkit.geometry import HessianMetricField, MetricKind, closed_form_metric, scalar_curvature
+from gtdkit.geometry import (
+    DirectMetricField,
+    HessianMetricField,
+    MetricKind,
+    closed_form_metric,
+    scalar_curvature,
+)
 
 PI = math.pi
 
@@ -432,6 +438,51 @@ def test_ideal_gas_has_no_roots():
     f = HessianMetricField(builtin("ideal_gas"))
     grid = GridSpec.build(f.coordinates, {"S": Axis(0.1, 2, 30), "V": Axis(0.5, 3, 30)})
     assert find_singular_locus(f, grid) == []
+
+
+def _diagonal(det_t: str, other: str = "1") -> DirectMetricField:
+    return DirectMetricField(("t", "x"), [[det_t, 0], [0, other]])
+
+
+@pytest.mark.parametrize("det_t", ["t", "-t"])
+def test_zero_on_a_grid_point_is_a_root_there(det_t):
+    # det g = +-t is exactly 0 at the grid point t = 0, between neighbours of opposite sign
+    grid = GridSpec.build(("t", "x"), {"t": Axis(-1.0, 1.0, 5), "x": 0.0})
+    (root,) = find_singular_locus(_diagonal(det_t), grid)
+    assert root.coords == {"t": 0.0, "x": 0.0}
+    assert root.det_g == 0.0 and root.category is None
+
+
+@pytest.mark.parametrize(
+    "det_t, axis",
+    [
+        ("t", Axis(0.0, 1.0, 5)),  # a zero at the end of a line
+        ("t", Axis(-1.0, 0.0, 5)),
+        ("-t", Axis(-1.0, 0.0, 5)),
+        ("t^2", Axis(-1.0, 1.0, 5)),  # neighbours of one sign
+        ("-t^2", Axis(-1.0, 1.0, 5)),
+        ("t*(t-0.25)^2", Axis(-1.0, 1.0, 9)),  # two zeros side by side, each next to a zero
+    ],
+)
+def test_zero_without_a_sign_change_across_it_is_no_root(det_t, axis):
+    grid = GridSpec.build(("t", "x"), {"t": axis, "x": 0.0})
+    assert find_singular_locus(_diagonal(det_t), grid) == []
+
+
+def test_zeros_on_grid_points_keep_axis_line_position_order():
+    # det g = t (t - 0.3) x: along t, a root at the grid point t = 0 and one refined
+    # near t = 0.3 on the lines x = -1 and 1 (x = 0 is 0 throughout); along x, a root
+    # at the grid point x = 0 on every line but t = 0
+    f = _diagonal("t*(t-0.3)", "x")
+    ts = Axis(-1.0, 1.0, 9)
+    roots = find_singular_locus(f, GridSpec.build(("t", "x"), {"t": ts, "x": Axis(-1.0, 1.0, 3)}))
+    coords = [(r.coords["t"], r.coords["x"]) for r in roots]
+    near = pytest.approx(0.3, abs=1e-12)
+    along_t = [(0.0, -1.0), (near, -1.0), (0.0, 1.0), (near, 1.0)]
+    along_x = [(t, 0.0) for t in ts.values() if t != 0.0]
+    assert coords == along_t + along_x
+    assert all(r.det_g == 0.0 for r in roots if r.coords["t"] == 0.0 or r.coords["x"] == 0.0)
+    assert all(r.category is None for r in roots)
 
 
 def test_vdw_roots_satisfy_stability_condition():

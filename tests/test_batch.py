@@ -204,6 +204,70 @@ def test_wide_batch_matches_points(case, order, kind):
                 assert all(_same(value, single_report.det_g) for value in report.det_g[columns])
 
 
+def _frw(power: str = "2") -> geometry.DirectMetricField:
+    """The spatially flat Friedmann-Robertson-Walker metric -dt^2 + a(t)^2 (dx^2 + dy^2 + dz^2)
+    with a(t)^2 = t^power."""
+    scale = f"t^{power}"
+    rows = [[-1, 0, 0, 0], [0, scale, 0, 0], [0, 0, scale, 0], [0, 0, 0, scale]]
+    return geometry.DirectMetricField(("t", "x", "y", "z"), rows, name="frw")
+
+
+# direct fields of dimension 1 to 4: each field, the box of its random points, and the
+# points given first, which fail or sit where g is degenerate: t^2 ln(t) fails at
+# t <= 0 and is 0 at t = 1, vdw_closed fails at V <= b = 0.1, kn_closed at S <= 0,
+# and FRW is degenerate at t = 0
+_DIRECT = {
+    "line": (
+        lambda: geometry.DirectMetricField(("t",), [["t^2 * ln(t)"]]),
+        [(-1.0, 3.0)],
+        [[0.0], [1.0], [-1.0]],
+    ),
+    "vdw_closed": (
+        lambda: geometry.closed_form_metric("vdw_closed"),
+        [(0.5, 1.5), (-0.5, 3.0)],
+        [[0.9, 0.1], [0.9, 0.05]],
+    ),
+    "kn_closed": (
+        lambda: geometry.closed_form_metric("kn_closed"),
+        [(-1.0, 10.0), (0.1, 1.5), (0.3, 1.5)],
+        [[0.0, 0.5, 0.8], [-1.0, 0.5, 0.8]],
+    ),
+    "frw": (_frw, [(-1.0, 3.0)] + [(-2.0, 2.0)] * 3, [[0.0, 1.0, 1.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECT))
+def test_direct_field_wide_batch_matches_points(name):
+    # a wide batch of distinct points: every Christoffel, Riemann and R of the
+    # batched matrix products is its point's single-point call, bit for bit
+    make, box, given = _DIRECT[name]
+    f = make()
+    rng = np.random.default_rng(5)
+    drawn = np.column_stack([rng.uniform(lo, hi, _WIDE - len(given)).round(3) for lo, hi in box])
+    points = np.vstack([given, drawn])
+    _check_field(f, points)
+    report = geometry.scalar_curvature(f, points)
+    ok = np.array(report.status) == geometry.STATUS_OK
+    assert ok.sum() > _WIDE // 2 and not ok[: len(given)].any()
+    if f.dim == 1:
+        # a curve has no curvature: R^a_bcd = -R^a_bdc leaves nothing at n = 1
+        assert np.all(report.scalar[ok] == 0.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_frw_curvature(p):
+    # a(t) = t^p: R = 6 (a''/a + (a'/a)^2) = 6 p (2p - 1) / t^2, 0 at p = 1/2
+    f = _frw(f"{2 * p:g}")
+    t = np.linspace(0.5, 3.0, _WIDE)
+    points = np.column_stack([t, np.ones((_WIDE, 3))])
+    report = geometry.scalar_curvature(f, points)
+    assert report.status == [geometry.STATUS_OK] * _WIDE
+    assert np.all(np.abs(report.scalar - 6.0 * p * (2.0 * p - 1.0) / t**2) <= 1e-13 / t**2)
+    # at t = 2 every entry of g, its derivatives and Gamma is a small dyadic
+    # number, so R is exact: 1.5 at p = 1
+    assert geometry.scalar_curvature(f, (2.0, 0.0, 0.0, 0.0)).scalar == 1.5 * p * (2.0 * p - 1.0)
+
+
 def _check_field(f, points):
     with np.errstate(all="ignore"):
         gjets = f.component_jets(points, gorder=2)

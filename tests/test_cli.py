@@ -1153,6 +1153,18 @@ def test_scan_ruppeiner_pole_is_not_a_root(tmp_path, capsys):
     assert point["coords"]["S"] == pytest.approx(PI, abs=1e-9)
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_scan_prints_a_zero_on_a_grid_point_as_a_root(tmp_path, capsys, sign):
+    # det g = +-t is exactly 0 at t = 0, between grid neighbours of opposite sign
+    path = tmp_path / "line.ini"
+    path.write_text(f"[metric]\ncoordinates = t, x\ncomponents = {sign}t, 0; 0, 1\n")
+    code = run(
+        ["scan", "--system", str(path), "--range", "t=-1:1:5", "--pin", "x=0", "--quantity", "detg"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["root: t=0, x=0  det_g = 0"]
+
+
 @pytest.mark.parametrize("kind, head", [("ruppeiner", "pole"), ("natural", "root")])
 def test_scan_root_and_pole_lines_format_each_number_alone(capsys, kind, head):
     # one template writes every line: each number keeps the bytes of its own fmt call
