@@ -12,9 +12,11 @@ to an approach point; a fit none of whose samples could be evaluated is an
 error, not a missing divergence.
 
 A batch of the scan, root refinement, root classification or fit holds at most
-as many points as fit CHUNK_BYTES in its widest array (`_batch_rows`). Reports are
-deterministic: the grid is enumerated row-major in coordinate order, and a point's
-result is bit-identical whatever batch it is in, so it does not depend on the bound.
+as many points as fit CHUNK_BYTES in the widest array it allocates afresh
+(`_batch_rows`); the gathers of its jet products reuse buffers each thread
+keeps, and are not counted. Reports are deterministic: the grid is enumerated
+row-major in coordinate order, and a point's result is bit-identical whatever
+batch it is in, so it does not depend on the bound.
 """
 
 from __future__ import annotations
@@ -40,10 +42,13 @@ from .geometry import (  # the point statuses and quantities are re-exported for
 GRID_CAP = 10**6
 ROOT_TOL_FACTOR = 1e-12
 NOISE_FLOOR = 1e-8
-# The one bound on a batch, in bytes of its widest array: wide batches spread the
-# jet engine's Python overhead, and under glibc's 128 KiB mmap threshold that array
-# is not mapped and faulted in afresh. An order-3 KN product gathers 84 pairs a
-# point, so at most 146 points a batch; an order-2 RN product 15, so 819.
+# The one bound on a batch, in bytes of the widest array it allocates afresh: wide
+# batches spread the jet engine's Python overhead, and under glibc's 128 KiB mmap
+# threshold such an array is not mapped and faulted in afresh. A jet product's
+# gathers are not counted: they go to buffers each thread keeps (`jets._gathers`),
+# and a tape lets each value go after its last use. KN curvature reads 27
+# third partials a point, so at most 455 points a batch; RN det g's order-2
+# jets have 6 coefficients, so 2,048.
 CHUNK_BYTES = 96 * 1024
 # the jet order each quantity is evaluated at: (Hessian field, direct field)
 _JET_ORDERS = {"curvature": (3, 2), "detg": (2, 0), "potential": (0, 0), "intensive": (1, 1)}
@@ -193,13 +198,16 @@ def _quantity_batch(f: MetricField, quantity: str, points: np.ndarray):
 
 
 def _batch_rows(f: MetricField, quantity: str) -> int:
-    """Most points a batch of `quantity` on `f`: CHUNK_BYTES over its widest array per point,
-    the jet product's gather or a direct field's (ncoef, n, n) stack or (n, n, n, n) tensors."""
+    """Most points a batch of `quantity` on `f`: CHUNK_BYTES over the widest array it allocates
+    afresh per point, a jet's coefficients, the Hessian path's n^k partials or a direct
+    field's (ncoef, n, n) stack or (n, n, n, n) tensors."""
     direct = isinstance(f, geometry.DirectMetricField)
     order, n = _JET_ORDERS[quantity][direct], f.dim
-    width = len(jets._mul_table(n, order)[0])
+    width = jets._size(n, order)
     if direct:
-        width = max(width, jets._size(n, order) * n * n, n**4 if quantity == "curvature" else 0)
+        width = max(width * n * n, n**4 if quantity == "curvature" else 0)
+    else:
+        width = max(width, n**order)
     return max(1, CHUNK_BYTES // (8 * width))
 
 

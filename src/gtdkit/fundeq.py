@@ -262,7 +262,9 @@ class Tape(NamedTuple):
     array y is a product with a ("1/", y) step, one reciprocal per distinct y
     at its first use. Steps come in the order a left-to-right walk of the
     trees first meets them, so the first operation to fail is the one a tree
-    walk fails on, and `outputs` holds each expression's step. `names` are the
+    walk fails on, and `outputs` holds each expression's step. `drops[i]` are
+    the array steps, outputs left out, that no step after step i reads, so
+    `run_tape` lets their values go once step i has run. `names` are the
     identifiers the trees read, sorted, constants left out. A tape pickles
     and copies as its expressions and variables, compiled again.
     """
@@ -273,6 +275,7 @@ class Tape(NamedTuple):
     arrays: tuple[bool, ...]
     outputs: tuple[int, ...]
     names: tuple[str, ...]
+    drops: tuple[tuple[int, ...], ...]
 
     def __reduce__(self):
         return compile_exprs, (self.exprs, self.variables)
@@ -309,15 +312,23 @@ def compile_exprs(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
     outputs = tuple(visit(e) for e in exprs)
     names = tuple(sorted(x for op, x, _ in index if op == "name" and x not in CONSTANTS))
     steps = []
-    for (op, x, y), array in zip(index, arrays):
+    last_read: dict[int, int] = {}  # each step read by another -> the last step to read it
+    for i, ((op, x, y), array) in enumerate(zip(index, arrays)):
         if op == "num" or op == "name":
-            f, x, y = functools.partial(_number if op == "num" else _lookup, x), None, None
+            read = _number if op == "num" else _take if array else _lookup
+            f, x, y = functools.partial(read, x), None, None
         elif op == "1/":
             f = _reciprocal
         else:
             f = _ARRAY_OPS[(op, arrays[x], arrays[y])] if array else _NUMBER_OPS[op]
+        if x is not None:
+            last_read[x] = last_read[y] = i
         steps.append((op, f, x, y))
-    return Tape(exprs, variables, tuple(steps), tuple(arrays), outputs, names)
+    drops: list[tuple[int, ...]] = [()] * len(steps)
+    for step, i in last_read.items():
+        if arrays[step] and step not in outputs:
+            drops[i] += (step,)
+    return Tape(exprs, variables, tuple(steps), tuple(arrays), outputs, names, tuple(drops))
 
 
 def _number(value: float, env: Mapping) -> float:
@@ -329,6 +340,13 @@ def _lookup(name: str, env: Mapping):
         return env[name]
     if name in CONSTANTS:
         return CONSTANTS[name]
+    raise DomainError(f"unresolved identifier {name!r}")
+
+
+def _take(name: str, env: dict):
+    """A variable's coefficient array, taken out of `env`, so that the tape holds it alone."""
+    if name in env:
+        return env.pop(name)
     raise DomainError(f"unresolved identifier {name!r}")
 
 
@@ -392,16 +410,21 @@ _ARRAY_OPS: dict[tuple[str, bool, bool], Callable] = {
 def run_tape(
     tape: Tape, env: Mapping[str, Union[float, np.ndarray]], nvars: int, order: int
 ) -> list:
-    """The value of every step of `tape` over an environment of numbers and coefficient arrays.
+    """The values of `tape`'s steps over an environment of numbers and coefficient arrays.
 
     Each variable of the tape is bound to the coefficient array of its jet
     of (nvars, order), each other name to a number. A number step's value is
     a float, an array step's a coefficient array of those jets. Steps run in
-    order, so the first to fail raises.
+    order, so the first to fail raises. Every output and number step keeps its
+    value; any other array step's value is None, let go after the last step
+    that reads it (`Tape.drops`), so its memory serves the steps after it. A
+    variable's step takes its array out of `env`, which then holds it no longer.
     """
     values: list = []
-    for _, f, x, y in tape.steps:
+    for (_, f, x, y), drops in zip(tape.steps, tape.drops):
         values.append(f(env) if x is None else f(values[x], values[y], nvars, order))
+        for step in drops:
+            values[step] = None
     return values
 
 
@@ -573,7 +596,9 @@ def evaluate_exprs(
     for i, name in enumerate(variables):
         env[name] = jets.seed_coeffs(i, coords[..., i], nvars, order)
     try:
-        values = run_tape(tape, env, nvars, order)
+        # an overflow or a NaN is a value, and a NaN a failed point: no warning
+        with np.errstate(all="ignore"):
+            values = run_tape(tape, env, nvars, order)
     except DomainError as exc:
         if not batched:
             raise _point_error(points, f"fails in {label}", parameters, f": {exc}") from None

@@ -29,7 +29,9 @@ in order, as `np.add.reduceat` sums a run of up to 8 pairs. One point, a
 batch narrower than `LAYERED_MIN_BATCH` and order 4 (runs of up to 16 pairs,
 which numpy sums pairwise) take `reduceat`. A wider batch up to order 3 adds
 the same pairs layer by layer (`_layer_plan`), bit for bit alike but for the
-sign and payload of a NaN.
+sign and payload of a NaN, and gathers them into two buffers that each thread
+keeps between products (`_gathers`, up to `SCRATCH_BYTES` each), so such a
+product allocates afresh only its result.
 
 Leaving the domain of an elementary function (ln or a fractional power of a
 non-positive value, a reciprocal of zero) raises `DomainError` for one
@@ -46,6 +48,7 @@ constant jet.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
@@ -155,10 +158,44 @@ def _layer_plan(nvars: int, order: int):
     return plan
 
 
+# Each thread keeps two buffers for the gathers of its layered products, as
+# long as each gather fits SCRATCH_BYTES: four times the 96 KiB that
+# analysis.CHUNK_BYTES allows a scan's batch to allocate afresh per array,
+# which holds every gather of such a batch (KN's order-3 product gathers 84
+# pairs at 455 points, 3.1 times the bound). A wider gather is allocated for
+# its product alone.
+SCRATCH_BYTES = 4 * 96 * 1024
+
+
+class _Scratch(threading.local):
+    def __init__(self):
+        self.buffers = [np.empty(0), np.empty(0)]
+
+
+_SCRATCH = _Scratch()
+
+
+def _gathers(shape: tuple[int, int]) -> list[np.ndarray]:
+    """Two gathers of `shape`: contiguous prefixes of the calling thread's
+    buffers, or fresh arrays where they would exceed SCRATCH_BYTES."""
+    size = shape[0] * shape[1]
+    if 8 * size > SCRATCH_BYTES:
+        return [np.empty(shape), np.empty(shape)]
+    buffers = _SCRATCH.buffers
+    for k, buffer in enumerate(buffers):
+        if len(buffer) < size:
+            buffers[k] = np.empty(size)
+    return [buffer[:size].reshape(shape) for buffer in buffers]
+
+
 def _layered_product(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
     li, lj, counts, inverse = plan
-    pairs = a[li]
-    pairs *= b[lj]
+    pairs, other = _gathers((len(li), a.shape[1]))
+    # mode="clip" takes straight into `out`, where the default mode would
+    # buffer; every slot is in range, so the gathered values are the same
+    np.take(a, li, axis=0, out=pairs, mode="clip")
+    np.take(b, lj, axis=0, out=other, mode="clip")
+    pairs *= other
     first = pairs[: counts[0]]
     # the rest of each run adds up in layer 1's rows, one contiguous prefix
     # add per layer, and then joins its first pair
@@ -179,8 +216,8 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarr
     # first pair plus the rest in order, so a column's result does not depend
     # on B: a batch of LAYERED_MIN_BATCH points or more adds the pairs layer by
     # layer up to order 3, and one point, a narrower batch and order 4 take
-    # np.add.reduceat; the product is taken in place, so a batch holds two
-    # gathers at once, not three
+    # np.add.reduceat; the layered kernel gathers into the two buffers its
+    # thread keeps (`_gathers`), so a product allocates afresh only its result
     if a.ndim == 2 and a.shape[1] >= LAYERED_MIN_BATCH:
         plan = _layer_plan(nvars, order)
         if plan is not None:

@@ -14,7 +14,7 @@ from gtdkit.analysis import (
     grid_scan,
     rn_critical_points,
 )
-from gtdkit.fundeq import builtin, potential_value
+from gtdkit.fundeq import builtin, parse, potential_value
 from gtdkit.geometry import (
     DirectMetricField,
     HessianMetricField,
@@ -171,15 +171,50 @@ def test_benchmark_grid_is_bit_identical_in_any_batch_size(monkeypatch, source):
                 assert np.array_equal(other.det_g, scan.det_g, equal_nan=True)
 
 
+def test_kn_benchmark_grid_is_bit_identical_in_any_batch_size(monkeypatch):
+    # the 900-point KN curvature grid, with its 5 roots, in one batch, then
+    # batches of 1 and of 7 points, then as the bound splits it (2 of 450):
+    # order-3 products over 3 variables and the Hessian curvature at every width
+    make, axes, count = _BENCHMARK_GRIDS["kn"]
+    f = make()
+    grid = GridSpec.build(f.coordinates, axes)
+    bound = analysis._batch_rows
+    runs = []
+    for rows in (grid.size, 1, 7, None):
+        monkeypatch.setattr(analysis, "_batch_rows", bound if rows is None else lambda f, quantity: rows)
+        runs.append((grid_scan(f, grid, "curvature"), find_singular_locus(f, grid)))
+    assert bound(f, "curvature") == 455
+    (scan, locus), others = runs[0], runs[1:]
+    assert len(locus) == count
+    assert analysis.STATUS_OK in scan.status
+    for other, other_locus in others:
+        assert other_locus == locus
+        assert other.status == scan.status
+        assert other.values.tobytes() == scan.values.tobytes()
+        assert other.det_g.tobytes() == scan.det_g.tobytes()
+
+
 def test_batch_rows_keep_the_widest_array_under_the_bound():
-    # the widest per-point array: the jet product's gather (84 pairs for KN at
-    # order 3, 15 for RN at order 2) or a direct field's (ncoef, n, n) stack
+    # the widest per-point array a batch allocates afresh: the Hessian path's
+    # n^k partials (27 third partials for KN at order 3), a jet's coefficients
+    # (6 for RN at order 2) or a direct field's (ncoef, n, n) stack; a jet
+    # product's gathers go to kept buffers and are not counted
     kn = HessianMetricField(builtin("kerr_newman"))
-    assert analysis._batch_rows(kn, "curvature") == analysis.CHUNK_BYTES // (8 * 84) == 146
-    assert analysis._batch_rows(rn_field(), "detg") == analysis.CHUNK_BYTES // (8 * 15)
+    assert analysis._batch_rows(kn, "curvature") == analysis.CHUNK_BYTES // (8 * 27) == 455
+    assert analysis._batch_rows(rn_field(), "detg") == analysis.CHUNK_BYTES // (8 * 6) == 2048
     vdw = closed_form_metric("vdw_closed")
-    assert analysis._batch_rows(vdw, "curvature") == analysis.CHUNK_BYTES // (8 * 6 * 2 * 2)
-    assert analysis._batch_rows(vdw, "detg") == analysis.CHUNK_BYTES // (8 * 2 * 2)
+    assert analysis._batch_rows(vdw, "curvature") == analysis.CHUNK_BYTES // (8 * 6 * 2 * 2) == 512
+    assert analysis._batch_rows(vdw, "detg") == analysis.CHUNK_BYTES // (8 * 2 * 2) == 3072
+
+
+def test_every_batch_gathers_into_kept_scratch():
+    # a batch the bound allows gathers its products' pairs into the buffers a
+    # thread keeps, at every variable count and every jet order of a quantity
+    for n in range(1, jets.MAX_VARS + 1):
+        f = HessianMetricField(fundeq.SystemSpec("linear", tuple(f"x{i}" for i in range(n)), parse("x0")))
+        for quantity, (order, _) in analysis._JET_ORDERS.items():
+            pairs = len(jets._mul_table(n, order)[0])
+            assert 8 * pairs * analysis._batch_rows(f, quantity) <= jets.SCRATCH_BYTES, (n, quantity)
 
 
 @pytest.mark.parametrize("source", ["reissner_nordstrom", "rn_closed"])
@@ -304,9 +339,9 @@ def test_every_stage_evaluates_at_most_chunk_rows_points(monkeypatch):
     roots = find_singular_locus(f, grid, det_g=grid_scan(f, grid, "detg").det_g)
     assert len(roots) == 202
     rows = analysis._batch_rows(f, "detg")
-    assert rows == 819
-    # the scan's 8,000 points go in ceil(8000 / 819) = 10 batches of one size
-    assert sizes[:10] == [800] * 10 and max(sizes) <= rows
+    assert rows == 2048
+    # the scan's 8,000 points go in ceil(8000 / 2048) = 4 batches of one size
+    assert sizes[:4] == [2000] * 4 and max(sizes) <= rows
     for root in roots:
         s, q = root.coords["S"], root.coords["Q"]
         assert root.category == "hessian-zero"

@@ -109,6 +109,26 @@ def test_evaluate_outside_domain():
         evaluate(spec, (0.0, 0.1))
 
 
+# an overflow or a NaN inside the tape is a value or a failed point, and never
+# a numpy warning, which the tests turn into errors
+
+
+def test_huge_point_overflows_to_a_zero_det_g_without_a_warning():
+    f = geometry.HessianMetricField(builtin("reissner_nordstrom"))
+    assert geometry.metric_determinant(f, (1e300, 1.0)) == 0.0
+
+
+def test_infinite_point_fails_det_g_without_a_warning():
+    f = geometry.HessianMetricField(builtin("reissner_nordstrom"))
+    with pytest.raises(DomainError, match=r"point \(inf, 1.0\) makes reissner_nordstrom .* not a number"):
+        geometry.metric_determinant(f, (math.inf, 1.0))
+
+
+def test_infinite_point_fails_the_potential_without_a_warning():
+    with pytest.raises(DomainError, match=r"point \(inf, inf\) makes reissner_nordstrom .* not a number"):
+        potential_value(builtin("reissner_nordstrom"), (math.inf, math.inf))
+
+
 def _python_eval(tree, env):
     """Python's own float arithmetic on the printed expression: an oracle independent of jets.
 
@@ -290,6 +310,60 @@ def test_order_zero_is_the_constant_term_at_every_order(source):
                 continue
             kept = ~walked.failed
             assert walked.value[kept].tobytes() == value.value[kept].tobytes(), order
+
+
+def _keeping(tape):
+    """`tape` with nothing let go: every step's value kept to the end of the run."""
+    return tape._replace(drops=((),) * len(tape.steps))
+
+
+@pytest.mark.parametrize("source", CORPUS)
+def test_freed_tape_values_change_no_bits(source):
+    # run_tape lets an array step's value go after its last read: with a second
+    # output that shares steps with the first, every corpus expression keeps
+    # the bits, signed zeros, NaN columns and errors of a run that keeps every
+    # value, at orders 0-3, at one point and in a batch
+    tape = fundeq.compile_exprs([parse(source), parse(KN_SOURCE)], _TAPE_VARIABLES)
+    keeping = _keeping(tape)
+    with np.errstate(all="ignore"):
+        for order in range(4):
+            for points in (_WALK_POINTS, *_WALK_POINTS):
+                freed, kept = (
+                    _outcome(lambda t=t: [_bits(j) for j in fundeq.evaluate_exprs(t, _TAPE_PARAMETERS, points, order)])
+                    for t in (tape, keeping)
+                )
+                assert freed == kept, (order, points)
+
+
+@pytest.mark.parametrize("source", CORPUS)
+def test_tape_lets_go_only_array_values_no_later_step_reads(source):
+    tape = fundeq.compile_exprs([parse(source), parse(KN_SOURCE)], _TAPE_VARIABLES)
+    dropped = {step: i for i, drops in enumerate(tape.drops) for step in drops}
+    assert len(dropped) == sum(map(len, tape.drops))  # each value goes once
+    assert not dropped.keys() & set(tape.outputs)
+    assert all(tape.arrays[step] for step in dropped)
+    for i, (_, _, x, y) in enumerate(tape.steps):
+        assert all(dropped.get(read, i) >= i for read in {x, y} - {None})
+    env = {**_TAPE_PARAMETERS, **_walk_env(_WALK_POINTS[0], 2)}
+    env.update((name, env[name].coeffs) for name in _TAPE_VARIABLES)
+    with np.errstate(all="ignore"):
+        values = _outcome(lambda: fundeq.run_tape(tape, env, len(_TAPE_VARIABLES), 2))
+    if not isinstance(values, str):
+        assert [i for i, value in enumerate(values) if value is None] == sorted(dropped)
+        assert all(values[step] is not None for step in tape.outputs)
+
+
+def test_a_wide_tape_keeps_few_arrays_alive():
+    # KN's order-3 tape holds 16 array values, 3 of them the seeded variables,
+    # which it takes out of the environment; letting each go after its last
+    # read leaves only the output at the end
+    tape = builtin("kerr_newman").tape
+    assert sum(tape.arrays) == 16
+    env = {name: jets.seed_coeffs(i, 1.0 + i, 3, 3) for i, name in enumerate(tape.variables)}
+    values = fundeq.run_tape(tape, env, 3, 3)
+    (output,) = tape.outputs
+    assert [i for i, value in enumerate(values) if isinstance(value, np.ndarray)] == [output]
+    assert env == {}
 
 
 def test_tape_keeps_signed_zeros():

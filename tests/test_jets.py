@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -152,6 +154,71 @@ def test_layered_product_takes_wide_batches_up_to_order_3(monkeypatch):
         jets.mul_coeffs(a, a, 3, order)
     assert add.reduceat_calls == 3
     assert jets._layer_plan(3, 4) is None
+
+
+def _wide_products(seed):
+    """Operands of order-2 and order-3 products over 3 variables at several layered widths."""
+    rng = np.random.default_rng(seed)
+    widths = (jets.LAYERED_MIN_BATCH, 200, 455, jets.LAYERED_MIN_BATCH + 1)
+    return [
+        (rng.normal(size=(2, jets._size(3, order), width)), order)
+        for order in (2, 3)
+        for width in widths
+    ]
+
+
+def test_threads_share_no_scratch():
+    # four threads, more than the cores, switching often, multiply different
+    # wide batches over and over, each into its own kept gathers, and every
+    # product has the bits it has alone
+    work = [_wide_products(seed) for seed in range(4)]
+    expected = [[jets.mul_coeffs(a, b, 3, order).tobytes() for (a, b), order in w] for w in work]
+    start = threading.Barrier(len(work))
+    results = [[] for _ in work]
+
+    def run(k):
+        start.wait()
+        for _ in range(20):
+            results[k].append([jets.mul_coeffs(a, b, 3, order).tobytes() for (a, b), order in work[k]])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for products, expected_products in zip(results, expected):
+        assert len(products) == 20
+        assert all(run == expected_products for run in products)
+
+
+def test_a_product_outlives_the_next_one_in_the_scratch():
+    # a result is its own array: the next product, which gathers into the same
+    # buffers, leaves it as it was
+    (x, order), (y, _) = _wide_products(3)[:2]
+    first = jets.mul_coeffs(*x, 3, order)
+    kept = first.copy()
+    jets.mul_coeffs(*y, 3, order)
+    assert first.tobytes() == kept.tobytes()
+    assert not any(np.shares_memory(first, buffer) for buffer in jets._SCRATCH.buffers)
+
+
+def test_a_gather_above_the_cap_is_not_kept():
+    # a batch whose gather exceeds SCRATCH_BYTES allocates it for its product
+    # alone: the kept buffers stay as they were, and the bits are reduceat's
+    ii, jj, starts = jets._mul_table(3, 3)
+    width = jets.SCRATCH_BYTES // (8 * len(ii)) + 1
+    a, b = np.random.default_rng(4).normal(size=(2, jets._size(3, 3), width))
+    before = [len(buffer) for buffer in jets._SCRATCH.buffers]
+    product = jets.mul_coeffs(a, b, 3, 3)
+    assert [len(buffer) for buffer in jets._SCRATCH.buffers] == before
+    assert max(before) * 8 <= jets.SCRATCH_BYTES
+    assert product.tobytes() == _REDUCEAT(a[ii] * b[jj], starts, axis=0).tobytes()
 
 
 def _reduceat_from(zero, sequence=False):
