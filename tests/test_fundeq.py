@@ -312,11 +312,6 @@ def test_order_zero_is_the_constant_term_at_every_order(source):
             assert walked.value[kept].tobytes() == value.value[kept].tobytes(), order
 
 
-def _keeping(tape):
-    """`tape` with nothing let go: every step's value kept to the end of the run."""
-    return tape._replace(drops=((),) * len(tape.steps))
-
-
 @pytest.mark.parametrize("source", CORPUS)
 def test_freed_tape_values_change_no_bits(source):
     # run_tape lets an array step's value go after its last read: with a second
@@ -324,7 +319,7 @@ def test_freed_tape_values_change_no_bits(source):
     # the bits, signed zeros, NaN columns and errors of a run that keeps every
     # value, at orders 0-3, at one point and in a batch
     tape = fundeq.compile_exprs([parse(source), parse(KN_SOURCE)], _TAPE_VARIABLES)
-    keeping = _keeping(tape)
+    keeping = tape._replace(drops=((),) * len(tape.steps))  # every value kept to the end
     with np.errstate(all="ignore"):
         for order in range(4):
             for points in (_WALK_POINTS, *_WALK_POINTS):
