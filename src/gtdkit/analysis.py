@@ -11,12 +11,10 @@ batch. Divergence exponents come from a log-log fit of |R| against the distance
 to an approach point; a fit none of whose samples could be evaluated is an
 error, not a missing divergence.
 
-A batch of the scan, root refinement, root classification or fit holds at most
-as many points as fit CHUNK_BYTES in the widest array it allocates afresh
-(`_batch_rows`); the gathers of its jet products reuse buffers each thread
-keeps, and are not counted. Reports are deterministic: the grid is enumerated
-row-major in coordinate order, and a point's result is bit-identical whatever
-batch it is in, so it does not depend on the bound.
+A batch of the scan, root refinement, root classification or fit is as wide
+as CHUNK_BYTES allows (`_batch_rows`). Reports are deterministic: the grid is
+enumerated row-major in coordinate order, and a point's result is
+bit-identical whatever batch it is in, so it does not depend on the bound.
 """
 
 from __future__ import annotations
@@ -45,10 +43,9 @@ NOISE_FLOOR = 1e-8
 # The one bound on a batch, in bytes of the widest array it allocates afresh: wide
 # batches spread the jet engine's Python overhead, and under glibc's 128 KiB mmap
 # threshold such an array is not mapped and faulted in afresh. A jet product's
-# gathers are not counted: they go to buffers each thread keeps (`jets._gathers`),
-# and a tape lets each value go after its last use. KN curvature reads 27
-# third partials a point, so at most 455 points a batch; RN det g's order-2
-# jets have 6 coefficients, so 2,048.
+# gathers are not counted (`jets.SCRATCH_BYTES`), and a tape lets each value go
+# after its last use. KN curvature reads 27 third partials a point, so at most
+# 455 points a batch; RN det g's order-2 jets have 6 coefficients, so 2,048.
 CHUNK_BYTES = 96 * 1024
 # the jet order each quantity is evaluated at: (Hessian field, direct field)
 _JET_ORDERS = {"curvature": (3, 2), "detg": (2, 0), "potential": (0, 0), "intensive": (1, 1)}

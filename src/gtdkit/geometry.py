@@ -19,10 +19,8 @@ Christoffel, Riemann and Ricci tensors (`curvature_tensors`, from Phi to order
 4 for a Hessian kind) and a direct metric's R. A Hessian kind, g = c Hess Phi
 with c = Phi, 1 or 1/T, gets R from Phi to order 3 by the Hessian-metric
 identity and one conformal change (see `_hessian_scalar`). The general
-contraction runs as batched matrix products, one small BLAS product per point
-(see `_contract`). The Hessian identity keeps its einsums: rewritten as
-matrix products too, it differed from the general contraction by 1.18e-12
-relative at a test point, more than the 1e-12 the tests allow.
+contraction runs as batched matrix products and the Hessian identity as
+einsums; `_contract` says why.
 
 Metric components, determinants, Christoffel symbols and curvature accept
 one point or a (B, n) array of B >= 0 points. A batch runs the same arithmetic

@@ -28,10 +28,8 @@ pairs f_i g_j with alpha_i + alpha_j = alpha_k: the first pair plus the rest
 in order, as `np.add.reduceat` sums a run of up to 8 pairs. One point, a
 batch narrower than `LAYERED_MIN_BATCH` and order 4 (runs of up to 16 pairs,
 which numpy sums pairwise) take `reduceat`. A wider batch up to order 3 adds
-the same pairs layer by layer (`_layer_plan`), bit for bit alike but for the
-sign and payload of a NaN, and gathers them into two buffers that each thread
-keeps between products (`_gathers`, up to `SCRATCH_BYTES` each), so such a
-product allocates afresh only its result.
+the same pairs layer by layer (`_layer_plan`, gathered by `_gathers`), bit for
+bit alike but for the sign and payload of a NaN.
 
 Leaving the domain of an elementary function (ln or a fractional power of a
 non-positive value, a reciprocal of zero) raises `DomainError` for one
@@ -212,12 +210,7 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarr
     """Coefficients of the truncated product of two jets of (nvars, order)."""
     if not order:
         return a * b
-    # each output slot of each column sums its run of pairs on its own, as the
-    # first pair plus the rest in order, so a column's result does not depend
-    # on B: a batch of LAYERED_MIN_BATCH points or more adds the pairs layer by
-    # layer up to order 3, and one point, a narrower batch and order 4 take
-    # np.add.reduceat; the layered kernel gathers into the two buffers its
-    # thread keeps (`_gathers`), so a product allocates afresh only its result
+    # which batches take which kernel, and why their bits agree: the module docstring
     if a.ndim == 2 and a.shape[1] >= LAYERED_MIN_BATCH:
         plan = _layer_plan(nvars, order)
         if plan is not None:
