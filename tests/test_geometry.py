@@ -405,50 +405,101 @@ _FLAT = {("ideal_gas", k) for k in _HESSIAN_KINDS} | {
     ("kerr", MetricKind.WEINHOLD),
     ("reissner_nordstrom", MetricKind.RUPPEINER),
 }
-# measured at these points: flat pairs reach |R| = 9.2e-12 (RN Ruppeiner, 4.0e-11
-# by the jet contraction; the rest stay below 1e-13), the smallest |R|
-# elsewhere is 0.064, and there the routes differ by at most 8.3e-13 relative
-# (RN natural; KN at most 4.7e-13)
-_NOISE_FLOOR = 1e-9
-_ROUTE_REL = 1e-12
+# Each route test draws its points at every seed of _SEEDS; all four
+# families pass at every seed from 1 to 30.
+_SEEDS = (1, 7, 23)
 
 
-def _box_points(system, count, seed=23):
+def _route_tolerance(n):
+    """c in the route bound c * |R|_mag, for an n-dimensional metric.
+
+    The general contraction's longest chain of roundings is 2n in d_e g^-1,
+    n + 1 more in d_e Gamma, 2 in Riemann, n - 1 in Ricci and n^2 in
+    g^bd R_bd: n^2 + 4n + 2, and 2 more for its inputs. Forward error
+    analysis bounds k roundings in sums of products by about k u times the
+    sum of the terms' magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 3), and two routes err together by at most
+    twice that: (n + 2)^2 eps.
+    """
+    return (n + 2) ** 2 * np.finfo(float).eps
+
+
+# An entry of d_e d_f g sums 4 products (c Phi_abef, c_e Phi_abf, c_f Phi_abe,
+# c_ef Phi_ab): a jet product and the test's product rule each round 4 times,
+# and 1/T's series, for the Ruppeiner kind, at most 4 times more; at u =
+# eps / 2 a rounding, the two sides differ by at most 8 eps of the magnitude.
+_PRODUCT_RULE_ROUNDINGS = 8
+
+
+def _magnitudes(g, dg, d2g):
+    """The magnitudes of Riemann and R: the general contraction on absolute values.
+
+    Every stage of `geometry._contract` runs on the absolute values of its
+    operands, with each difference a sum, so each entry is the sum of the
+    magnitudes of the terms that stage adds up. Cancellation anywhere in the
+    contraction, and not only in its last sum, shows in the result.
+    """
+    gi = np.abs(np.linalg.inv(g))
+    t = np.abs(np.einsum("zbdc->zdbc", dg)) + np.abs(np.einsum("zcdb->zdbc", dg)) + np.abs(dg)
+    dt = (
+        np.abs(np.einsum("zebdc->zedbc", d2g))
+        + np.abs(np.einsum("zecdb->zedbc", d2g))
+        + np.abs(d2g)
+    )
+    gamma = 0.5 * np.einsum("zad,zdbc->zabc", gi, t)
+    dgi = np.einsum("zax,zexy,zyd->zead", gi, np.abs(dg), gi)
+    dgamma = 0.5 * (np.einsum("zead,zdbc->zeabc", dgi, t) + np.einsum("zad,zedbc->zeabc", gi, dt))
+    half = np.einsum("zcadb->zabcd", dgamma) + np.einsum("zace,zedb->zabcd", gamma, gamma)
+    riemann = half + np.swapaxes(half, 3, 4)
+    return riemann, np.einsum("zbd,zabad->z", gi, riemann)
+
+
+def _check_route(system, kind, got, expected, magnitude):
+    """R from two routes at one batch of points, against the route bound.
+
+    A flat pair's R is within the bound of 0 by both routes; a curved pair's
+    routes agree within it, and its R is resolved: above the bound at every
+    point.
+    """
+    bound = _route_tolerance(builtin(system).dim) * magnitude
+    if (system, kind) in _FLAT:
+        assert np.all(np.abs(got) <= bound)
+        assert np.all(np.abs(expected) <= bound)
+    else:
+        assert np.all(np.abs(expected) > bound)
+        assert np.all(np.abs(got - expected) <= bound)
+
+
+def _box_points(system, count, seed):
     box = cli._CHECK_BOXES[system]
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.uniform(*box[v], count) for v in builtin(system).variables])
 
 
+@pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("kind", _HESSIAN_KINDS)
 @pytest.mark.parametrize("system", sorted(cli._CHECK_BOXES))
-def test_hessian_curvature_matches_jet_contraction(system, kind):
+def test_hessian_curvature_matches_jet_contraction(system, kind, seed):
     # R from the Hessian-metric identity and the conformal factor against the
     # general contraction of the order-2 metric jets
     f = HessianMetricField(builtin(system), kind)
-    points = _box_points(system, 64)
+    points = _box_points(system, 64, seed)
     new, old = scalar_curvature(f, points), scalar_curvature(_JetRoute(f), points)
     assert new.status == old.status == ["ok"] * len(points)
-    if (system, kind) in _FLAT:
-        assert np.max(np.abs(new.scalar)) <= _NOISE_FLOOR
-        assert np.max(np.abs(old.scalar)) <= _NOISE_FLOOR
-    else:
-        assert np.min(np.abs(old.scalar)) > 1e4 * _NOISE_FLOOR
-        assert rel_err(new.scalar, old.scalar) <= _ROUTE_REL
+    riemann_mag, magnitude = _magnitudes(*f.metric_arrays(points, gorder=2)[:3])
+    _check_route(system, kind, new.scalar, old.scalar, magnitude)
     # g is the same product as in the jets
     assert np.array_equal(new.det_g, old.det_g)
     single = scalar_curvature(f, points[0])
     assert single.scalar == new.scalar[0]
-    assert abs(single.scalar - scalar_curvature(_JetRoute(f), points[0]).scalar) <= max(
-        _NOISE_FLOOR, _ROUTE_REL * abs(single.scalar)
+    _check_route(
+        system, kind, single.scalar, scalar_curvature(_JetRoute(f), points[0]).scalar, magnitude[0]
     )
     # HessianMetricField.metric_arrays against the arrays read back from its
     # own metric jets, both through the general contraction
     new, old = curvature_tensors(f, points), curvature_tensors(_JetRoute(f), points)
-    if (system, kind) not in _FLAT:
-        # each point's tensor against its largest entry: at most 5.1e-14 (RN natural)
-        axes = tuple(range(1, old.riemann.ndim))
-        scale = np.max(np.abs(old.riemann), axis=axes)
-        assert np.all(np.max(np.abs(new.riemann - old.riemann), axis=axes) <= _ROUTE_REL * scale)
+    bound = _route_tolerance(f.dim) * riemann_mag
+    assert np.all(np.abs(new.riemann - old.riemann) <= bound)
     # g and d_e g are the same products as in the jets, summed in the same order
     assert np.array_equal(new.christoffel, old.christoffel)
 
@@ -466,7 +517,7 @@ def test_hessian_route_asks_for_low_orders(monkeypatch):
 
     monkeypatch.setattr(fundeq, "evaluate", recording)
     for system in sorted(cli._CHECK_BOXES):
-        points = _box_points(system, 8)
+        points = _box_points(system, 8, 23)
         for kind in _HESSIAN_KINDS:
             f = HessianMetricField(builtin(system), kind)
             scalar_curvature(f, points)
@@ -486,13 +537,19 @@ def test_hessian_route_asks_for_low_orders(monkeypatch):
             orders.clear()
 
 
-def _metric_derivatives(spec, kind, points):
+def _metric_derivatives(spec, kind, points, absolute=False):
     """g, d_e g and d_e d_f g by the product rule from true order-4 partials of Phi.
 
     g = c h with h = Hess Phi and c = Phi, 1 or 1/T; no geometry code is used.
     Axes as in `geometry._geometry_arrays`: dg[z, e, a, b], d2g[z, e, f, a, b].
+    With `absolute`, every partial of Phi is its absolute value and every
+    difference a sum: the magnitude of the terms the product rule adds up.
     """
-    phi, d1, h, d3, d4 = (jets.partials(fundeq.evaluate(spec, points, 4), k) for k in range(5))
+    potential = fundeq.evaluate(spec, points, 4)
+    phi, d1, h, d3, d4 = (jets.partials(potential, k) for k in range(5))
+    sign = -1.0
+    if absolute:
+        phi, d1, h, d3, d4, sign = np.abs(phi), np.abs(d1), np.abs(h), np.abs(d3), np.abs(d4), 1.0
     if kind is MetricKind.NATURAL:
         c, c1, c2 = phi, d1, h
     elif kind is MetricKind.WEINHOLD:
@@ -500,8 +557,11 @@ def _metric_derivatives(spec, kind, points):
     else:
         t, t1, t2 = d1[:, 0], h[:, 0], d3[:, 0]
         c = 1.0 / t
-        c1 = -t1 / t[:, None] ** 2
-        c2 = 2.0 * np.einsum("ze,zf->zef", t1, t1) / t[:, None, None] ** 3 - t2 / t[:, None, None] ** 2
+        c1 = sign * t1 / t[:, None] ** 2
+        c2 = (
+            2.0 * np.einsum("ze,zf->zef", t1, t1) / t[:, None, None] ** 3
+            + sign * t2 / t[:, None, None] ** 2
+        )
     g = c[:, None, None] * h
     dg = np.einsum("ze,zab->zeab", c1, h) + np.einsum("z,zabe->zeab", c, d3)
     d2g = (
@@ -530,51 +590,45 @@ def _brioschi_scalar(g, dg, d2g):
     return 2.0 * (first - second) / (E * G - F * F) ** 2
 
 
+@pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("kind", _HESSIAN_KINDS)
 @pytest.mark.parametrize("system", ["ideal_gas", "kerr", "reissner_nordstrom", "vdw"])
-def test_hessian_curvature_matches_brioschi(system, kind):
-    # an oracle for every Hessian kind that shares no code with the geometry:
-    # at these points the worst relative difference is 4.6e-13 (RN natural;
-    # vdW 7.8e-14), and on the flat pairs |R| stays below 2.6e-11 (RN
-    # Ruppeiner, 1.3e-10 by Brioschi) and 2.7e-14 elsewhere
+def test_hessian_curvature_matches_brioschi(system, kind, seed):
+    # an oracle for every Hessian kind that shares no code with the geometry
     spec = builtin(system)
-    points = _box_points(system, 200)
-    expected = _brioschi_scalar(*_metric_derivatives(spec, kind, points))
+    points = _box_points(system, 200, seed)
+    arrays = _metric_derivatives(spec, kind, points)
     report = scalar_curvature(HessianMetricField(spec, kind), points)
     assert report.status == ["ok"] * len(points)
-    if (system, kind) in _FLAT:
-        assert np.max(np.abs(expected)) <= _NOISE_FLOOR
-        assert np.max(np.abs(report.scalar)) <= _NOISE_FLOOR
-    else:
-        assert np.min(np.abs(expected)) > 1e4 * _NOISE_FLOOR
-        assert rel_err(report.scalar, expected) <= _ROUTE_REL
+    _check_route(system, kind, report.scalar, _brioschi_scalar(*arrays), _magnitudes(*arrays)[1])
 
 
+@pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("gorder", [0, 1, 2])
 @pytest.mark.parametrize("kind", _HESSIAN_KINDS)
 @pytest.mark.parametrize("system", sorted(cli._CHECK_BOXES))
-def test_component_jets_match_the_product_rule(system, kind, gorder):
+def test_component_jets_match_the_product_rule(system, kind, gorder, seed):
     # the partials of g read back from the metric jets, and the arrays of
     # `metric_arrays`, against the product rule on true order-4 partials of
-    # Phi, which shares no code with the geometry; each point's worst error of
-    # a degree against its largest entry of that degree: at most 1.8e-14 (vdW
-    # Ruppeiner d2g) and 2.1e-16 for a natural d2g; g of every kind matches
-    # exactly. A d2g without c Phi_abef was off by up to 32 times that entry.
+    # Phi, which shares no code with the geometry; each entry within
+    # _PRODUCT_RULE_ROUNDINGS eps of the magnitude the product rule sums for
+    # it. A d2g without c Phi_abef was off by up to 32 times its largest entry.
     spec = builtin(system)
-    points = _box_points(system, 200)
+    points = _box_points(system, 200, seed)
     f = HessianMetricField(spec, kind)
     gjets, arrays = f.component_jets(points, gorder), f.metric_arrays(points, gorder)
     assert not arrays[-1].any()
     n = spec.dim
-    for degree, expected in enumerate(_metric_derivatives(spec, kind, points)[: gorder + 1]):
+    derivatives = _metric_derivatives(spec, kind, points)[: gorder + 1]
+    magnitudes = _metric_derivatives(spec, kind, points, absolute=True)
+    for degree, (expected, magnitude) in enumerate(zip(derivatives, magnitudes)):
         got = np.empty_like(expected)
         for idx in np.ndindex(expected.shape[1:]):
             alpha = tuple(idx[:degree].count(i) for i in range(n))
             got[(slice(None),) + idx] = jets.extract_partial(gjets[idx[-2]][idx[-1]], alpha)
-        axes = tuple(range(1, expected.ndim))
-        scale = np.max(np.abs(expected), axis=axes)
+        bound = _PRODUCT_RULE_ROUNDINGS * np.finfo(float).eps * magnitude
         for x in (got, arrays[degree]):
-            assert np.all(np.max(np.abs(x - expected), axis=axes) <= 1e-13 * scale)
+            assert np.all(np.abs(x - expected) <= bound)
 
 
 def _loop_scalar(g, dg, d2g):
@@ -614,20 +668,69 @@ def _loop_scalar(g, dg, d2g):
     return sum(gi[b][d] * riemann(a, b, a, d) for a in r for b in r for d in r)
 
 
+@pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("kind", [MetricKind.WEINHOLD, MetricKind.RUPPEINER])
-def test_kerr_newman_curvature_matches_loop_contraction(kind):
+def test_kerr_newman_curvature_matches_loop_contraction(kind, seed):
     # the 3-D oracle: the true partials of `_metric_derivatives`, with c Phi_abef,
-    # contracted by loops and no geometry code; at these points the worst
-    # relative difference is 1.1e-13 (Weinhold) and 2.1e-13 (Ruppeiner), and
-    # the smallest |R| is 0.27 and 0.0075
+    # contracted by loops and no geometry code
     spec = builtin("kerr_newman")
-    points = _box_points("kerr_newman", 200)
-    arrays = zip(*_metric_derivatives(spec, kind, points))
-    expected = np.array([_loop_scalar(g, dg, d2g) for g, dg, d2g in arrays])
+    points = _box_points("kerr_newman", 200, seed)
+    arrays = _metric_derivatives(spec, kind, points)
+    expected = np.array([_loop_scalar(g, dg, d2g) for g, dg, d2g in zip(*arrays)])
     report = scalar_curvature(HessianMetricField(spec, kind), points)
     assert report.status == ["ok"] * len(points)
-    assert np.min(np.abs(expected)) > 1e4 * _NOISE_FLOOR
-    assert rel_err(report.scalar, expected) <= _ROUTE_REL
+    _check_route("kerr_newman", kind, report.scalar, expected, _magnitudes(*arrays)[1])
+
+
+_ROUTE_TESTS = {
+    "jet": test_hessian_curvature_matches_jet_contraction,
+    "brioschi": test_hessian_curvature_matches_brioschi,
+    "loop": lambda system, kind, seed: test_kerr_newman_curvature_matches_loop_contraction(
+        kind, seed
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize(
+    "family, system, kind",
+    [("jet", system, kind) for system in sorted(cli._CHECK_BOXES) for kind in _HESSIAN_KINDS]
+    + [
+        ("brioschi", system, kind)
+        for system in ["ideal_gas", "kerr", "reissner_nordstrom", "vdw"]
+        for kind in _HESSIAN_KINDS
+    ]
+    + [("loop", "kerr_newman", kind) for kind in [MetricKind.WEINHOLD, MetricKind.RUPPEINER]],
+)
+def test_route_bounds_catch_an_error_in_the_curvature(monkeypatch, family, system, kind, seed):
+    # the route bounds are no looser than a real error: a curved pair's R
+    # scaled by 1 + 1e-9, or 1e-6 added to a flat pair's, fails its route test
+    hessian_scalar = geometry._hessian_scalar
+    flat = (system, kind) in _FLAT
+
+    def off(field, point):
+        *rest, scalar = hessian_scalar(field, point)
+        return (*rest, scalar + 1e-6 if flat else scalar * (1.0 + 1e-9))
+
+    monkeypatch.setattr(geometry, "_hessian_scalar", off)
+    with pytest.raises(AssertionError):
+        _ROUTE_TESTS[family](system, kind, seed)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("kind", _HESSIAN_KINDS)
+def test_product_rule_bound_catches_an_error_in_the_metric(monkeypatch, kind, degree):
+    # g or one of its derivatives scaled by 1 + 1e-9 fails the product-rule test
+    metric_arrays = HessianMetricField.metric_arrays
+
+    def off(field, point, gorder=2):
+        out = list(metric_arrays(field, point, gorder))
+        out[degree] = out[degree] * (1.0 + 1e-9)
+        return tuple(out)
+
+    monkeypatch.setattr(HessianMetricField, "metric_arrays", off)
+    with pytest.raises(AssertionError):
+        test_component_jets_match_the_product_rule("kerr_newman", kind, degree, _SEEDS[0])
 
 
 @pytest.mark.parametrize("kind", _HESSIAN_KINDS)
