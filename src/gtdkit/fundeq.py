@@ -11,11 +11,12 @@ variable) or an array step, and `run_tape` runs the one step list at every
 nvars and order: a number step is float arithmetic, and a function or power
 of a number runs the jet kernel at order 0, so it obeys the same domain and
 overflow rules as over a variable; an array step runs a kernel of `jets` on
-plain coefficient arrays, and at order 0 that is numpy on the values.
-`evaluate_exprs` is the one place expressions become jets, at one point or
-over a batch: it seeds coefficient arrays, runs the tape and wraps only the
-distinct outputs in `Jet`s. `evaluate` runs a system's potential tape, and
-`eval_jet` one expression over jets and numbers.
+plain coefficient arrays, holding only the coefficients over the variables
+it reads, and at order 0 that is numpy on the values. `evaluate_exprs` is
+the one place expressions become jets, at one point or over a batch: it
+seeds coefficient arrays, runs the tape and wraps only the distinct outputs,
+every coefficient in place, in `Jet`s. `evaluate` runs a system's potential
+tape, and `eval_jet` one expression over jets and numbers.
 
 Expression grammar (also the format used in system definition files)::
 
@@ -265,8 +266,17 @@ class Tape(NamedTuple):
     walk fails on, and `outputs` holds each expression's step. `drops[i]` are
     the array steps, outputs left out, that no step after step i reads, so
     `run_tape` lets their values go once step i has run. `names` are the
-    identifiers the trees read, sorted, constants left out. A tape pickles
-    and copies as its expressions and variables, compiled again.
+    identifiers the trees read, sorted, constants left out.
+
+    `supports[i]` is a bitmask of the variables array step i reads (0 for a
+    number step): a variable's is itself, x op y's the union of its
+    operands', and a function's its argument's. A jet over those variables
+    alone is zero at every multi-index of degree in another variable, so the
+    step's value holds only its stored slots (`jets.support_slots`), and its
+    kernel forms only the products of stored slots. Compiled for arbitrary
+    jets (`seeded` false, as `eval_jet` does), each variable reads every
+    variable, support -1, and every array step is dense. A tape pickles and
+    copies as its expressions, variables and `seeded`, compiled again.
     """
 
     exprs: tuple[Expr, ...]
@@ -276,51 +286,66 @@ class Tape(NamedTuple):
     outputs: tuple[int, ...]
     names: tuple[str, ...]
     drops: tuple[tuple[int, ...], ...]
+    supports: tuple[int, ...]
 
     def __reduce__(self):
-        return compile_exprs, (self.exprs, self.variables)
+        # only a tape compiled for arbitrary jets has a step of support -1
+        return compile_exprs, (self.exprs, self.variables, -1 not in self.supports)
 
 
-def compile_exprs(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
-    """The tape of `exprs` over `variables`. Constants are not folded: they fail when it runs."""
+def compile_exprs(exprs: Sequence[Expr], variables: Sequence[str], seeded: bool = True) -> Tape:
+    """The tape of `exprs` over `variables`. Constants are not folded: they fail when it runs.
+
+    `seeded`: each variable is bound to its seed, the jet of the coordinate
+    function, which varies with that variable alone; else to any jet.
+    """
     exprs, variables = tuple(exprs), tuple(variables)
     index: dict[tuple, int] = {}  # the key of each distinct step -> its place, in order
-    arrays: list[bool] = []
+    supports: list[int] = []
+    bits = {name: 1 << i if seeded else -1 for i, name in enumerate(variables)}
 
     def visit(node: Expr) -> int:
         if isinstance(node, Num):
             # 0.0 == -0.0 and they hash alike: the sign keeps them apart
-            key, array = ("num", node.value, math.copysign(1.0, node.value)), False
+            key, support = ("num", node.value, math.copysign(1.0, node.value)), 0
         elif isinstance(node, Name):
-            key, array = ("name", node.ident, None), node.ident in variables
+            key, support = ("name", node.ident, None), bits.get(node.ident, 0)
         elif isinstance(node, (Neg, Call)):
             x = visit(node.operand if isinstance(node, Neg) else node.arg)
-            key, array = ("neg" if isinstance(node, Neg) else node.func, x, x), arrays[x]
+            key, support = ("neg" if isinstance(node, Neg) else node.func, x, x), supports[x]
         else:
             x, y = visit(node.left), visit(node.right)
-            key, array = (node.op, x, y), arrays[x] or arrays[y]
-            if node.op == "/" and arrays[y]:
+            key, support = (node.op, x, y), supports[x] | supports[y]
+            if node.op == "/" and supports[y]:
                 # x / y is x * (1/y), with 1/y computed at its first use and shared after
-                key = ("*", x, index.setdefault(("1/", y, y), len(arrays)))
-                if key[2] == len(arrays):
-                    arrays.append(True)
-        place = index.setdefault(key, len(arrays))
-        if place == len(arrays):
-            arrays.append(array)
+                key = ("*", x, index.setdefault(("1/", y, y), len(supports)))
+                if key[2] == len(supports):
+                    supports.append(supports[y])
+        place = index.setdefault(key, len(supports))
+        if place == len(supports):
+            supports.append(support)
         return place
 
     outputs = tuple(visit(e) for e in exprs)
+    arrays = [bool(support) for support in supports]
     names = tuple(sorted(x for op, x, _ in index if op == "name" and x not in CONSTANTS))
     steps = []
     last_read: dict[int, int] = {}  # each step read by another -> the last step to read it
     for i, ((op, x, y), array) in enumerate(zip(index, arrays)):
         if op == "num" or op == "name":
+            args = (x, supports[i]) if array else (x,)
             read = _number if op == "num" else _take if array else _lookup
-            f, x, y = functools.partial(read, x), None, None
-        elif op == "1/":
-            f = _reciprocal
+            f, x, y = functools.partial(read, *args), None, None
+        elif not array:
+            f = _NUMBER_OPS[op]
         else:
-            f = _ARRAY_OPS[(op, arrays[x], arrays[y])] if array else _NUMBER_OPS[op]
+            kind = op if op == "1/" else (op, arrays[x], arrays[y])
+            # a step that reads one support, or one array, keeps it
+            one = supports[x] == supports[y] or not (supports[x] and supports[y])
+            if one and kind in _ARRAY_OPS:
+                f = _ARRAY_OPS[kind]
+            else:
+                f = _support_step(kind, supports[x], supports[y])
         if x is not None:
             last_read[x] = last_read[y] = i
         steps.append((op, f, x, y))
@@ -328,14 +353,16 @@ def compile_exprs(exprs: Sequence[Expr], variables: Sequence[str]) -> Tape:
     for step, i in last_read.items():
         if arrays[step] and step not in outputs:
             drops[i] += (step,)
-    return Tape(exprs, variables, tuple(steps), tuple(arrays), outputs, names, tuple(drops))
+    return Tape(
+        exprs, variables, tuple(steps), tuple(arrays), outputs, names, tuple(drops), tuple(supports)
+    )
 
 
-def _number(value: float, env: Mapping) -> float:
+def _number(value: float, env: Mapping, nvars: int, order: int) -> float:
     return value
 
 
-def _lookup(name: str, env: Mapping):
+def _lookup(name: str, env: Mapping, nvars: int, order: int):
     if name in env:
         return env[name]
     if name in CONSTANTS:
@@ -343,20 +370,21 @@ def _lookup(name: str, env: Mapping):
     raise DomainError(f"unresolved identifier {name!r}")
 
 
-def _take(name: str, env: dict):
-    """A variable's coefficient array, taken out of `env`, so that the tape holds it alone."""
+def _take(name: str, support: int, env: dict, nvars: int, order: int):
+    """A variable's stored coefficients, its array taken out of `env`: the tape holds it alone.
+
+    A seed stores its order + 1 powers, as `evaluate_exprs` binds it; an
+    array of every coefficient is cut to the stored ones.
+    """
     if name in env:
-        return env.pop(name)
+        value = env.pop(name)
+        return value if len(value) == order + 1 else jets.stored_coeffs(value, support, nvars, order)
     raise DomainError(f"unresolved identifier {name!r}")
 
 
 def _on_number(kernel: Callable[..., np.ndarray], x: float, *args) -> float:
     """kernel on the order-0 constant x, one point: a domain error raises."""
     return float(kernel(np.array([x], dtype=float), *args, 1, 0)[0])
-
-
-def _reciprocal(a: np.ndarray, _, nvars: int, order: int) -> np.ndarray:
-    return jets.reciprocal_coeffs(a, nvars, order)
 
 
 def _divisor(y: float) -> float:
@@ -381,30 +409,47 @@ _NUMBER_OPS: dict[str, Callable] = {
     },
 }
 
-# Array steps by (op, left is an array, right is an array): a and b are
-# coefficient arrays, c a number.
+# Array steps by (op, left is an array, right is an array) that read one
+# support and keep it: a and b are stored coefficients, c a number.
 _ARRAY_OPS: dict[tuple[str, bool, bool], Callable] = {
     ("neg", True, True): lambda a, _, n, k: -a,
     ("+", True, True): lambda a, b, n, k: a + b,
+    ("-", True, True): lambda a, b, n, k: a - b,
     ("+", True, False): lambda a, c, n, k: jets.offset_coeffs(a, float(c)),
     ("+", False, True): lambda c, b, n, k: jets.offset_coeffs(b, float(c)),
-    ("-", True, True): lambda a, b, n, k: a - b,
     ("-", True, False): lambda a, c, n, k: jets.offset_coeffs(a, -float(c)),
     ("-", False, True): lambda c, b, n, k: jets.offset_coeffs(b, float(c), negate=True),
-    ("*", True, True): jets.mul_coeffs,
     ("*", True, False): lambda a, c, n, k: a * float(c),
     ("*", False, True): lambda c, b, n, k: b * float(c),
     ("/", True, False): lambda a, c, n, k: a / float(_divisor(c)),
-    ("^", True, True): lambda a, b, n, k: jets.exp_coeffs(
-        jets.mul_coeffs(b, jets.ln_coeffs(a, n, k), n, k), n, k
+}
+
+# The array steps whose kernels read supports, sums over two supports among
+# them, and the reciprocal "1/": each entry makes the step's f(a, b, n, k)
+# from its operands' supports s (see `_support_step`).
+_SUPPORT_OPS: dict[tuple[str, bool, bool] | str, Callable] = {
+    "1/": lambda s: lambda a, _, n, k: jets.reciprocal_coeffs(a, n, k, s[0]),
+    ("+", True, True): lambda s: lambda a, b, n, k: jets.add_coeffs(a, b, n, k, s),
+    ("-", True, True): lambda s: lambda a, b, n, k: jets.add_coeffs(a, b, n, k, s, subtract=True),
+    ("*", True, True): lambda s: lambda a, b, n, k: jets.mul_coeffs(a, b, n, k, s),
+    ("^", True, True): lambda s: lambda a, b, n, k: jets.exp_coeffs(
+        jets.mul_coeffs(b, jets.ln_coeffs(a, n, k, s[0]), n, k, s[::-1]), n, k, s[0] | s[1]
     ),
-    ("^", True, False): jets.power_coeffs,
-    ("^", False, True): lambda c, b, n, k: jets.exp_coeffs(b * _on_number(jets.ln_coeffs, c), n, k),
+    ("^", True, False): lambda s: lambda a, c, n, k: jets.power_coeffs(a, c, n, k, s[0]),
+    ("^", False, True): lambda s: lambda c, b, n, k: jets.exp_coeffs(
+        b * _on_number(jets.ln_coeffs, c), n, k, s[1]
+    ),
     **{
-        (func, True, True): lambda a, _, n, k, kernel=kernel: kernel(a, n, k)
+        (func, True, True): lambda s, kernel=kernel: lambda a, _, n, k: kernel(a, n, k, s[0])
         for func, kernel in jets.FUNCTION_KERNELS.items()
     },
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _support_step(kind, a_support: int, b_support: int) -> Callable:
+    """The function of an array step of `kind` over those supports, made once for every tape."""
+    return _SUPPORT_OPS[kind]((a_support, b_support))
 
 
 def run_tape(
@@ -413,16 +458,17 @@ def run_tape(
     """The values of `tape`'s steps over an environment of numbers and coefficient arrays.
 
     Each variable of the tape is bound to the coefficient array of its jet
-    of (nvars, order), each other name to a number. A number step's value is
-    a float, an array step's a coefficient array of those jets. Steps run in
-    order, so the first to fail raises. Every output and number step keeps its
+    of (nvars, order), or to the stored slots of that array (see `Tape`),
+    each other name to a number. A number step's value is a float, an array
+    step's the stored slots of its jet's coefficients. Steps run in order,
+    so the first to fail raises. Every output and number step keeps its
     value; any other array step's value is None, let go after the last step
     that reads it (`Tape.drops`), so its memory serves the steps after it. A
     variable's step takes its array out of `env`, which then holds it no longer.
     """
     values: list = []
     for (_, f, x, y), drops in zip(tape.steps, tape.drops):
-        values.append(f(env) if x is None else f(values[x], values[y], nvars, order))
+        values.append(f(env, nvars, order) if x is None else f(values[x], values[y], nvars, order))
         for step in drops:
             values[step] = None
     return values
@@ -439,7 +485,7 @@ def eval_jet(node: Expr, env: Mapping[str, Scalar]) -> Scalar:
     if len(shapes) > 1:
         raise ValueError(f"jet shape mismatch: {sorted(shapes)}")
     nvars, order, _ = shapes.pop() if shapes else (1, 0, None)
-    tape = compile_exprs([node], variables)
+    tape = compile_exprs([node], variables, seeded=False)
     values = run_tape(tape, {**env, **{name: env[name].coeffs for name in variables}}, nvars, order)
     (step,) = tape.outputs
     return Jet(nvars, order, values[step]) if tape.arrays[step] else values[step]
@@ -560,8 +606,8 @@ def evaluate_exprs(
 ) -> list[Jet]:
     """Jets of the expressions compiled into `tape`, around one point or a (B, n) batch.
 
-    Each variable of the tape is seeded, and the tape runs once: a
-    subexpression shared by several expressions is evaluated once, and equal
+    Each variable of the tape, compiled `seeded`, is seeded, and the tape runs
+    once: a subexpression shared by several expressions is evaluated once, and equal
     expressions return the same jet. The expressions see the parameters and the variables, and
     so does the domain predicate, once per call: as floats for one point, and
     for a batch with one array of coordinates per variable. A point fails
@@ -594,7 +640,8 @@ def evaluate_exprs(
     else:
         raise _point_error(points, f"outside domain of {label}", parameters)
     for i, name in enumerate(variables):
-        env[name] = jets.seed_coeffs(i, coords[..., i], nvars, order)
+        # a seed's stored slots hold its powers alone: a jet of one variable
+        env[name] = jets.seed_coeffs(0, coords[..., i], 1, order)
     try:
         # an overflow or a NaN is a value, and a NaN a failed point: no warning
         with np.errstate(all="ignore"):
@@ -606,7 +653,9 @@ def evaluate_exprs(
     out = {}  # the coefficients of each distinct output
     for step in tape.outputs:
         value = values[step]
-        if not tape.arrays[step]:
+        if tape.arrays[step]:
+            value = jets.dense_coeffs(value, tape.supports[step], nvars, order)
+        else:
             value = jets.constant_coeffs(np.full(coords.shape[:-1], float(value)), nvars, order)
         out[step] = value
     failed = outside

@@ -18,9 +18,9 @@ as jets through `component_jets`; the general contraction of those gives the
 Christoffel, Riemann and Ricci tensors (`curvature_tensors`, from Phi to order
 4 for a Hessian kind) and a direct metric's R. A Hessian kind, g = c Hess Phi
 with c = Phi, 1 or 1/T, gets R from Phi to order 3 by the Hessian-metric
-identity and one conformal change (see `_hessian_scalar`). The general
-contraction runs as batched matrix products and the Hessian identity as
-einsums; `_contract` says why.
+identity and one conformal change (see `_hessian_scalar`). Both run their
+contractions over one or two indices as batched matrix products; `_contract`
+says why.
 
 Metric components, determinants, Christoffel symbols and curvature accept
 one point or a (B, n) array of B >= 0 points. A batch runs the same arithmetic
@@ -460,8 +460,7 @@ def _contract(field: MetricField, point: Point):
     batch and BLAS for one point, and a point's bits would follow its batch.
     The bits do depend on the BLAS kernel numpy links, which differs by CPU.
     The Ricci trace and g^bd R_bd stay einsums, and so do `_hessian_scalar`'s
-    quadratic forms: as matrix products they moved its R 1.18e-12 relative
-    off this contraction's at a test point, above the tests' 1e-12 bound.
+    quadratic forms.
     """
     g, dg, d2g, failed = field.metric_arrays(point, gorder=2)
     g_inv, det, failed, degenerate = _checked_inverse(g, failed, field, point)
@@ -493,7 +492,9 @@ def _hessian_scalar(field: HessianMetricField, point: Point):
     Structures, 2007), and R_g = (R_h - 2(n-1) Lap_h w - (n-1)(n-2) |dw|^2_h) / c
     for w = ln(c) / 2 (Besse, Einstein Manifolds, 1987, 1.J), with Lap_h w =
     h^ab w_ab - 1/2 h^ab T_a w_b. w is written through u = c_a / c and v =
-    c_ab / c, so a negative c needs no log. A three-operand einsum changes bits
+    c_ab / c, so a negative c needs no log. The two cubic contractions, h^ad
+    Phi_dbc and a_dbc a_bdf over (d, b), are batched matrix products of
+    C-contiguous stacks, as in `_contract`. A three-operand einsum changes bits
     with the batch size, so every quadratic form is two two-operand ones.
     """
     d, c = field._partials(point, 3)
@@ -502,10 +503,16 @@ def _hessian_scalar(field: HessianMetricField, point: Point):
     # failed and degenerate points get h^-1 = g^-1 = the identity
     factor = np.where(failed | degenerate, 1.0, c[0])
     h_inv = _times(factor, g_inv)
-    # a[z, a, b, c] = h^ad Phi_dbc, whose trace over (a, b) is T_c
-    a = _einsum("zad,zdbc->zabc", h_inv, d[3])
+    b, n = h_inv.shape[:2]
+    # a[z, a, (b, c)] = h^ad Phi_dbc, whose trace over (a, b) is T_c
+    a = np.matmul(np.ascontiguousarray(h_inv), np.ascontiguousarray(d[3]).reshape(b, n, n * n))
+    a = a.reshape(b, n, n, n)
     trace = np.einsum("zbbc->zc", a)
-    cubic = _einsum("zcf,zcf->z", h_inv, _einsum("zdbc,zbdf->zcf", a, a))
+    # a[z, d, b, c] a[z, b, d, f] as [z, c, (d, b)] @ [z, (d, b), f]
+    pairs = np.matmul(
+        a.transpose(0, 3, 1, 2).reshape(b, n, n * n), a.transpose(0, 2, 1, 3).reshape(b, n * n, n)
+    )
+    cubic = _einsum("zcf,zcf->z", h_inv, pairs)
     h_trace = _einsum("zab,zb->za", h_inv, trace)
     r_h = 0.25 * (cubic - _einsum("za,za->z", h_trace, trace))
     u, v = c[1] / factor[:, None], c[2] / factor[:, None, None]
@@ -513,7 +520,6 @@ def _hessian_scalar(field: HessianMetricField, point: Point):
     uu = _einsum("za,za->z", h_u, u)
     # 2 Lap_h w = h^ab v_ab - |u|^2_h - 1/2 h^ab T_a u_b and 4 |dw|^2_h = |u|^2_h
     laplacian2 = _einsum("zab,zab->z", h_inv, v) - uu - 0.5 * _einsum("za,za->z", h_u, trace)
-    n = field.dim
     scalar = (r_h - (n - 1) * laplacian2 - 0.25 * (n - 1) * (n - 2) * uu) / factor
     return g, det, failed, degenerate, scalar
 

@@ -14,8 +14,8 @@ computed independently of the others in a fixed order, so a point's
 coefficients are bit-identical whatever batch it is evaluated in.
 
 The arithmetic is a set of kernels on plain coefficient arrays (`mul_coeffs`,
-`reciprocal_coeffs`, `power_coeffs`, `offset_coeffs` and one kernel per
-function of `FUNCTION_KERNELS`), given the jets' nvars and order. `Jet`'s
+`add_coeffs`, `reciprocal_coeffs`, `power_coeffs`, `offset_coeffs` and one
+kernel per function of `FUNCTION_KERNELS`), given the jets' nvars and order. `Jet`'s
 operators and the functions `exp`, `ln`, `power`, `sqrt`, `sin` and `cos`
 wrap them, and each step of a `fundeq` tape is one of them, run directly at
 whatever nvars and order the tape is evaluated, so a tape builds no `Jet`
@@ -23,13 +23,27 @@ per step. At order 0 a jet is its value alone, and each kernel is the
 constant term of its series: a product is `a * b`, a function the first
 term of its Taylor series.
 
+Kernels also run over supports, bitmasks of the variables a jet varies with
+(-1 for all), as a tape step over the variables it reads does. A jet over
+support A is zero at every multi-index of degree in another variable, so it
+stores only its slots over A (`support_slots`), in graded order: a product
+of jets over A and B forms only the pairs of stored slots, into those of
+A | B, and a sum places each operand among them. `Jet` runs at full
+support, where every slot is stored.
+
 A truncated product sums, for each output slot and each column, its run of
 pairs f_i g_j with alpha_i + alpha_j = alpha_k: the first pair plus the rest
 in order, as `np.add.reduceat` sums a run of up to 8 pairs. One point, a
 batch narrower than `LAYERED_MIN_BATCH` and order 4 (runs of up to 16 pairs,
 which numpy sums pairwise) take `reduceat`. A wider batch up to order 3 adds
 the same pairs layer by layer (`_layer_plan`, gathered by `_gathers`), bit for
-bit alike but for the sign and payload of a NaN.
+bit alike but for the sign and payload of a NaN. Over supports the pairs
+that are not stored drop out of each run, and a zero stands in for a run's
+first pair where the pairs left would be grouped otherwise (`_product_table`),
+so every nonzero finite coefficient has the bits of the full product. A zero
+that is not stored may have had either sign. An infinite coefficient never
+meets one that is not stored, so where the full product makes NaN of inf
+times such a zero, and fails the point, the stored coefficients stay inf.
 
 Leaving the domain of an elementary function (ln or a fractional power of a
 non-positive value, a reciprocal of zero) raises `DomainError` for one
@@ -90,13 +104,49 @@ def _size(nvars: int, order: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _stored(support: int, nvars: int, order: int) -> np.ndarray:
+    """Which slots a jet over the variables of `support` stores (see `support_slots`)."""
+    indices = _index_table(nvars, order)[0]
+    return np.array([all(support >> i & 1 for i, d in enumerate(a) if d) for a in indices])
+
+
+@lru_cache(maxsize=None)
+def support_slots(support: int, nvars: int, order: int) -> np.ndarray:
+    """The slots that a jet over the variables of `support` stores, in graded order.
+
+    `support` is a bitmask of variables, -1 for every variable. A jet over
+    them has nonzero coefficients only at the multi-indices of no degree in
+    any other variable, and those are its stored slots.
+    """
+    return np.flatnonzero(_stored(support, nvars, order))
+
+
+def stored_coeffs(a: np.ndarray, support: int, nvars: int, order: int) -> np.ndarray:
+    """The stored slots of coefficients `a` (see `support_slots`); `a` if it holds only those."""
+    slots = support_slots(support, nvars, order)
+    return a if len(slots) == len(a) else a[slots]
+
+
+def dense_coeffs(a: np.ndarray, support: int, nvars: int, order: int) -> np.ndarray:
+    """Every coefficient of a jet whose stored slots hold `a`: zero outside them."""
+    if not order:
+        return a
+    size = _size(nvars, order)
+    if len(a) == size:
+        return a
+    out = np.zeros((size,) + a.shape[1:])
+    out[support_slots(support, nvars, order)] = a
+    return out
+
+
+@lru_cache(maxsize=None)
 def _mul_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather plan of the truncated product.
 
     Returns the slots (ii, jj) of every pair with alpha_i + alpha_j = alpha_k
     and degree <= order, stably sorted by the output slot k, and the offset of
     each output slot's run for `np.add.reduceat`. Every slot k has at least
-    the pair (0, k), so no run is empty.
+    the pair (0, k), its first, so no run is empty.
     """
     indices, pos = _index_table(nvars, order)
     ii, jj, kk = [], [], []
@@ -114,6 +164,39 @@ def _mul_table(nvars: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.array(ii)[perm], np.array(jj)[perm], starts
 
 
+@lru_cache(maxsize=None)
+def _product_table(nvars: int, order: int, supports: tuple[int, int]):
+    """`_mul_table` of a jet over support A by one over B, and the rows that read as zero.
+
+    At full supports, the full table and no zeros (None). Over supports (A,
+    B), the full table masked to the pairs whose two slots are stored, read as
+    rows of the stored slots of A, of B and of the product's A | B. The full
+    product adds a run as p0 + (p1 + ...), and the pairs that are not stored
+    add zeros, which change no nonzero sum. Where p0 is not stored and three
+    or more pairs are, a pair set to zero (a row of `zeros`) stands in for
+    p0, so that the stored pairs keep that grouping and every nonzero sum its
+    bits.
+    """
+    ii, jj, starts = _mul_table(nvars, order)
+    if supports == (-1, -1):
+        return ii, jj, starts, None
+    stored_a, stored_b, stored = (
+        _stored(s, nvars, order) for s in (*supports, supports[0] | supports[1])
+    )
+    kept = stored_a[ii] & stored_b[jj]
+    first = np.zeros(len(ii), dtype=bool)
+    first[starts] = True
+    kk = np.cumsum(first) - 1  # the output slot of each pair
+    zero = first & ~kept & (np.add.reduceat(kept.astype(int), starts)[kk] >= 3)
+    rows = kept | zero
+    # a first pair is (0, k), and a stand-in reads row 0 of b: every row is in range
+    ii = (np.cumsum(stored_a) - 1)[ii][rows]
+    jj = np.where(zero, 0, (np.cumsum(stored_b) - 1)[jj])[rows]
+    kk = (np.cumsum(stored) - 1)[kk[rows]]
+    zeros = np.flatnonzero(zero[rows])
+    return ii, jj, np.searchsorted(kk, np.arange(stored.sum())), zeros if len(zeros) else None
+
+
 def _columns(coeffs: np.ndarray) -> np.ndarray:
     """(N, B) view of one point's (N,) or a batch's (N, B) coefficients."""
     return coeffs.reshape(coeffs.shape[0], -1)
@@ -125,31 +208,35 @@ LAYERED_MIN_BATCH = 64
 
 
 @lru_cache(maxsize=None)
-def _layer_plan(nvars: int, order: int):
+def _layer_plan(nvars: int, order: int, supports: tuple[int, int] = (-1, -1)):
     """Gather plan of the layered product; None where it would not give reduceat's bits.
 
     Layer m holds the m-th pair of every output slot whose run is longer than
     m; with the slots sorted by run length, longest first, each layer covers a
     prefix of them. The plan is the pairs' (ii, jj) in layer order, each
-    layer's slot count and the permutation back to the graded slot order.
-    Order 4, whose longer runs numpy sums pairwise, has no plan; nor has a
-    numpy whose reduceat differs from the layered sum on a probe of -0.0
-    products (as a rest started at +0.0 would) or of products whose rounding
-    depends on the order of the sum.
+    layer's slot count, the permutation back to the graded slot order and the
+    stand-in zeros' places among the pairs. Order 4, whose longer runs numpy
+    sums pairwise, has no plan; nor has a numpy whose reduceat differs from
+    the layered sum on a probe of -0.0 products (as a rest started at +0.0
+    would) or of products whose rounding depends on the order of the sum.
     """
     if order > 3:
         return None
-    ii, jj, starts = _mul_table(nvars, order)
+    ii, jj, starts, zeros = _product_table(nvars, order, supports)
     lengths = np.diff(starts, append=len(ii))
     slots = np.argsort(-lengths, kind="stable")
     counts = tuple(int((lengths > m).sum()) for m in range(lengths.max()))
     layers = np.concatenate([starts[slots[:count]] + m for m, count in enumerate(counts)])
-    plan = ii[layers], jj[layers], counts, np.argsort(slots)
-    shape = (len(starts), LAYERED_MIN_BATCH)
-    wave = np.sin(np.arange(shape[0] * shape[1])).reshape(shape)
-    for a, b in ((np.full(shape, -0.0), np.zeros(shape)), (wave, np.cos(wave * 1e3))):
+    layered_zeros = None if zeros is None else np.flatnonzero(np.isin(layers, zeros))
+    plan = ii[layers], jj[layers], counts, np.argsort(slots), layered_zeros
+    shapes = [(len(support_slots(s, nvars, order)), LAYERED_MIN_BATCH) for s in supports]
+    waves = [np.sin(np.arange(n * m)).reshape(n, m) for n, m in shapes]
+    signed_zeros = np.full(shapes[0], -0.0), np.zeros(shapes[1])
+    for a, b in (signed_zeros, (waves[0], np.cos(waves[1] * 1e3))):
         pairs = a[ii]
         pairs *= b[jj]
+        if zeros is not None:
+            pairs[zeros] = 0.0
         expected = np.add.reduceat(pairs, starts, axis=0)
         if _layered_product(a, b, plan).tobytes() != expected.tobytes():
             return None
@@ -159,9 +246,11 @@ def _layer_plan(nvars: int, order: int):
 # Each thread keeps two buffers for the gathers of its layered products, as
 # long as each gather fits SCRATCH_BYTES: four times the 96 KiB that
 # analysis.CHUNK_BYTES allows a scan's batch to allocate afresh per array,
-# which holds every gather of such a batch (KN's order-3 product gathers 84
-# pairs at 455 points, 3.1 times the bound). A wider gather is allocated for
-# its product alone.
+# which holds every gather of such a batch (the full order-3 product over 3
+# variables gathers 84 pairs at 455 points, 3.1 times the bound; in the KN
+# tape only the final sqrt, which reads all three, does, and its products
+# over one or two variables gather 10 to 35). A wider gather is allocated
+# for its product alone.
 SCRATCH_BYTES = 4 * 96 * 1024
 
 
@@ -187,14 +276,18 @@ def _gathers(shape: tuple[int, int]) -> list[np.ndarray]:
 
 
 def _layered_product(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
-    li, lj, counts, inverse = plan
+    li, lj, counts, inverse, zeros = plan
     pairs, other = _gathers((len(li), a.shape[1]))
     # mode="clip" takes straight into `out`, where the default mode would
     # buffer; every slot is in range, so the gathered values are the same
     np.take(a, li, axis=0, out=pairs, mode="clip")
     np.take(b, lj, axis=0, out=other, mode="clip")
     pairs *= other
+    if zeros is not None:
+        pairs[zeros] = 0.0
     first = pairs[: counts[0]]
+    if len(counts) == 1:
+        return first[inverse]
     # the rest of each run adds up in layer 1's rows, one contiguous prefix
     # add per layer, and then joins its first pair
     rest = pairs[counts[0] : counts[0] + counts[1]]
@@ -206,19 +299,70 @@ def _layered_product(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
     return first[inverse]
 
 
-def mul_coeffs(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
-    """Coefficients of the truncated product of two jets of (nvars, order)."""
+def mul_coeffs(
+    a: np.ndarray, b: np.ndarray, nvars: int, order: int, supports: tuple[int, int] = (-1, -1)
+) -> np.ndarray:
+    """Stored coefficients of the truncated product of jets of (nvars, order) over `supports`.
+
+    `a` holds the stored slots of a jet over support A, `b` those of one over
+    B (see `support_slots`), and the product those of A | B. At full supports
+    this is the dense product of two jets.
+    """
     if not order:
         return a * b
     # which batches take which kernel, and why their bits agree: the module docstring
     if a.ndim == 2 and a.shape[1] >= LAYERED_MIN_BATCH:
-        plan = _layer_plan(nvars, order)
+        plan = _layer_plan(nvars, order, supports)
         if plan is not None:
             return _layered_product(a, b, plan)
-    ii, jj, starts = _mul_table(nvars, order)
+    ii, jj, starts, zeros = _product_table(nvars, order, supports)
     pairs = a[ii]
     pairs *= b[jj]
+    if zeros is not None:
+        pairs[zeros] = 0.0
     return np.add.reduceat(pairs, starts, axis=0)
+
+
+@lru_cache(maxsize=None)
+def _sum_table(nvars: int, order: int, supports: tuple[int, int]):
+    """The rows of A's and B's stored slots among those of A | B, None for all; their count."""
+    union = support_slots(supports[0] | supports[1], nvars, order)
+    rows = [np.searchsorted(union, support_slots(s, nvars, order)) for s in supports]
+    return *(None if len(r) == len(union) else r for r in rows), len(union)
+
+
+def add_coeffs(
+    a: np.ndarray,
+    b: np.ndarray,
+    nvars: int,
+    order: int,
+    supports: tuple[int, int] = (-1, -1),
+    subtract: bool = False,
+) -> np.ndarray:
+    """Stored coefficients of a + b, or a - b when `subtract`, over `supports` (see `mul_coeffs`).
+
+    An operand over fewer variables than the sum is zero at the slots it does
+    not store, as in the dense sum, so only its stored slots add into the
+    other's. Addition commutes and -b + a is a - b, so every sum has the
+    dense one's bits.
+    """
+    if supports[0] == supports[1] or not order:
+        return a - b if subtract else a + b
+    rows_a, rows_b, size = _sum_table(nvars, order, supports)
+    if rows_b is None:  # B holds A
+        out = -b if subtract else b.copy()
+        out[rows_a] += a
+        return out
+    if rows_a is None:  # A holds B
+        out = a.copy()
+    else:
+        out = np.zeros((size,) + a.shape[1:])
+        out[rows_a] = a
+    if subtract:
+        out[rows_b] -= b
+    else:
+        out[rows_b] += b
+    return out
 
 
 def offset_coeffs(a: np.ndarray, value: float, negate: bool = False) -> np.ndarray:
@@ -471,7 +615,9 @@ def _domain(a: np.ndarray, a0: np.ndarray, bad: np.ndarray, message: Callable[[f
     return np.where(bad, np.nan, a0)
 
 
-def _compose(a: np.ndarray, series: Sequence[np.ndarray], nvars: int, order: int) -> np.ndarray:
+def _compose(
+    a: np.ndarray, series: Sequence[np.ndarray], nvars: int, order: int, support: int
+) -> np.ndarray:
     # series[m] holds one value per point
     if not order:
         return series[0].reshape(a.shape)
@@ -485,33 +631,33 @@ def _compose(a: np.ndarray, series: Sequence[np.ndarray], nvars: int, order: int
     out = h * series[order]
     out[:1] = series[order - 1]
     for m in range(order - 2, -1, -1):
-        out = mul_coeffs(out, h, nvars, order)
+        out = mul_coeffs(out, h, nvars, order, (support, support))
         out[:1] = series[m]
     return out
 
 
-def reciprocal_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+def reciprocal_coeffs(a: np.ndarray, nvars: int, order: int, support: int = -1) -> np.ndarray:
     a0 = _columns(a)[0]
     a0 = _domain(a, a0, a0 == 0.0, lambda v: "division by a jet with zero constant term")
     series = [1.0 / a0] + [(-1.0) ** m / a0 ** (m + 1) for m in range(1, order + 1)]
-    return _compose(a, series, nvars, order)
+    return _compose(a, series, nvars, order, support)
 
 
-def exp_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+def exp_coeffs(a: np.ndarray, nvars: int, order: int, support: int = -1) -> np.ndarray:
     e0 = np.exp(_columns(a)[0])
     series = [e0 / math.factorial(m) for m in range(order + 1)]
-    return _compose(a, series, nvars, order)
+    return _compose(a, series, nvars, order, support)
 
 
-def ln_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+def ln_coeffs(a: np.ndarray, nvars: int, order: int, support: int = -1) -> np.ndarray:
     a0 = _columns(a)[0]
     a0 = _domain(a, a0, a0 <= 0.0, lambda v: f"ln of non-positive value {v}")
     series = [np.log(a0)]
     series += [(-1.0) ** (m + 1) / (m * a0**m) for m in range(1, order + 1)]
-    return _compose(a, series, nvars, order)
+    return _compose(a, series, nvars, order, support)
 
 
-def power_coeffs(a: np.ndarray, r: float, nvars: int, order: int) -> np.ndarray:
+def power_coeffs(a: np.ndarray, r: float, nvars: int, order: int, support: int = -1) -> np.ndarray:
     """Coefficients of a**r; consistent with exp(r * ln(a)) on the shared domain.
 
     Integer exponents work for any nonzero constant term (any value when
@@ -521,8 +667,9 @@ def power_coeffs(a: np.ndarray, r: float, nvars: int, order: int) -> np.ndarray:
         r = int(r)
     if isinstance(r, int):
         if r < 0:
-            return _int_power(reciprocal_coeffs(a, nvars, order), -r, nvars, order)
-        return _int_power(a, r, nvars, order)
+            inverse = reciprocal_coeffs(a, nvars, order, support)
+            return _int_power(inverse, -r, nvars, order, support)
+        return _int_power(a, r, nvars, order, support)
     a0 = _columns(a)[0]
     a0 = _domain(a, a0, a0 <= 0.0, lambda v: f"fractional power of non-positive value {v}")
     series = []
@@ -530,10 +677,10 @@ def power_coeffs(a: np.ndarray, r: float, nvars: int, order: int) -> np.ndarray:
     for m in range(order + 1):
         series.append(binom * a0 ** (r - m))
         binom *= (r - m) / (m + 1)
-    return _compose(a, series, nvars, order)
+    return _compose(a, series, nvars, order, support)
 
 
-def _int_power(a: np.ndarray, r: int, nvars: int, order: int) -> np.ndarray:
+def _int_power(a: np.ndarray, r: int, nvars: int, order: int, support: int) -> np.ndarray:
     if r == 0:
         out = np.zeros_like(a)
         # x^0 = 1, except that a column holding a NaN stays NaN: its point has failed
@@ -543,27 +690,27 @@ def _int_power(a: np.ndarray, r: int, nvars: int, order: int) -> np.ndarray:
     base = a
     while r:
         if r & 1:
-            out = base if out is None else mul_coeffs(out, base, nvars, order)
+            out = base if out is None else mul_coeffs(out, base, nvars, order, (support, support))
         r >>= 1
         if r:
-            base = mul_coeffs(base, base, nvars, order)
+            base = mul_coeffs(base, base, nvars, order, (support, support))
     return out
 
 
-def sqrt_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
-    return power_coeffs(a, 0.5, nvars, order)
+def sqrt_coeffs(a: np.ndarray, nvars: int, order: int, support: int = -1) -> np.ndarray:
+    return power_coeffs(a, 0.5, nvars, order, support)
 
 
-def sin_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+def sin_coeffs(a: np.ndarray, nvars: int, order: int, support: int = -1) -> np.ndarray:
     a0 = _columns(a)[0]
     series = [np.sin(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(order + 1)]
-    return _compose(a, series, nvars, order)
+    return _compose(a, series, nvars, order, support)
 
 
-def cos_coeffs(a: np.ndarray, nvars: int, order: int) -> np.ndarray:
+def cos_coeffs(a: np.ndarray, nvars: int, order: int, support: int = -1) -> np.ndarray:
     a0 = _columns(a)[0]
     series = [np.cos(a0 + m * math.pi / 2.0) / math.factorial(m) for m in range(order + 1)]
-    return _compose(a, series, nvars, order)
+    return _compose(a, series, nvars, order, support)
 
 
 # the kernel of each function of the expression language

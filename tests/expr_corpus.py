@@ -50,4 +50,8 @@ CORPUS = [
     # constants that overflow: inf, as over a variable, and never a traceback
     "S*exp(1000)",
     "10^400 + S",
+    # sums whose operands read nested sets of variables, either way round, and
+    # a product whose run of pairs for S^2 V starts with a pair over V alone
+    "S - V*S + S",
+    "exp(S + V)*sqrt(S)",
 ]

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expr_corpus import CORPUS
-from gtdkit import fundeq, geometry, jets
+from gtdkit import cli, fundeq, geometry, jets
 from gtdkit.errors import DegenerateMetricError, DomainError
 from gtdkit.geometry import HessianMetricField, MetricKind
 
@@ -252,6 +252,21 @@ def test_direct_field_wide_batch_matches_points(name):
     if f.dim == 1:
         # a curve has no curvature: R^a_bcd = -R^a_bdc leaves nothing at n = 1
         assert np.all(report.scalar[ok] == 0.0)
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+@pytest.mark.parametrize("system", ["kerr_newman", "reissner_nordstrom", "vdw"])
+def test_hessian_field_wide_batch_matches_points(system, kind):
+    # a wide batch of distinct points: every R of the Hessian identity's
+    # batched matrix products is its point's single-point call, bit for bit
+    f = HessianMetricField(fundeq.builtin(system), kind)
+    box = cli._CHECK_BOXES[system]
+    rng = np.random.default_rng(6)
+    points = np.column_stack([rng.uniform(*box[v], _WIDE).round(3) for v in f.coordinates])
+    report = geometry.scalar_curvature(f, points)
+    assert report.status == [geometry.STATUS_OK] * _WIDE
+    for point, value in zip(points, report.scalar):
+        assert _same(value, geometry.scalar_curvature(f, point).scalar)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])

@@ -295,6 +295,66 @@ def test_plan_matches_a_walk_with_jet_operators(source):
                 assert via_plan == _outcome(lambda: _bits(_walk(tree, env))), (order, points)
 
 
+# The statuses that the tape, which stores each step over only the variables
+# it reads, does not share with the dense walk. Where a jet over fewer
+# variables than the jets' is infinite (exp(1000), or exp(S) at S = 1000),
+# the walk multiplies inf by the coefficients of the other variables, which
+# are zero, and gets NaN; the tape stores none of them and forms none of those
+# products. At order 1 those products are the walk's only NaN, so the walk
+# fails the point and the tape keeps its infinite value; from order 2 on, a
+# stored coefficient is zero too (that of S^2 in S) and both fail.
+_WALK_ONLY_FAILURES = {
+    ("exp(S)", 1),
+    ("exp(S/k)/(V-b)", 1),
+    ("S*exp(1000)", 1),
+    ("exp(S + V)*sqrt(S)", 1),
+}
+
+
+def _failed_and_columns(outcome, points, order):
+    """The failed points and the (N, B) coefficients of a tape's or a walk's outcome."""
+    count = len(points) if points.ndim == 2 else 1
+    if isinstance(outcome, str):  # a DomainError fails every point
+        return np.ones(count, dtype=bool), None
+    if not isinstance(outcome, jets.Jet):
+        outcome = jets.constant(np.full(count, outcome), len(_TAPE_VARIABLES), order)
+    coeffs = outcome.coeffs.reshape(outcome.coeffs.shape[0], -1)
+    return np.isnan(coeffs).any(axis=0), coeffs
+
+
+@pytest.mark.parametrize("source", CORPUS)
+def test_sparse_tape_matches_the_dense_walk(source):
+    # evaluate_exprs, whose tape stores each step over only the variables it
+    # reads, against the walk with Jet's operators, whose every jet is dense,
+    # at orders 0-3, at one point and in a batch, at overflowing points too:
+    # the same points fail, but for _WALK_ONLY_FAILURES, where the tape holds
+    # an infinite coefficient instead; elsewhere the values are equal, so every
+    # nonzero finite coefficient has the walk's bits and a zero that the tape
+    # does not store equals the walk's as a value, whatever its sign
+    tree = parse(source)
+    tape = fundeq.compile_exprs([tree], _TAPE_VARIABLES)
+    changed = set()
+    with np.errstate(all="ignore"):
+        for order in range(4):
+            for points in (_WALK_POINTS, *_WALK_POINTS):
+                evaluated = _outcome(
+                    lambda: fundeq.evaluate_exprs(tape, _TAPE_PARAMETERS, points, order)[0]
+                )
+                failed, coeffs = _failed_and_columns(evaluated, points, order)
+                walk_failed, walk_coeffs = _failed_and_columns(
+                    _outcome(lambda: _walk(tree, _walk_env(points, order))), points, order
+                )
+                assert not (failed & ~walk_failed).any(), (order, points)
+                walk_only = walk_failed & ~failed
+                if walk_only.any():
+                    changed.add((source, order))
+                    assert np.isinf(coeffs[:, walk_only]).any(axis=0).all(), (order, points)
+                kept = ~(failed | walk_failed)
+                if kept.any():
+                    assert np.array_equal(coeffs[:, kept], walk_coeffs[:, kept]), (order, points)
+    assert changed == {case for case in _WALK_ONLY_FAILURES if case[0] == source}
+
+
 @pytest.mark.parametrize("source", CORPUS)
 def test_order_zero_is_the_constant_term_at_every_order(source):
     # each order-0 kernel is the constant term of its series, bit for bit, as

@@ -291,9 +291,16 @@ def test_sphere_entry_is_the_tree_of_its_text(radius):
 @pytest.mark.parametrize("radius", [1e200, math.nan])
 def test_sphere_of_no_finite_area_builds_and_its_curvature_is_a_domain_error(radius):
     # r^2 = inf or NaN was written into the text as a name, and construction
-    # raised "reference undeclared identifiers: ['inf']"
+    # raised "reference undeclared identifiers: ['inf']". An infinite r^2 gives
+    # g an infinite entry, a degenerate metric, at every jet order: r^2 sin^2
+    # reads theta alone, so no coefficient of its jet over phi is inf times 0
     f = sphere_metric(radius)
-    with np.errstate(all="ignore"):  # inf times a zero coefficient is NaN
+    with np.errstate(all="ignore"):
+        if math.isinf(radius * radius):
+            with pytest.raises(DegenerateMetricError, match="g has an infinite entry"):
+                scalar_curvature(f, (1.0, 0.5))
+            assert scalar_curvature(f, np.array([[1.0, 0.5]])).status == ["degenerate"]
+            return
         with pytest.raises(DomainError, match=re.escape(f"makes sphere(r={radius}) not a number")):
             scalar_curvature(f, (1.0, 0.5))
         assert scalar_curvature(f, np.array([[1.0, 0.5]])).status == ["domain-error"]

@@ -101,26 +101,62 @@ def _same_or_both_nan(x, y):
     return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
 
 
+def _operands(rng, shape):
+    """Operands of `shape` over many magnitudes, with signed zeros, infinities and NaNs."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+    edge = rng.random(shape) < 0.15
+    x[edge] = rng.choice(_EDGES, edge.sum())
+    return x
+
+
 @pytest.mark.parametrize("nvars", range(1, 9))
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_layered_product_matches_reduceat(nvars, order):
     # bit for bit against np.add.reduceat on both sides of the threshold, with
-    # signed zeros, infinities, NaNs and products that overflow
-    plan = jets._layer_plan(nvars, order)
-    assert plan is not None
-    ii, jj, starts = jets._mul_table(nvars, order)
-    size = jets._size(nvars, order)
+    # signed zeros, infinities, NaNs and products that overflow, at full
+    # supports and over supports of fewer variables, stand-in zeros included
+    full = (1 << nvars) - 1
     rng = np.random.default_rng(10 * nvars + order)
-    for batch in (jets.LAYERED_MIN_BATCH - 1, jets.LAYERED_MIN_BATCH, 146, 750):
-        a, b = rng.normal(size=(2, size, batch)) * 10.0 ** rng.integers(-8, 9, (2, size, batch))
-        for x in (a, b):
-            edge = rng.random(x.shape) < 0.15
-            x[edge] = rng.choice(_EDGES, edge.sum())
-        with np.errstate(all="ignore"):
-            pairs = a[ii] * b[jj]
-            expected = _REDUCEAT(pairs, starts, axis=0)
-            assert _same_or_both_nan(jets._layered_product(a, b, plan), expected)
-            assert _same_or_both_nan(jets.mul_coeffs(a, b, nvars, order), expected)
+    for supports in [(-1, -1), (1, 1), (1, full), (full & 3, 1), (full & 5, full & 6)]:
+        plan = jets._layer_plan(nvars, order, supports)
+        assert plan is not None
+        ii, jj, starts, zeros = jets._product_table(nvars, order, supports)
+        rows = [len(jets.support_slots(s, nvars, order)) for s in supports]
+        for batch in (jets.LAYERED_MIN_BATCH - 1, jets.LAYERED_MIN_BATCH, 146, 750):
+            a, b = (_operands(rng, (n, batch)) for n in rows)
+            with np.errstate(all="ignore"):
+                pairs = a[ii] * b[jj]
+                if zeros is not None:
+                    pairs[zeros] = 0.0
+                expected = _REDUCEAT(pairs, starts, axis=0)
+                assert _same_or_both_nan(jets._layered_product(a, b, plan), expected)
+                assert _same_or_both_nan(jets.mul_coeffs(a, b, nvars, order, supports), expected)
+
+
+@pytest.mark.parametrize("batch", [1, 5, 200])
+def test_product_over_supports_keeps_the_dense_sums(batch):
+    # a jet over {S, J} times one over {S}, 3 variables, order 3: each stored
+    # slot of the product has the bits of the dense product wherever that is
+    # finite and nonzero, and its value elsewhere
+    supports = (0b011, 0b001)
+    rng = np.random.default_rng(batch)
+    a, b = (rng.normal(size=(len(jets.support_slots(s, 3, 3)), batch)) for s in supports)
+    sparse = jets.mul_coeffs(a, b, 3, 3, supports)
+    a_dense, b_dense = (jets.dense_coeffs(x, s, 3, 3) for x, s in zip((a, b), supports))
+    dense = jets.mul_coeffs(a_dense, b_dense, 3, 3)[jets.support_slots(0b011, 3, 3)]
+    kept = np.isfinite(dense) & (dense != 0.0)
+    assert sparse[kept].tobytes() == dense[kept].tobytes()
+    assert np.array_equal(sparse, dense)
+    # slot S^2 J runs p0 + (p1 + ...), where p0 = a_1 b_(S^2 J) is not stored
+    # and three pairs are: a zero stands in for p0, and with the first stored
+    # pair promoted to p0 instead, the sum is q0 + (q1 + q2), whose bits differ
+    ii, jj, starts, zeros = jets._product_table(3, 3, supports)
+    slot = list(jets.support_slots(0b011, 3, 3)).index(jets._index_table(3, 3)[1][(2, 1, 0)])
+    assert starts[slot] in zeros and starts[slot + 1] - starts[slot] == 4
+    q = a[ii[starts[slot] + 1 : starts[slot] + 4]] * b[jj[starts[slot] + 1 : starts[slot] + 4]]
+    assert sparse[slot].tobytes() == ((q[0] + q[1]) + q[2]).tobytes()
+    if batch == 200:
+        assert (q[0] + (q[1] + q[2]) != sparse[slot]).any()
 
 
 class _Add:
